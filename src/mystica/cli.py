@@ -54,6 +54,12 @@ def _group_lines(G) -> list[str]:
     return lines
 
 
+def _degree(args) -> int:
+    if args.degree is None:
+        return default_truncation_degree(args.m, args.p, args.n)
+    return args.degree
+
+
 def _build_group(args) -> "FiniteMonomialGroup":
     if args.cprime is not None:
         return make_w(args.m, args.cprime, args.n)
@@ -94,7 +100,7 @@ def cmd_mu(args) -> int:
 def cmd_equiv(args) -> int:
     G = make_gmpn(args.m, args.p, args.n)
     mu = mu_group(G)
-    D = args.degree or default_truncation_degree(args.m, args.p, args.n)
+    D = _degree(args)
     c = parse_scalar(args.c)
     report = mystic_equiv_check(G, 0, mu, c, D)
     if args.format == "json":
@@ -110,7 +116,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_invariants(args) -> int:
     G = make_gmpn(args.m, args.p, args.n)
-    D = args.degree or default_truncation_degree(args.m, args.p, args.n)
+    D = _degree(args)
     polys = fundamental_invariants(args.m, args.p, args.n)
     commute = commute_check(QMatrix.minus_one(args.n), polys)
     series = hilbert_free(invariant_degrees(args.m, args.p, args.n), D)
@@ -150,7 +156,7 @@ def cmd_invariants(args) -> int:
 def cmd_iso(args) -> int:
     G = make_gmpn(args.m, args.p, args.n)
     mu = mu_group(G)
-    answer = isomorphic(G, mu, args.cap or 500)
+    answer = isomorphic(G, mu, 500 if args.cap is None else args.cap)
     if args.format == "json":
         _emit_json({"m": args.m, "p": args.p, "n": args.n, "isomorphic": answer})
     else:
@@ -249,18 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> str | None:
+    for name in ("m", "p", "cprime", "n", "cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            return f"{name} must be a positive integer"
+    degree = getattr(args, "degree", None)
+    if degree is not None and degree < 0:
+        return "degree must be a nonnegative integer"
     m = getattr(args, "m", None)
-    if m is not None and m < 1:
-        return "m must be a positive integer"
     p = getattr(args, "p", None)
     if m is not None and p is not None and m % p != 0:
         return f"p={p} must divide m={m}"
     cprime = getattr(args, "cprime", None)
     if m is not None and cprime is not None and m % cprime != 0:
         return f"cprime={cprime} must divide m={m}"
-    n = getattr(args, "n", None)
-    if n is not None and n < 1:
-        return "n must be a positive integer"
     if args.command in ("mu", "equiv", "iso") and m is not None and m % 2 != 0:
         return f"m={m} must be even: odd-level groups have no det-twisted counterpart"
     return None

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial, gcd, lcm
 
+from .linalg import _prime_factors
 from .monomial import MonomialElement, identity, perm_sign
 
 DEFAULT_CAP = 50_000
@@ -209,10 +210,6 @@ def closure_generate(
                         raise CapExceededError(f"closure exceeded cap {cap}")
         frontier = nxt
     return FiniteMonomialGroup(n, N, seen, GroupTag("generated"))
-
-
-def ambient_group(m: int, n: int) -> FiniteMonomialGroup:
-    return make_gmpn(m, 1, n)
 
 
 def is_thick(G: FiniteMonomialGroup, ambient_m: int) -> bool:
@@ -638,16 +635,3 @@ def _int_log(value: int, base: int) -> int:
         out += 1
     return out
 
-
-def _prime_factors(value: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= value:
-        if value % d == 0:
-            out.append(d)
-            while value % d == 0:
-                value //= d
-        d += 1
-    if value > 1:
-        out.append(value)
-    return out

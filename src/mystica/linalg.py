@@ -48,12 +48,6 @@ class SparseMatrix:
             return False
         return all(v == other.entries[k] for k, v in self.entries.items())
 
-    def rows(self) -> list[dict]:
-        out = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def columns(self) -> list[dict]:
         out = [dict() for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():

@@ -190,22 +190,6 @@ class DetValue:
         return self.sign == 1 and self.torus.is_one()
 
 
-def compose(a: MonomialElement, b: MonomialElement) -> MonomialElement:
-    return a * b
-
-
-def invert(a: MonomialElement) -> MonomialElement:
-    return a.inverse()
-
-
-def det_char(a: MonomialElement) -> DetValue:
-    return a.det()
-
-
-def act_on_basis(a: MonomialElement, i: int) -> tuple[RootOfUnity, int]:
-    return a.act_on_basis(i)
-
-
 def identity(n: int, N: int) -> MonomialElement:
     return MonomialElement.identity(n, N)
 

@@ -105,21 +105,6 @@ def mystic_equiv_check(
     )
 
 
-def equivalent_up_to(
-    G: FiniteMonomialGroup,
-    act_left,
-    H: FiniteMonomialGroup,
-    act_right,
-    degree: int,
-) -> bool:
-    """Like mystic_equiv_check but stops at the first differing slice."""
-    Gl, Hl = common_ambient(G, H)
-    for d in range(degree + 1):
-        if _group_sum_operator(Gl, act_left, d) != _group_sum_operator(Hl, act_right, d):
-            return False
-    return True
-
-
 def unique_equivalent_thick(
     G: FiniteMonomialGroup, degree: int, cap: int | None = None
 ) -> list[FiniteMonomialGroup]:
@@ -245,18 +230,21 @@ def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:
     )
 
 
+def _extend_operator_rows(rows, G: FiniteMonomialGroup, c, degree: int) -> None:
+    """Append the degree-slice operator of each element of G to its row,
+    keyed (degree, row, column)."""
+    for row, g in zip(rows, G.elements):
+        for (r, col), v in operator_matrix(g, c, degree).entries.items():
+            row[(degree, r, col)] = v
+
+
 def faithfulness_rank(G: FiniteMonomialGroup, c, degree: int) -> int:
     """Rank of the family of operators of the group elements on the slices of
     degree at most the bound, viewed as one long vector each; equals the
     group order exactly when the operators are linearly independent."""
-    rows = []
-    for g in G.elements:
-        row: dict = {}
-        for d in range(degree + 1):
-            mat = operator_matrix(g, c, d)
-            for (r, col), v in mat.entries.items():
-                row[(d, r, col)] = v
-        rows.append(row)
+    rows = [dict() for _ in G.elements]
+    for d in range(degree + 1):
+        _extend_operator_rows(rows, G, c, d)
     return sparse_rank(rows)
 
 
@@ -271,15 +259,13 @@ def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
     the smallest one at which the rank reaches the group order.  For larger
     groups such a degree is skipped and a later degree provides the
     certificate, so the degree returned is the first certified one, an upper
-    bound on the smallest; there (None, 0) means unknown, not rank 0.
+    bound on the smallest; when no degree is certified the rank is unknown
+    and the result is (None, None).
     """
     rows = [dict() for _ in G.elements]
     space = 0
     for d in range(max_degree + 1):
-        for row, g in zip(rows, G.elements):
-            mat = operator_matrix(g, c, d)
-            for (r, col), v in mat.entries.items():
-                row[(d, r, col)] = v
+        _extend_operator_rows(rows, G, c, d)
         space += len(slice_monomials(G.n, d)) ** 2
         if space < G.order:
             continue  # the span cannot reach the group order yet
@@ -289,5 +275,6 @@ def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
             rank = sparse_rank([dict(r) for r in rows])
             if rank == G.order:
                 return d, rank
-    rank = sparse_rank([dict(r) for r in rows]) if G.order <= 64 else 0
-    return None, rank
+    if G.order > 64:
+        return None, None
+    return None, sparse_rank(rows)

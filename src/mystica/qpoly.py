@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _ctx
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix, sparse_rank
 from .monomial import MonomialElement, perm_apply
@@ -227,17 +227,34 @@ def commute_check(q: QMatrix, polys) -> bool:
     return True
 
 
-# -- cocycles ----------------------------------------------------------
+# -- the slice-action kernel ---------------------------------------------
+#
+# For g = t*w in canonical form the twisted action sends x^k to
+# (-1)^s * c^b * zeta_N^a * x^(w(k)): (s, b) is the cocycle phi_w^(c)(k) of
+# w, and zeta_N^a = prod_j t_{w(j)}^(k_j) = t^(w(k)) is the torus root.
 
 
-def phi_eval(c, i: int, j: int, k) -> Cyclotomic:
-    """phi_ij^(c)(k) = (-1)^(k_i k_j) c^(parity(k_i) - parity(k_j)); indices zero-based."""
-    cc = _coerce_c(c)
+def _cocycle(pairs, k) -> tuple[int, int]:
+    """(sign bit, c exponent) of the product of phi_ij^(c)(k) over the index
+    pairs: phi_ij^(c)(k) = (-1)^(k_i k_j) c^(parity(k_i) - parity(k_j))."""
+    sign = 0
+    cexp = 0
+    for i, j in pairs:
+        sign += k[i] * k[j]
+        cexp += (k[i] % 2) - (k[j] % 2)
+    return sign % 2, cexp
+
+
+def _scalar(cc, N: int, sign: int, cexp: int, root_exp: int) -> Cyclotomic:
+    """(-1)^sign * zeta_N^root_exp * c^cexp in Q(zeta_L), L = lcm(N, ord c).
+    The untwisted action (cc None) has no cocycle and stays in Q(zeta_N)."""
     if cc is None:
-        return Cyclotomic.one()
-    sign = -1 if (k[i] * k[j]) % 2 else 1
-    out = cc ** ((k[i] % 2) - (k[j] % 2))
-    return out if sign == 1 else -out
+        return Cyclotomic.root(N, root_exp)
+    field_order = lcm(N, cc.order)
+    out = Cyclotomic.root(field_order, root_exp * (field_order // N))
+    if cexp:
+        out = out * cc**cexp
+    return -out if sign else out
 
 
 @lru_cache(maxsize=None)
@@ -248,41 +265,46 @@ def _inversions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _slice_action(perm: tuple[int, ...], degree: int) -> tuple[tuple[int, int, int], ...]:
+    """Per column k of slice_monomials: (row of w(k), sign bit, c exponent)."""
+    basis = slice_monomials(len(perm), degree)
+    pos = {k: idx for idx, k in enumerate(basis)}
+    pairs = _inversions(perm)
+    return tuple((pos[perm_apply(perm, k)],) + _cocycle(pairs, k) for k in basis)
+
+
+def _root_exponents(columns, image) -> list[int]:
+    """For each element t*w sharing w, the unreduced exponent a with
+    t^(w(k)) = zeta_N^a: columns[j] lists the elements' t_j, image is w(k)."""
+    out = [0] * len(columns[0])
+    for column, kj in zip(columns, image):
+        if kj:
+            out = [r + kj * e for r, e in zip(out, column)]
+    return out
+
+
+def _by_perm(terms, n: int, N: int) -> dict:
+    """perm -> (torus columns, values) of the (element, value) terms."""
+    members: dict = {}
+    for elem, value in terms:
+        if (elem.n, elem.N) != (n, N):
+            raise ValueError("mixed ambients in operator")
+        members.setdefault(elem.perm, []).append((elem.exps, value))
+    return {
+        perm: (tuple(zip(*(exps for exps, _ in group))), [value for _, value in group])
+        for perm, group in members.items()
+    }
+
+
+def phi_eval(c, i: int, j: int, k) -> Cyclotomic:
+    """phi_ij^(c)(k) = (-1)^(k_i k_j) c^(parity(k_i) - parity(k_j)); indices zero-based."""
+    return _scalar(_coerce_c(c), 1, *_cocycle(((i, j),), k), 0)
+
+
 def phi_w_eval(c, perm: tuple[int, ...], k) -> Cyclotomic:
     """Product of phi_ij^(c)(k) over the inversions of the permutation."""
-    cc = _coerce_c(c)
-    if cc is None:
-        return Cyclotomic.one()
-    sign = 0
-    cexp = 0
-    for i, j in _inversions(tuple(perm)):
-        sign += k[i] * k[j]
-        cexp += (k[i] % 2) - (k[j] % 2)
-    out = cc**cexp
-    return out if sign % 2 == 0 else -out
-
-
-def _act_data(g: MonomialElement, k: tuple[int, ...]):
-    """(image exponent vector, sign bit, c exponent, torus root exponent).
-
-    For g = t*w in canonical form, the action sends x^k to
-    phi_w(k) * prod_j t_{w(j)}^(k_j) * x^(w(k)).
-    """
-    w = g.perm
-    e = g.exps
-    N = g.N
-    image = perm_apply(w, k)
-    root_exp = 0
-    for i in range(g.n):
-        ki = k[i]
-        if ki:
-            root_exp += e[w[i]] * ki
-    sign = 0
-    cexp = 0
-    for i, j in _inversions(w):
-        sign += k[i] * k[j]
-        cexp += (k[i] % 2) - (k[j] % 2)
-    return image, sign % 2, cexp, root_exp % N
+    return _scalar(_coerce_c(c), 1, *_cocycle(_inversions(tuple(perm)), k), 0)
 
 
 def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
@@ -290,22 +312,13 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     if f.n != g.n:
         raise ValueError("rank mismatch")
     cc = _coerce_c(c)
+    pairs = _inversions(g.perm)
+    columns = tuple((e,) for e in g.exps)
     out: dict = {}
     for k, coeff in f.terms.items():
-        image, sign, cexp, root_exp = _act_data(g, k)
-        scalar = Cyclotomic.root(g.N, root_exp)
-        if cc is not None:
-            if sign:
-                scalar = -scalar
-            if cexp:
-                scalar = scalar * cc**cexp
-        total = coeff * scalar
-        cur = out.get(image)
-        total = total if cur is None else cur + total
-        if total.is_zero():
-            out.pop(image, None)
-        else:
-            out[image] = total
+        image = perm_apply(g.perm, k)
+        (root_exp,) = _root_exponents(columns, image)
+        out[image] = coeff * _scalar(cc, g.N, *_cocycle(pairs, k), root_exp)
     return QPolynomial(f.n, out)
 
 
@@ -330,78 +343,45 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
         raise ValueError("degree must be nonnegative")
     terms, n, N = _terms_of(actor)
     cc = _coerce_c(c)
-    basis = slice_monomials(n, degree)
-    pos = {k: idx for idx, k in enumerate(basis)}
+    groups = _by_perm(terms, n, N)
     if N % 2 == 0 and (cc is None or cc == 1):
-        int_coeffs = []
-        for _, coeff in terms:
-            if coeff.is_rational() and coeff.rational_value().denominator == 1:
-                int_coeffs.append(int(coeff.rational_value()))
-            else:
-                int_coeffs = None
-                break
-        if int_coeffs is not None:
-            return _integer_sum_matrix(terms, int_coeffs, cc is not None, n, N, basis, pos)
-    field_order = lcm(N, cc.order) if cc is not None else N
-    step = field_order // N
+        if all(v.is_rational() and v.rational_value().denominator == 1 for _, v in terms):
+            return _integer_sum_matrix(groups, cc is not None, n, N, degree)
+    basis = slice_monomials(n, degree)
     matrix = SparseMatrix(len(basis), len(basis))
-    for elem, coeff in terms:
-        if (elem.n, elem.N) != (n, N):
-            raise ValueError("mixed ambients in operator")
-        scalar_cache: dict = {}
-        for col, k in enumerate(basis):
-            image, sign, cexp, root_exp = _act_data(elem, k)
+    for perm, (columns, coeffs) in groups.items():
+        caches = [{} for _ in coeffs]
+        for col, (row, sign, cexp) in enumerate(_slice_action(perm, degree)):
             if cc is None:
-                key = (0, 0, root_exp)
-            else:
-                key = (sign, cexp, root_exp)
-            scalar = scalar_cache.get(key)
-            if scalar is None:
-                scalar = coeff * Cyclotomic.root(field_order, root_exp * step)
-                if cc is not None:
-                    if cexp:
-                        scalar = scalar * cc**cexp
-                    if sign:
-                        scalar = -scalar
-                scalar_cache[key] = scalar
-            matrix.add(pos[image], col, scalar)
+                sign = cexp = 0
+            roots = _root_exponents(columns, basis[row])
+            for coeff, cache, root_exp in zip(coeffs, caches, roots):
+                key = (sign, cexp, root_exp % N)
+                scalar = cache.get(key)
+                if scalar is None:
+                    scalar = cache[key] = coeff * _scalar(cc, N, *key)
+                matrix.add(row, col, scalar)
     return matrix
 
 
-def _integer_sum_matrix(terms, int_coeffs, minus: bool, n, N, basis, pos) -> SparseMatrix:
+def _integer_sum_matrix(groups, minus: bool, n: int, N: int, degree: int) -> SparseMatrix:
     """Fast path for integer-coefficient sums of element operators under the
     two sign actions: per matrix entry, count each root of unity with integer
     multiplicity, then materialize the cyclotomic values once.  Valid because
     every element scalar is +-zeta_N^e and -1 = zeta_N^(N/2) for even N."""
-    from .monomial import perm_inverse
-
     half = N // 2
-    by_perm: dict = {}
-    for (elem, _), cint in zip(terms, int_coeffs):
-        if (elem.n, elem.N) != (n, N):
-            raise ValueError("mixed ambients in operator")
-        by_perm.setdefault(elem.perm, []).append((elem.exps, cint))
+    basis = slice_monomials(n, degree)
     counts: dict = {}
-    for perm, members in by_perm.items():
-        winv = perm_inverse(perm)
-        inv_pairs = _inversions(perm)
-        for col, k in enumerate(basis):
-            row = pos[perm_apply(perm, k)]
-            kwinv = [k[winv[j]] for j in range(n)]
-            offset = 0
-            if minus and sum(k[i] * k[j] for i, j in inv_pairs) % 2:
-                offset = half
-            key = (row, col)
-            arr = counts.get(key)
+    for perm, (columns, coeffs) in groups.items():
+        cints = [int(v.rational_value()) for v in coeffs]
+        for col, (row, sign, _) in enumerate(_slice_action(perm, degree)):
+            offset = half if minus and sign else 0
+            arr = counts.get((row, col))
             if arr is None:
-                arr = counts[key] = [0] * N
-            support = [(j, kj) for j, kj in enumerate(kwinv) if kj]
-            for exps, cint in members:
-                s = offset
-                for j, kj in support:
-                    s += exps[j] * kj
-                arr[s % N] += cint
-    deg, rows = _ctx_rows(N)
+                arr = counts[(row, col)] = [0] * N
+            for root_exp, cint in zip(_root_exponents(columns, basis[row]), cints):
+                arr[(root_exp + offset) % N] += cint
+    deg, rows = _ctx(N)
     matrix = SparseMatrix(len(basis), len(basis))
     for key, arr in counts.items():
         vec = [0] * deg
@@ -414,13 +394,6 @@ def _integer_sum_matrix(terms, int_coeffs, minus: bool, n, N, basis, pos) -> Spa
         if any(vec):
             matrix.entries[key] = Cyclotomic(N, tuple(Fraction(v) for v in vec))
     return matrix
-
-
-@lru_cache(maxsize=None)
-def _ctx_rows(N: int):
-    from .cyclo import _ctx
-
-    return _ctx(N)
 
 
 # -- invariants --------------------------------------------------------
@@ -439,26 +412,13 @@ def invariant_dimension(G: FiniteMonomialGroup, c, degree: int) -> int:
     rank = sparse_rank(matrix.columns())
 
     cc = _coerce_c(c)
-    n, N = G.n, G.N
-    basis = slice_monomials(n, degree)
-    field_order = lcm(N, cc.order) if cc is not None else N
-    step = field_order // N
-    by_perm: dict = {}
-    for g in G.elements:
-        by_perm.setdefault(g.perm, []).append(g)
-    trace = Cyclotomic.zero(field_order)
-    for perm, members in by_perm.items():
-        fixed = [k for k in basis if perm_apply(perm, k) == k]
-        for g in members:
-            for k in fixed:
-                _, sign, cexp, root_exp = _act_data(g, k)
-                scalar = Cyclotomic.root(field_order, root_exp * step)
-                if cc is not None:
-                    if cexp:
-                        scalar = scalar * cc**cexp
-                    if sign:
-                        scalar = -scalar
-                trace = trace + scalar
+    basis = slice_monomials(G.n, degree)
+    trace = Cyclotomic.zero()
+    for perm, (columns, _) in _by_perm(terms, G.n, G.N).items():
+        for col, (row, sign, cexp) in enumerate(_slice_action(perm, degree)):
+            if row == col:
+                for root_exp in _root_exponents(columns, basis[col]):
+                    trace = trace + _scalar(cc, G.N, sign, cexp, root_exp)
     average = trace / G.order
     if not average.is_rational() or average.rational_value().denominator != 1:
         raise DimensionMismatchError(f"trace average {average!r} is not an integer")

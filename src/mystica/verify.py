@@ -127,7 +127,7 @@ def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
                 f"|mu|={mu.order}",
             )
         )
-        D = cfg.degree or default_truncation_degree(m, p, n)
+        D = default_truncation_degree(m, p, n) if cfg.degree is None else cfg.degree
         report = mystic_equiv_check(G, 0, mu, 1, D)
         out.append(
             CheckResult(
@@ -158,7 +158,7 @@ def check_invariant_dimensions(cfg: VerifyConfig) -> list[CheckResult]:
     for m, p, n in _even_m_cells(cfg):
         G = make_gmpn(m, p, n)
         mu = mu_group(G)
-        D = cfg.degree or default_truncation_degree(m, p, n)
+        D = default_truncation_degree(m, p, n) if cfg.degree is None else cfg.degree
         polys = fundamental_invariants(m, p, n)
         out.append(
             CheckResult(

@@ -13,10 +13,17 @@ proves each refutation itself from a closed form or hand-written
 generators, never from the check's own output.  A new failing cell, a
 refuted cell that passes, or a changed detail fails the test.  The findings
 and their proofs are recorded in docs/decisions.md.
+
+Each test also compares its results, the details of passing cells
+included, with its slice of tests/golden/verify_all.json, the output of
+`mystica verify-all --format json` on the default grids.  A change to that
+file is a change of behaviour and is reviewed as such.
 """
 
 import itertools
+import json
 import time
+from pathlib import Path
 
 from mystica.cyclo import Cyclotomic, cyc_make
 from mystica.groupalg import GroupAlgebraElement, j_c
@@ -46,15 +53,29 @@ from mystica.verify import (
 )
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_all.json").read_text())
+
+# the check names a criterion reports under, where they differ from its own
+_GOLDEN_CHECKS = {
+    "counterpart-grid": ("counterpart-set", "operator-equivalence", "uniqueness-scan"),
+    "invariant-dimensions": ("generators-commute", "dimension-series"),
+}
+
+
 def _cell_order(cell):
     params, detail = cell
     return repr(sorted(params.items())), detail
 
 
+def _json_order(entry):
+    return entry["check"], json.dumps(entry["params"], sort_keys=True)
+
+
 def _criterion(name: str, results, refuted=()) -> None:
     """Assert the verdict of every cell: each cell passes except the refuted
     ones, given as (params, detail) pairs, each of which must fail with
-    exactly that detail."""
+    exactly that detail; and every result equals the golden verify-all
+    entry of its cell."""
     bad = [r for r in results if not r.passed]
     status = "PASS" if not bad else "FAIL"
     note = f", {len(refuted)} refuted as recorded in docs/decisions.md" if refuted else ""
@@ -64,6 +85,10 @@ def _criterion(name: str, results, refuted=()) -> None:
     got = sorted(((r.params, r.detail) for r in bad), key=_cell_order)
     want = sorted(refuted, key=_cell_order)
     assert got == want, f"{name}: failing cells {got}, refuted cells {want}"
+    checks = _GOLDEN_CHECKS.get(name, (name,))
+    golden = sorted((e for e in GOLDEN if e["check"] in checks), key=_json_order)
+    computed = sorted((json.loads(json.dumps(r.to_json())) for r in results), key=_json_order)
+    assert computed == golden, f"{name}: results differ from tests/golden/verify_all.json"
 
 
 def test_criterion_01_orders():

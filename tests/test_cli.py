@@ -140,3 +140,45 @@ def test_verify_all_json_schema(capsys):
     data = json.loads(out)
     assert all(set(entry) >= {"check", "params", "pass"} for entry in data)
     assert all(entry["pass"] is True for entry in data)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("group", "--m", "2", "--p", "0", "--n", "2"), "p must be a positive integer"),
+        (("group", "--m", "2", "--cprime", "0", "--n", "2"), "cprime must be a positive integer"),
+        (("iso", "--m", "2", "--p", "2", "--n", "2", "--cap", "0"), "cap must be a positive integer"),
+        (("thick", "--m", "2", "--n", "2", "--cap", "0"), "cap must be a positive integer"),
+        (("equiv", "--m", "2", "--p", "2", "--n", "2", "--degree", "-1"), "degree must be a nonnegative integer"),
+    ],
+)
+def test_nonpositive_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_degree_zero_is_honoured(capsys):
+    code, out, err = run(capsys, "equiv", "--m", "2", "--p", "2", "--n", "2", "--degree", "0", "--format", "json")
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["D"] == 0
+    assert data["per_degree"] == [True]
+    code, out, err = run(capsys, "invariants", "--m", "2", "--p", "2", "--n", "2", "--degree", "0", "--format", "json")
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["D"] == 0
+    assert data["dimensions"] == {"series": [1], "untwisted": [1], "twisted": [1]}
+    # at degree 0 every thick subgroup has the same group-sum operator, so the
+    # uniqueness scan fails honestly: a verification failure, not a crash
+    code, out, err = run(
+        capsys,
+        "verify-all", "--max-m", "2", "--max-n", "2", "--instances", "20", "--degree", "0", "--format", "json",
+    )
+    assert code == 1 and "Traceback" not in err
+    data = json.loads(out)
+    equivalence = [entry for entry in data if entry["check"] == "operator-equivalence"]
+    assert equivalence and all(entry["detail"] == "per-degree 1" for entry in equivalence)
+    assert [entry["check"] for entry in data if not entry["pass"]] == ["uniqueness-scan"]

@@ -9,7 +9,6 @@ from mystica.groups import closure_generate, make_gmpn, make_w
 from mystica.mystic import (
     EquivalenceReport,
     default_truncation_degree,
-    equivalent_up_to,
     faithfulness_rank,
     faithfulness_saturation_degree,
     group_ring_iso_check,
@@ -91,10 +90,10 @@ def test_equivalence_symmetric_and_transitive_on_family():
     G = make_gmpn(2, 2, 2)
     mu = mu_group(G)
     D = 6
-    assert equivalent_up_to(G, 0, mu, 1, D)
-    assert equivalent_up_to(mu, 1, G, 0, D)
+    assert mystic_equiv_check(G, 0, mu, 1, D).verdict
+    assert mystic_equiv_check(mu, 1, G, 0, D).verdict
     # transitivity across a chain: G ~ mu and mu ~ mu gives G ~ mu
-    assert equivalent_up_to(mu, 1, mu, 1, D)
+    assert mystic_equiv_check(mu, 1, mu, 1, D).verdict
 
 
 def test_group_ring_iso_check_klein_four():
@@ -153,3 +152,9 @@ def test_faithfulness_deficit_at_level_four_confirmed_exactly():
     G = make_gmpn(4, 1, 2)
     assert faithfulness_rank(G, 0, 8) == 31
     assert faithfulness_rank(G, 0, 10) == 32
+
+
+def test_saturation_unknown_without_certificate():
+    # order 96 > 64 and no slice up to degree 2 is certified: the rank is
+    # unknown, not 0
+    assert faithfulness_saturation_degree(make_w(4, 1, 3), 0, 2) == (None, None)

@@ -284,3 +284,72 @@ def test_polynomial_text_and_json():
         {"exp": [2, 1], "coeff": "1"},
         {"exp": [1, 2], "coeff": "-1"},
     ]
+
+
+def _reference_action(c, g, k):
+    """(w(k), scalar) of x^k under t*w straight from the definition:
+    phi_w^(c)(k) as phi_eval over the inversions of w, times
+    prod_j t_(w(j))^(k_j) as powers of Cyclotomic.root."""
+    n, N, w = g.n, g.N, g.perm
+    scalar = Cyclotomic.one()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i] > w[j]:
+                scalar = scalar * phi_eval(c, i, j, k)
+    image = [0] * n
+    for j in range(n):
+        scalar = scalar * Cyclotomic.root(N, g.exps[w[j]]) ** k[j]
+        image[w[j]] = k[j]
+    return tuple(image), scalar
+
+
+def _assert_same_entries(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == value, key
+        assert got[key].order == value.order, key
+
+
+def test_slice_action_kernel_matches_definition():
+    # the kernel behind act_c and both operator_matrix paths against the
+    # definition, entry by entry and field order by field order; integer
+    # coefficients at c in {0, 1} take the root-counting path
+    rng = random.Random(61)
+    cs = [0, 1, cyc_make(4, 1), Cyclotomic.rational(Fraction(1, 2)) + cyc_make(4, 1) * Fraction(1, 2)]
+    coeffs = [Cyclotomic.rational(v) for v in (1, -2, 3, Fraction(1, 2))] + [cyc_make(4, 1)]
+    for G in (make_gmpn(3, 1, 2), make_gmpn(4, 1, 3), make_w(4, 1, 3)):
+        n = G.n
+        for c in cs:
+            elems = rng.sample(G.elements, 4)
+            for d in range(6):
+                basis = slice_monomials(n, d)
+                row = {k: idx for idx, k in enumerate(basis)}
+                for g in elems:
+                    want = {}
+                    for col, k in enumerate(basis):
+                        image, scalar = _reference_action(c, g, k)
+                        want[(row[image], col)] = scalar
+                    _assert_same_entries(operator_matrix(g, c, d).entries, want)
+                for weights in (coeffs[:3], coeffs[2:]):
+                    terms = list(zip(elems, weights))
+                    want = {}
+                    for g, coeff in terms:
+                        for col, k in enumerate(basis):
+                            image, scalar = _reference_action(c, g, k)
+                            key = (row[image], col)
+                            want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
+                    want = {key: v for key, v in want.items() if not v.is_zero()}
+                    _assert_same_entries(operator_matrix(terms, c, d).entries, want)
+            for g in elems:
+                f = QPolynomial(
+                    n,
+                    {
+                        rng.choice(slice_monomials(n, rng.randrange(6))): rng.choice(coeffs)
+                        for _ in range(5)
+                    },
+                )
+                want = {}
+                for k, coeff in f.terms.items():
+                    image, scalar = _reference_action(c, g, k)
+                    want[image] = coeff * scalar
+                _assert_same_entries(act_c(c, g, f).terms, want)
