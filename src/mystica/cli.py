@@ -5,7 +5,7 @@ equivalence report, compute invariant dimensions against the free-algebra
 series, test abstract isomorphism of a group with its counterpart, and run
 the full desk-scale verification grid.  Output is deterministic: identical
 arguments produce identical bytes.  Exit codes: 0 pass, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 from .classify import isomorphic
 from .cyclo import parse_scalar
-from .groups import CapExceededError, enumerate_thick, make_gmpn, make_w
+from .groups import CapExceededError, enumerate_thick, group_size_cap, make_gmpn, make_w
 from .mystic import (
     default_truncation_degree,
     group_ring_iso_check,
@@ -255,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> str | None:
+    try:
+        group_size_cap()
+    except ValueError as exc:
+        return str(exc)
     for name in ("m", "p", "cprime", "n", "cap"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -292,6 +296,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"mystica: {exc}\n")
         return 2
+    except Exception as exc:
+        # never a traceback, and never exit 1, which means a refuted check
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"mystica: internal error: {detail}\n")
+        return 3
 
 
 if __name__ == "__main__":

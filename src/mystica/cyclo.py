@@ -382,7 +382,10 @@ def _tokenize(text: str) -> list:
         if m.group("zeta"):
             out.append(("zeta", int(m.group("zn")), int(m.group("zk") or 1)))
         elif m.group("rat"):
-            out.append(("rat", Fraction(m.group("rat"))))
+            try:
+                out.append(("rat", Fraction(m.group("rat"))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in scalar literal {m.group('rat')!r}") from None
         else:
             out.append((m.group("op"),))
         pos = m.end()

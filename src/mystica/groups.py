@@ -28,7 +28,15 @@ DEFAULT_CAP = 50_000
 def group_size_cap() -> int:
     """Size cap for group construction, overridable via MYSTICA_CAP."""
     value = os.environ.get("MYSTICA_CAP")
-    return int(value) if value else DEFAULT_CAP
+    if not value:
+        return DEFAULT_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MYSTICA_CAP must be a positive integer, got {value!r}")
+    return cap
 
 
 class CapExceededError(RuntimeError):

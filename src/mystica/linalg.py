@@ -10,6 +10,12 @@ an order-N element of a prime field F_q (q = 1 mod N) is a ring map on the
 cyclotomic integers, so a nonvanishing minor mod q is nonvanishing in
 characteristic zero and full rank mod q proves full rank over the field.
 The converse direction is not used anywhere.
+
+When the columns arrive in blocks (one block per degree slice), the modular
+rank is kept incrementally: ModqLeftKernel holds a basis K of the left kernel
+{y : y [B_0 ... B_d] = 0 mod q} and replaces it by ker(K B_(d+1)) K, so no
+block is reduced twice (elimination over word-size prime fields as in Dumas,
+Giorgi and Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -162,6 +168,19 @@ def _prime_factors(value: int) -> list[int]:
     return out
 
 
+def _reduce_mod(value: Cyclotomic, q: int, zpow) -> int | None:
+    """The image of value in F_q under zeta_(value.order) -> z, given
+    zpow[j] = z^j; None when a denominator of value is divisible by q."""
+    image = 0
+    for j, coeff in enumerate(value.coeffs):
+        if coeff:
+            den = coeff.denominator % q
+            if den == 0:
+                return None
+            image += coeff.numerator * pow(den, q - 2, q) * zpow[j]
+    return image % q
+
+
 def modular_full_rank_certificate(rows, target: int) -> bool:
     """True only if the rows are certainly linearly independent over the
     cyclotomic field (and there are exactly target of them).
@@ -187,15 +206,9 @@ def modular_full_rank_certificate(rows, target: int) -> bool:
         img = {}
         for col, v in row.items():
             idx = columns.setdefault(col, len(columns))
-            acc = 0
-            lifted = v.lift(N)
-            for j, coeff in enumerate(lifted.coeffs):
-                if coeff:
-                    num = coeff.numerator % q
-                    den = coeff.denominator % q
-                    if den == 0:
-                        return False  # prime collides with a denominator
-                    acc = (acc + num * pow(den, q - 2, q) * zpow[j]) % q
+            acc = _reduce_mod(v.lift(N), q, zpow)
+            if acc is None:
+                return False  # prime collides with a denominator
             if acc:
                 img[idx] = acc
         data.append(img)
@@ -229,3 +242,52 @@ def _modq_rank(A: "np.ndarray", q: int) -> int:
             A[r + 1 :][hit] = (block - np.outer(below[hit], A[r])) % q
         r += 1
     return r
+
+
+def modq_left_kernel(A: "np.ndarray", q: int) -> "np.ndarray":
+    """Rows spanning the left kernel {y : y A = 0 mod q} of an int64 matrix
+    with entries in [0, q); A itself is not modified.
+
+    Row-by-row elimination on [A | I]: each row is cleared by the pivots of
+    the rows above it, and a row whose A part is then zero carries a kernel
+    vector in its I part.  Entries stay below q, so every product fits in
+    int64 for q < 2**31.
+    """
+    nrows, ncols = A.shape
+    work = np.hstack([A, np.eye(nrows, dtype=np.int64)])
+    kernel = []
+    for i in range(nrows):
+        row = work[i]
+        nz = np.flatnonzero(row[:ncols])
+        if not len(nz):
+            kernel.append(i)
+            continue
+        col = nz[0]
+        row[:] = row * pow(int(row[col]), q - 2, q) % q
+        hit = i + 1 + np.flatnonzero(work[i + 1 :, col])
+        if len(hit):
+            work[hit] = (work[hit] - np.outer(work[hit, col], row)) % q
+    return work[kernel, ncols:]
+
+
+class ModqLeftKernel:
+    """The left kernel mod q of a matrix whose column blocks arrive one at a
+    time: basis rows y with y [B_0 ... B_d] = 0, started at the identity.
+    The rank of the blocks seen so far is nrows - len(basis)."""
+
+    def __init__(self, nrows: int, q: int):
+        if nrows * (q - 1) ** 2 >= 2**63:
+            raise ValueError(f"q={q} is too large for int64 products over {nrows} rows")
+        self.nrows = nrows
+        self.q = q
+        self.basis = np.eye(nrows, dtype=np.int64)
+
+    def extend(self, block: "np.ndarray") -> None:
+        """Add the columns of block (nrows x k, entries in [0, q))."""
+        if len(self.basis):
+            image = self.basis @ block % self.q
+            self.basis = modq_left_kernel(image, self.q) @ self.basis % self.q
+
+    @property
+    def rank(self) -> int:
+        return self.nrows - len(self.basis)

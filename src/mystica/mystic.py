@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, cyc_make, in_gaussian_half_ring
+from .cyclo import cyc_make, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, j_c
 from .groups import FiniteMonomialGroup, GroupTag, common_ambient, enumerate_thick, make_w
-from .linalg import modular_full_rank_certificate, sparse_rank
+from .linalg import ModqLeftKernel, sparse_rank
 from .monomial import MonomialElement, perm_sign
-from .qpoly import operator_matrix, slice_monomials
+from .qpoly import ModularOperators, group_sum_terms, operator_matrix, slice_monomials
+
+# groups up to this order get an exact answer from the saturation search
+_EXACT_ORDER_CAP = 64
 
 
 def default_truncation_degree(m: int, p: int, n: int) -> int:
@@ -77,11 +80,6 @@ class EquivalenceReport:
         }
 
 
-def _group_sum_operator(G: FiniteMonomialGroup, c, degree: int):
-    terms = [(g, Cyclotomic.one()) for g in G.elements]
-    return operator_matrix(terms, c, degree)
-
-
 def mystic_equiv_check(
     G: FiniteMonomialGroup,
     act_left,
@@ -91,11 +89,11 @@ def mystic_equiv_check(
 ) -> EquivalenceReport:
     """Compare the operators of the two group sums on every slice 0..degree."""
     Gl, Hl = common_ambient(G, H)
-    flags = []
-    for d in range(degree + 1):
-        left = _group_sum_operator(Gl, act_left, d)
-        right = _group_sum_operator(Hl, act_right, d)
-        flags.append(left == right)
+    left, right = group_sum_terms(Gl), group_sum_terms(Hl)
+    flags = [
+        operator_matrix(left, act_left, d) == operator_matrix(right, act_right, d)
+        for d in range(degree + 1)
+    ]
     return EquivalenceReport(
         left=G.tag.label,
         right=H.tag.label,
@@ -113,17 +111,18 @@ def unique_equivalent_thick(
     if G.tag.kind != "G":
         raise ValueError("the uniqueness scan starts from a G(m,p,n) group")
     m, _, n = G.tag.params
+    left_terms = group_sum_terms(G)
     left_cache: dict = {}
 
     def left(d: int):
         if d not in left_cache:
-            left_cache[d] = _group_sum_operator(G, 0, d)
+            left_cache[d] = operator_matrix(left_terms, 0, d)
         return left_cache[d]
 
     matches = []
     for T in enumerate_thick(m, n, cap):
-        Tl = T.lift(G.N)
-        if all(left(d) == _group_sum_operator(Tl, 1, d) for d in range(degree + 1)):
+        right = group_sum_terms(T.lift(G.N))
+        if all(left(d) == operator_matrix(right, 1, d) for d in range(degree + 1)):
             matches.append(T)
     return matches
 
@@ -254,27 +253,33 @@ def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
     with the rank there; (None, rank) if no degree up to max_degree is.
 
     Full rank is certified through the modular reduction map (a proof, not an
-    estimate).  For groups of order at most 64, a degree where the certificate
-    is inconclusive falls back to exact elimination, so the degree returned is
-    the smallest one at which the rank reaches the group order.  For larger
-    groups such a degree is skipped and a later degree provides the
-    certificate, so the degree returned is the first certified one, an upper
-    bound on the smallest; when no degree is certified the rank is unknown
-    and the result is (None, None).
+    estimate), kept as an incremental left kernel mod q across the degrees.
+    For groups of order at most 64 exact elimination settles the degrees
+    below the first certified one, so the degree returned is the smallest one
+    at which the rank reaches the group order.  For larger groups the degree
+    returned is the first certified one, an upper bound on the smallest; when
+    no degree is certified the rank is unknown and the result is (None, None).
     """
-    rows = [dict() for _ in G.elements]
-    space = 0
-    for d in range(max_degree + 1):
-        _extend_operator_rows(rows, G, c, d)
-        space += len(slice_monomials(G.n, d)) ** 2
-        if space < G.order:
-            continue  # the span cannot reach the group order yet
-        if modular_full_rank_certificate(rows, G.order):
-            return d, G.order
-        if G.order <= 64:
-            rank = sparse_rank([dict(r) for r in rows])
-            if rank == G.order:
-                return d, rank
-    if G.order > 64:
-        return None, None
-    return None, sparse_rank(rows)
+    action = ModularOperators(G, c)
+    certified = None
+    if action.conclusive:
+        kernel = ModqLeftKernel(G.order, action.q)
+        for d in range(max_degree + 1):
+            kernel.extend(action.block(d))
+            if kernel.rank == G.order:
+                certified = d
+                break
+    if G.order > _EXACT_ORDER_CAP:
+        return (certified, G.order) if certified is not None else (None, None)
+    if certified is None:
+        rank = faithfulness_rank(G, c, max_degree)
+        if rank < G.order:
+            return None, rank
+        certified = max_degree
+    # the rank only grows with the degree bound: walk down from the full one
+    # while the bound below is exactly full and its span can reach the order
+    space = [len(slice_monomials(G.n, d)) ** 2 for d in range(certified + 1)]
+    d = certified
+    while d > 0 and sum(space[:d]) >= G.order and faithfulness_rank(G, c, d - 1) == G.order:
+        d -= 1
+    return d, G.order

@@ -18,9 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import numpy as np
+
 from .cyclo import Cyclotomic, _ctx
 from .groups import FiniteMonomialGroup
-from .linalg import SparseMatrix, sparse_rank
+from .linalg import SparseMatrix, _certificate_prime, _reduce_mod, sparse_rank
 from .monomial import MonomialElement, perm_apply
 
 _ONE = Cyclotomic.one()
@@ -322,6 +324,12 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     return QPolynomial(f.n, out)
 
 
+def group_sum_terms(G: FiniteMonomialGroup) -> list:
+    """The group sum as operator terms (element, 1), all sharing one
+    coefficient object, so operator_matrix tests its integrality once."""
+    return [(g, _ONE) for g in G.elements]
+
+
 def _terms_of(actor):
     """Normalize an operator argument to (terms, n, N)."""
     if isinstance(actor, MonomialElement):
@@ -345,8 +353,9 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     cc = _coerce_c(c)
     groups = _by_perm(terms, n, N)
     if N % 2 == 0 and (cc is None or cc == 1):
-        if all(v.is_rational() and v.rational_value().denominator == 1 for _, v in terms):
-            return _integer_sum_matrix(groups, cc is not None, n, N, degree)
+        integers = _integer_values(terms)
+        if integers is not None:
+            return _integer_sum_matrix(groups, integers, cc is not None, n, N, degree)
     basis = slice_monomials(n, degree)
     matrix = SparseMatrix(len(basis), len(basis))
     for perm, (columns, coeffs) in groups.items():
@@ -364,7 +373,20 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     return matrix
 
 
-def _integer_sum_matrix(groups, minus: bool, n: int, N: int, degree: int) -> SparseMatrix:
+def _integer_values(terms) -> dict | None:
+    """id(coefficient) -> its integer value, tested once per distinct
+    coefficient object (a group sum shares one); None if any coefficient is
+    not an integer."""
+    out: dict = {}
+    for _, v in terms:
+        if id(v) not in out:
+            if not v.is_rational() or v.coeffs[0].denominator != 1:
+                return None
+            out[id(v)] = int(v.coeffs[0])
+    return out
+
+
+def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, degree: int) -> SparseMatrix:
     """Fast path for integer-coefficient sums of element operators under the
     two sign actions: per matrix entry, count each root of unity with integer
     multiplicity, then materialize the cyclotomic values once.  Valid because
@@ -373,7 +395,7 @@ def _integer_sum_matrix(groups, minus: bool, n: int, N: int, degree: int) -> Spa
     basis = slice_monomials(n, degree)
     counts: dict = {}
     for perm, (columns, coeffs) in groups.items():
-        cints = [int(v.rational_value()) for v in coeffs]
+        cints = [integers[id(v)] for v in coeffs]
         for col, (row, sign, _) in enumerate(_slice_action(perm, degree)):
             offset = half if minus and sign else 0
             arr = counts.get((row, col))
@@ -396,6 +418,68 @@ def _integer_sum_matrix(groups, minus: bool, n: int, N: int, degree: int) -> Spa
     return matrix
 
 
+class ModularOperators:
+    """The operators of the elements of G on each degree slice, reduced into
+    F_q without field arithmetic.
+
+    An entry (-1)^s c^b zeta_N^a of the operator of t*w maps to
+    +-phi(c)^b z^(a L/N) under zeta_L -> z, the reduction map of
+    modular_full_rank_certificate on the exact entries: L = N on the integer
+    path of operator_matrix (c = 0, or c = 1 with N even) and lcm(N, ord c)
+    otherwise, and q = 1 mod L is the prime that certificate picks.  phi(c)
+    is computed once; when c has a denominator divisible by q or phi(c) = 0
+    the reduction is not defined on the entries and `conclusive` is False.
+    """
+
+    def __init__(self, G: FiniteMonomialGroup, c):
+        cc = _coerce_c(c)
+        n, N = G.n, G.N
+        integer_path = cc is None or (N % 2 == 0 and cc == 1)
+        L = N if integer_path else lcm(N, cc.order)
+        q, z = _certificate_prime(L)
+        zpow = [pow(z, j, q) for j in range(L)]
+        self.q, self.n, self.N, self.order = q, n, N, G.order
+        self.roots = np.array(zpow[:: L // N], dtype=np.int64)
+        self.signs = np.array([1, 1 if cc is None else q - 1], dtype=np.int64)
+        # c exponents lie in [-P, P], P = the largest number of inversions
+        P = n * (n - 1) // 2
+        self.cpow = np.ones(2 * P + 1, dtype=np.int64)
+        image = 1 if integer_path else _reduce_mod(cc.lift(L), q, zpow)
+        self.conclusive = bool(image)
+        if self.conclusive and image != 1:
+            inverse = pow(image, q - 2, q)
+            for b in range(1, P + 1):
+                self.cpow[P + b] = pow(image, b, q)
+                self.cpow[P - b] = pow(inverse, b, q)
+        members: dict = {}
+        for idx, g in enumerate(G.elements):
+            members.setdefault(g.perm, []).append((idx, g.exps))
+        self.members = {
+            perm: (np.array([i for i, _ in group]), np.array([e for _, e in group], dtype=np.int64))
+            for perm, group in members.items()
+        }
+
+    def block(self, degree: int) -> "np.ndarray":
+        """The order x k matrix of the degree slice mod q: row i is the
+        operator of G.elements[i], and the k columns are the positions
+        (w(x), x) that some element's operator fills."""
+        basis = np.array(slice_monomials(self.n, degree), dtype=np.int64)
+        dim = len(basis)
+        P = len(self.cpow) // 2
+        keys, parts = [], []
+        for perm, (rows, exps) in self.members.items():
+            image, sign, cexp = np.array(_slice_action(perm, degree), dtype=np.int64).T
+            factor = self.signs[sign] * self.cpow[cexp + P] % self.q
+            values = self.roots[exps @ basis[image].T % self.N] * factor % self.q
+            keys.append(image * dim + np.arange(dim))
+            parts.append((rows, values))
+        columns, position = np.unique(np.concatenate(keys), return_inverse=True)
+        out = np.zeros((self.order, len(columns)), dtype=np.int64)
+        for start, (rows, values) in zip(range(0, len(position), dim), parts):
+            out[rows[:, None], position[start : start + dim]] = values
+        return out
+
+
 # -- invariants --------------------------------------------------------
 
 
@@ -403,23 +487,35 @@ class DimensionMismatchError(RuntimeError):
     """The two invariant-dimension computations disagreed."""
 
 
+def slice_trace(G: FiniteMonomialGroup, c, degree: int) -> Cyclotomic:
+    """Trace of the group sum's operator on the degree slice: each fixed
+    monomial of each element contributes (-1)^s c^b zeta_N^a, so the keys
+    (s, b, a mod N) are counted with integer multiplicity and each distinct
+    scalar is built once."""
+    cc = _coerce_c(c)
+    basis = slice_monomials(G.n, degree)
+    counts: dict = {}
+    for perm, (columns, _) in _by_perm(group_sum_terms(G), G.n, G.N).items():
+        for col, (row, sign, cexp) in enumerate(_slice_action(perm, degree)):
+            if row == col:
+                if cc is None:
+                    sign = cexp = 0
+                for root_exp in _root_exponents(columns, basis[col]):
+                    key = (sign, cexp, root_exp % G.N)
+                    counts[key] = counts.get(key, 0) + 1
+    trace = Cyclotomic.zero()
+    for key, count in counts.items():
+        trace = trace + _scalar(cc, G.N, *key) * count
+    return trace
+
+
 def invariant_dimension(G: FiniteMonomialGroup, c, degree: int) -> int:
     """Dimension of the fixed space of the degree slice, computed both as the
     rank of the symmetrizer matrix and as the trace average; the two must
     agree exactly."""
-    terms = [(g, _ONE) for g in G.elements]
-    matrix = operator_matrix(terms, c, degree)
+    matrix = operator_matrix(group_sum_terms(G), c, degree)
     rank = sparse_rank(matrix.columns())
-
-    cc = _coerce_c(c)
-    basis = slice_monomials(G.n, degree)
-    trace = Cyclotomic.zero()
-    for perm, (columns, _) in _by_perm(terms, G.n, G.N).items():
-        for col, (row, sign, cexp) in enumerate(_slice_action(perm, degree)):
-            if row == col:
-                for root_exp in _root_exponents(columns, basis[col]):
-                    trace = trace + _scalar(cc, G.N, sign, cexp, root_exp)
-    average = trace / G.order
+    average = slice_trace(G, c, degree) / G.order
     if not average.is_rational() or average.rational_value().denominator != 1:
         raise DimensionMismatchError(f"trace average {average!r} is not an integer")
     traced = int(average.rational_value())

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mystica import cli
 from mystica.cli import main
 
 
@@ -182,3 +185,63 @@ def test_degree_zero_is_honoured(capsys):
     equivalence = [entry for entry in data if entry["check"] == "operator-equivalence"]
     assert equivalence and all(entry["detail"] == "per-degree 1" for entry in equivalence)
     assert [entry["check"] for entry in data if not entry["pass"]] == ["uniqueness-scan"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1e3"])
+def test_invalid_cap_variable_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MYSTICA_CAP", value)
+    code, out, err = run(capsys, "thick", "--m", "2", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"mystica: MYSTICA_CAP must be a positive integer, got {value!r}\n"
+
+
+def test_scalar_literal_with_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "equiv", "--m", "2", "--p", "2", "--n", "2", "--c", "1/0")
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("lost\nline")
+
+    monkeypatch.setattr(cli, "enumerate_thick", broken)
+    code, out, err = run(capsys, "thick", "--m", "2", "--n", "2")
+    assert code == 3  # never 1, which reports a refuted check
+    assert out == ""
+    assert err == "mystica: internal error: KeyError: 'lost\\nline'\n"
+
+
+_SCALARS = ("0", "1", "-1", "zeta4", "1/2+1/2*zeta4", "1/0", "zeta0", "2*(", "x")
+
+
+@st.composite
+def _argv(draw):
+    # mostly valid groups (m <= 4, n <= 3), with some invalid values mixed in
+    command = draw(st.sampled_from(("group", "thick", "mu", "equiv", "invariants", "iso")))
+    m = draw(st.sampled_from((1, 2, 3, 4, 2, 4, 0, -1)))
+    small = st.sampled_from((1, 2, 4, m, 3, 0, -1))
+    argv = [command, "--m", str(m), "--n", str(draw(st.sampled_from((1, 2, 3, 2, 3, 0, -1))))]
+    if command != "thick" and draw(st.booleans()):
+        argv += ["--p", str(draw(small))]
+    if command in ("equiv", "invariants") and draw(st.booleans()):
+        argv += ["--degree", str(draw(st.integers(min_value=-1, max_value=6)))]
+    if command in ("thick", "iso") and draw(st.booleans()):
+        argv += ["--cap", str(draw(st.integers(min_value=-1, max_value=600)))]
+    if command == "group" and draw(st.booleans()):
+        argv += ["--cprime", str(draw(small))]
+    if command == "equiv" and draw(st.booleans()):
+        argv += ["--c", draw(st.sampled_from(_SCALARS))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_fuzzed_arguments_keep_the_exit_code_contract(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

@@ -2,8 +2,17 @@
 
 from fractions import Fraction
 
+import numpy as np
+
 from mystica.cyclo import Cyclotomic, cyc_make
-from mystica.linalg import SparseMatrix, modular_full_rank_certificate, sparse_rank
+from mystica.linalg import (
+    ModqLeftKernel,
+    SparseMatrix,
+    _modq_rank,
+    modq_left_kernel,
+    modular_full_rank_certificate,
+    sparse_rank,
+)
 
 
 def R(q):
@@ -98,3 +107,43 @@ def test_sparse_matrix_equality_and_dense():
     dense = a.to_dense()
     assert dense[1][0] == cyc_make(4, 1)
     assert dense[0][0].is_zero()
+
+
+def _random_modq_matrix(rng, q, nrows, ncols):
+    """A random matrix mod q, often of low rank (a product through a narrow
+    inner dimension), sometimes with a repeated row or sparse noise."""
+    inner = rng.integers(0, min(nrows, ncols) + 1)
+    A = rng.integers(0, q, (nrows, inner)) @ rng.integers(0, q, (inner, ncols)) % q
+    if nrows > 1 and rng.random() < 0.3:
+        A[rng.integers(nrows)] = A[rng.integers(nrows)]
+    if rng.random() < 0.5:
+        A = (A + rng.integers(0, q, (nrows, ncols)) * (rng.random((nrows, ncols)) < 0.1)) % q
+    return A
+
+
+def test_modq_left_kernel_matches_modq_rank():
+    rng = np.random.default_rng(2008)
+    for q in (5, 13, 1_000_033):
+        for _ in range(60):
+            nrows, ncols = rng.integers(1, 10), rng.integers(0, 10)
+            A = _random_modq_matrix(rng, q, nrows, ncols)
+            before = A.copy()
+            K = modq_left_kernel(A, q)
+            assert np.array_equal(A, before)
+            assert K.shape == (nrows - _modq_rank(A.copy(), q), nrows)
+            assert not (K @ A % q).any()
+            assert _modq_rank(K.copy(), q) == len(K)  # a basis, not just a spanning set
+
+
+def test_incremental_left_kernel_matches_concatenated_rank():
+    rng = np.random.default_rng(35)
+    for q in (5, 1_000_033):
+        for _ in range(30):
+            nrows = rng.integers(1, 9)
+            kernel = ModqLeftKernel(nrows, q)
+            blocks = []
+            for _ in range(rng.integers(1, 6)):
+                blocks.append(_random_modq_matrix(rng, q, nrows, rng.integers(0, 5)))
+                kernel.extend(blocks[-1])
+                assert kernel.rank == _modq_rank(np.hstack(blocks), q)
+                assert not (kernel.basis @ np.hstack(blocks) % q).any()

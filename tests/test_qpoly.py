@@ -3,13 +3,17 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
-from mystica.cyclo import Cyclotomic, cyc_make
+from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar
 from mystica.groups import make_gmpn, make_w
-from mystica.monomial import MonomialElement, adjacent_swap, identity, torus_gen
+from mystica.linalg import _certificate_prime, _reduce_mod
+from mystica.monomial import MonomialElement, adjacent_swap, identity, perm_apply, torus_gen
 from mystica.qpoly import (
+    ModularOperators,
     QMatrix,
     QPolynomial,
     act_c,
@@ -24,6 +28,7 @@ from mystica.qpoly import (
     qform_bracket,
     qmul,
     slice_monomials,
+    slice_trace,
 )
 
 MINUS2 = QMatrix.minus_one(2)
@@ -353,3 +358,44 @@ def test_slice_action_kernel_matches_definition():
                     image, scalar = _reference_action(c, g, k)
                     want[image] = coeff * scalar
                 _assert_same_entries(act_c(c, g, f).terms, want)
+
+
+@pytest.mark.parametrize("G", [make_gmpn(3, 1, 2), make_gmpn(4, 1, 3), make_w(4, 1, 3)], ids=lambda G: G.tag.label)
+def test_slice_trace_matches_element_by_element_sum(G):
+    # the trace counted per (sign, c exponent, root exponent) key against the
+    # exact sum over every element and every monomial it fixes
+    fixed = {}
+    for degree in range(7):
+        for g in G.elements:
+            fixed[g, degree] = [k for k in slice_monomials(G.n, degree) if perm_apply(g.perm, k) == k]
+    for c in (0, 1, cyc_make(4, 1), parse_scalar("1/2+1/2*zeta4")):
+        for degree in range(7):
+            expected = Cyclotomic.zero()
+            for g in G.elements:
+                for k in fixed[g, degree]:
+                    expected = expected + act_c(c, g, QPolynomial.monomial(k)).terms[k]
+            assert slice_trace(G, c, degree) == expected, (c, degree)
+
+
+@pytest.mark.parametrize("G", [make_gmpn(3, 1, 2), make_gmpn(2, 1, 3), make_w(4, 1, 3)], ids=lambda G: G.tag.label)
+def test_modular_blocks_are_the_reduced_exact_operators(G):
+    # each block equals the exact element operators reduced entry by entry
+    # with the prime modular_full_rank_certificate picks for them, on the
+    # columns (w(k), k) in sorted order; zeta8 takes the field past Q(zeta_N)
+    for c in (0, 1, cyc_make(4, 1), parse_scalar("1/2+1/2*zeta4"), cyc_make(8, 1)):
+        action = ModularOperators(G, c)
+        assert action.conclusive
+        for degree in range(5):
+            matrices = [operator_matrix(g, c, degree) for g in G.elements]
+            L = lcm(*(v.order for M in matrices for v in M.entries.values()))
+            q, z = _certificate_prime(L)
+            assert action.q == q
+            zpow = [pow(z, j, q) for j in range(L)]
+            dim = len(slice_monomials(G.n, degree))
+            keys = sorted({r * dim + col for M in matrices for r, col in M.entries})
+            position = {key: i for i, key in enumerate(keys)}
+            expected = np.zeros((G.order, len(keys)), dtype=np.int64)
+            for i, M in enumerate(matrices):
+                for (r, col), v in M.entries.items():
+                    expected[i, position[r * dim + col]] = _reduce_mod(v.lift(L), q, zpow)
+            assert np.array_equal(action.block(degree), expected), (c, degree)
