@@ -2,19 +2,17 @@
 """Table the degree at which the element operators become linearly
 independent, for levels beyond the acceptance grid.
 
-For each level m (default 5 and 6) the script takes every rank-2 group
-G(m,p,2), and W(m,d,2) for even m, plus the rank-3 groups of order at most
---max-order, and prints the saturation degree of faithfulness_saturation_degree
+For each level m in 5, 6 the script takes every rank-2 group G(m,p,2), and
+W(m,d,2) for even m, plus the rank-3 groups of order at most 216, and prints the saturation degree of faithfulness_saturation_degree
 for c = 0, 1 and zeta4 next to the bound n*N that criterion 9 tests and the sum
 of (d_i - 1) over the fundamental invariant degrees (for W(m,d,n), those of its
 counterpart G(m,m/d,n)).  Groups of order above 64 report the first degree the
 modular certificate proves, an upper bound marked "<=".  This is a report,
 not an acceptance check.
 
-    PYTHONPATH=src python3 scripts/saturation_report.py [--levels 5 6] [--max-order 216]
+    PYTHONPATH=src python3 scripts/saturation_report.py
 """
 
-import argparse
 import time
 from math import factorial
 
@@ -22,44 +20,43 @@ from mystica.cyclo import cyc_make
 from mystica.groups import make_gmpn, make_w
 from mystica.mystic import faithfulness_saturation_degree
 from mystica.qpoly import invariant_degrees
+from mystica.verify import SATURATION_SLACK
 
 C_VALUES = (("0", 0), ("1", 1), ("zeta4", cyc_make(4, 1)))
+LEVELS = (5, 6)
+MAX_ORDER = 216
 
 
-def groups(m: int, max_order: int):
+def groups(m: int):
     """(group, invariant degrees) for the ranks and orders the report covers."""
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     for n in (2, 3):
         for p in divisors:
-            if n == 2 or m**n * factorial(n) // p <= max_order:
+            if n == 2 or m**n * factorial(n) // p <= MAX_ORDER:
                 yield make_gmpn(m, p, n), invariant_degrees(m, p, n)
         if m % 2 == 0:
             for d in divisors:
-                if n == 2 or m ** (n - 1) * d * factorial(n) <= max_order:
+                if n == 2 or m ** (n - 1) * d * factorial(n) <= MAX_ORDER:
                     yield make_w(m, d, n), invariant_degrees(m, m // d, n)
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--levels", type=int, nargs="+", default=[5, 6])
-    parser.add_argument("--max-order", type=int, default=216, help="largest rank-3 group order")
-    parser.add_argument("--slack", type=int, default=12, help="search up to n*N + slack")
-    args = parser.parse_args()
     print(f"{'group':10s} {'order':>5s} {'n*N':>4s} {'sum(d_i-1)':>10s}  " + "  ".join(f"{'c=' + tag:>8s}" for tag, _ in C_VALUES) + "  seconds")
     seen = set()
-    for m in args.levels:
-        for G, degrees in groups(m, args.max_order):
+    for m in LEVELS:
+        for G, degrees in groups(m):
             key = (G.n, G.N, G.element_set())
             if key in seen:
                 continue
             seen.add(key)
             bound = G.n * G.N
+            top = bound + SATURATION_SLACK
             start = time.perf_counter()
             cells = []
             for _, c in C_VALUES:
-                d, _ = faithfulness_saturation_degree(G, c, bound + args.slack)
+                d, _ = faithfulness_saturation_degree(G, c, top)
                 if d is None:
-                    cells.append(f"> {bound + args.slack}")
+                    cells.append(f"> {top}")
                 else:
                     cells.append(f"<= {d}" if G.order > 64 else str(d))
             elapsed = time.perf_counter() - start

@@ -18,7 +18,7 @@ from .groupalg import GroupAlgebraElement, j_c
 from .groups import FiniteMonomialGroup, GroupTag, common_ambient, enumerate_thick, make_w
 from .linalg import ModqLeftKernel, sparse_rank
 from .monomial import MonomialElement, perm_sign
-from .qpoly import ModularOperators, group_sum_terms, operator_matrix, slice_monomials
+from .qpoly import ModularOperators, group_sum_terms, operator_matrix
 
 # groups up to this order get an exact answer from the saturation search
 _EXACT_ORDER_CAP = 64
@@ -277,9 +277,8 @@ def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
             return None, rank
         certified = max_degree
     # the rank only grows with the degree bound: walk down from the full one
-    # while the bound below is exactly full and its span can reach the order
-    space = [len(slice_monomials(G.n, d)) ** 2 for d in range(certified + 1)]
+    # while the bound below is exactly full
     d = certified
-    while d > 0 and sum(space[:d]) >= G.order and faithfulness_rank(G, c, d - 1) == G.order:
+    while d > 0 and faithfulness_rank(G, c, d - 1) == G.order:
         d -= 1
     return d, G.order

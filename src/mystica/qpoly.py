@@ -29,7 +29,8 @@ _ONE = Cyclotomic.one()
 
 
 def _coerce_c(c):
-    """None for the untwisted action, otherwise an invertible Cyclotomic."""
+    """None for the untwisted action, otherwise an invertible Cyclotomic;
+    a rational c is kept at field order 1."""
     if c is None:
         return None
     if isinstance(c, (int, Fraction)):
@@ -38,7 +39,16 @@ def _coerce_c(c):
         return Cyclotomic.rational(c)
     if c.is_zero():
         return None
+    if c.is_rational() and c.order != 1:
+        return Cyclotomic.rational(c.rational_value())
     return c
+
+
+def _field_order(cc, N: int) -> int:
+    """The order L of the field Q(zeta_L) holding the element operators'
+    entries: N for the untwisted action, lcm(N, ord c) otherwise (N for a
+    rational c, as on the integer path of operator_matrix)."""
+    return N if cc is None else lcm(N, cc.order)
 
 
 @lru_cache(maxsize=None)
@@ -250,10 +260,10 @@ def _cocycle(pairs, k) -> tuple[int, int]:
 def _scalar(cc, N: int, sign: int, cexp: int, root_exp: int) -> Cyclotomic:
     """(-1)^sign * zeta_N^root_exp * c^cexp in Q(zeta_L), L = lcm(N, ord c).
     The untwisted action (cc None) has no cocycle and stays in Q(zeta_N)."""
-    if cc is None:
-        return Cyclotomic.root(N, root_exp)
-    field_order = lcm(N, cc.order)
+    field_order = _field_order(cc, N)
     out = Cyclotomic.root(field_order, root_exp * (field_order // N))
+    if cc is None:
+        return out
     if cexp:
         out = out * cc**cexp
     return -out if sign else out
@@ -276,25 +286,35 @@ def _slice_action(perm: tuple[int, ...], degree: int) -> tuple[tuple[int, int, i
     return tuple((pos[perm_apply(perm, k)],) + _cocycle(pairs, k) for k in basis)
 
 
-def _root_exponents(columns, image) -> list[int]:
-    """For each element t*w sharing w, the unreduced exponent a with
-    t^(w(k)) = zeta_N^a: columns[j] lists the elements' t_j, image is w(k)."""
-    out = [0] * len(columns[0])
-    for column, kj in zip(columns, image):
-        if kj:
-            out = [r + kj * e for r, e in zip(out, column)]
+def _root_exponents(exps: "np.ndarray", images) -> "np.ndarray":
+    """The unreduced exponents a with t^(w(k)) = zeta_N^a: entry (i, j) for
+    the monomial w(k) = images[i] and the element t*w whose torus exponents
+    are exps[j]."""
+    return np.asarray(images, dtype=np.int64).reshape(-1, exps.shape[1]) @ exps.T
+
+
+@lru_cache(maxsize=None)
+def _slice_images(perm: tuple[int, ...], degree: int):
+    """_slice_action as read-only arrays: the rows of w(k), the monomials
+    w(k) as rows, the sign bits and the c exponents."""
+    rows, signs, cexps = np.array(_slice_action(perm, degree), dtype=np.int64).T
+    basis = np.array(slice_monomials(len(perm), degree), dtype=np.int64)
+    out = (rows, basis[rows], signs, cexps)
+    for array in out:
+        array.flags.writeable = False
     return out
 
 
 def _by_perm(terms, n: int, N: int) -> dict:
-    """perm -> (torus columns, values) of the (element, value) terms."""
+    """perm -> (torus exponents, one row per element, and values) of the
+    (element, value) terms."""
     members: dict = {}
     for elem, value in terms:
         if (elem.n, elem.N) != (n, N):
             raise ValueError("mixed ambients in operator")
         members.setdefault(elem.perm, []).append((elem.exps, value))
     return {
-        perm: (tuple(zip(*(exps for exps, _ in group))), [value for _, value in group])
+        perm: (np.array([exps for exps, _ in group], dtype=np.int64), [value for _, value in group])
         for perm, group in members.items()
     }
 
@@ -315,11 +335,10 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
         raise ValueError("rank mismatch")
     cc = _coerce_c(c)
     pairs = _inversions(g.perm)
-    columns = tuple((e,) for e in g.exps)
+    images = [perm_apply(g.perm, k) for k in f.terms]
+    roots = _root_exponents(np.array([g.exps], dtype=np.int64), images)[:, 0].tolist()
     out: dict = {}
-    for k, coeff in f.terms.items():
-        image = perm_apply(g.perm, k)
-        (root_exp,) = _root_exponents(columns, image)
+    for (k, coeff), image, root_exp in zip(f.terms.items(), images, roots):
         out[image] = coeff * _scalar(cc, g.N, *_cocycle(pairs, k), root_exp)
     return QPolynomial(f.n, out)
 
@@ -356,16 +375,17 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
         integers = _integer_values(terms)
         if integers is not None:
             return _integer_sum_matrix(groups, integers, cc is not None, n, N, degree)
-    basis = slice_monomials(n, degree)
-    matrix = SparseMatrix(len(basis), len(basis))
-    for perm, (columns, coeffs) in groups.items():
+    dim = len(slice_monomials(n, degree))
+    matrix = SparseMatrix(dim, dim)
+    for perm, (exps, coeffs) in groups.items():
         caches = [{} for _ in coeffs]
-        for col, (row, sign, cexp) in enumerate(_slice_action(perm, degree)):
+        _, images, _, _ = _slice_images(perm, degree)
+        all_roots = (_root_exponents(exps, images) % N).tolist()
+        for col, ((row, sign, cexp), roots) in enumerate(zip(_slice_action(perm, degree), all_roots)):
             if cc is None:
                 sign = cexp = 0
-            roots = _root_exponents(columns, basis[row])
             for coeff, cache, root_exp in zip(coeffs, caches, roots):
-                key = (sign, cexp, root_exp % N)
+                key = (sign, cexp, root_exp)
                 scalar = cache.get(key)
                 if scalar is None:
                     scalar = cache[key] = coeff * _scalar(cc, N, *key)
@@ -376,11 +396,11 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
 def _integer_values(terms) -> dict | None:
     """id(coefficient) -> its integer value, tested once per distinct
     coefficient object (a group sum shares one); None if any coefficient is
-    not an integer."""
+    not an integer of at most 31 bits, so that the counts fit in int64."""
     out: dict = {}
     for _, v in terms:
         if id(v) not in out:
-            if not v.is_rational() or v.coeffs[0].denominator != 1:
+            if not v.is_rational() or v.coeffs[0].denominator != 1 or abs(v.coeffs[0]) >= 2**31:
                 return None
             out[id(v)] = int(v.coeffs[0])
     return out
@@ -391,30 +411,31 @@ def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, deg
     two sign actions: per matrix entry, count each root of unity with integer
     multiplicity, then materialize the cyclotomic values once.  Valid because
     every element scalar is +-zeta_N^e and -1 = zeta_N^(N/2) for even N."""
-    half = N // 2
-    basis = slice_monomials(n, degree)
-    counts: dict = {}
-    for perm, (columns, coeffs) in groups.items():
-        cints = [integers[id(v)] for v in coeffs]
-        for col, (row, sign, _) in enumerate(_slice_action(perm, degree)):
-            offset = half if minus and sign else 0
-            arr = counts.get((row, col))
-            if arr is None:
-                arr = counts[(row, col)] = [0] * N
-            for root_exp, cint in zip(_root_exponents(columns, basis[row]), cints):
-                arr[(root_exp + offset) % N] += cint
-    deg, rows = _ctx(N)
-    matrix = SparseMatrix(len(basis), len(basis))
-    for key, arr in counts.items():
-        vec = [0] * deg
-        for t, cnt in enumerate(arr):
-            if cnt:
-                row = rows[t]
-                for d in range(deg):
-                    if row[d]:
-                        vec[d] += cnt * row[d]
+    dim = len(slice_monomials(n, degree))
+    matrix = SparseMatrix(dim, dim)
+    if not groups:
+        return matrix
+    keys, tallies = [], []
+    for perm, (exps, coeffs) in groups.items():
+        rows, images, signs, _ = _slice_images(perm, degree)
+        roots = _root_exponents(exps, images)
+        if minus:
+            roots += (N // 2) * signs[:, None]
+        tally = np.zeros((dim, N), dtype=np.int64)
+        cints = np.array([integers[id(v)] for v in coeffs], dtype=np.int64)
+        np.add.at(tally, (np.arange(dim)[:, None], roots % N), cints)
+        keys.append(rows * dim + np.arange(dim))
+        tallies.append(tally)
+    if len(keys) == 1:
+        entries, counts = keys[0], tallies[0]
+    else:
+        entries, position = np.unique(np.concatenate(keys), return_inverse=True)
+        counts = np.zeros((len(entries), N), dtype=np.int64)
+        np.add.at(counts, position, np.concatenate(tallies))
+    _, reduction = _ctx(N)
+    for key, vec in zip(entries.tolist(), (counts @ np.array(reduction[:N], dtype=np.int64)).tolist()):
         if any(vec):
-            matrix.entries[key] = Cyclotomic(N, tuple(Fraction(v) for v in vec))
+            matrix.entries[divmod(key, dim)] = Cyclotomic(N, tuple(Fraction(v) for v in vec))
     return matrix
 
 
@@ -424,18 +445,17 @@ class ModularOperators:
 
     An entry (-1)^s c^b zeta_N^a of the operator of t*w maps to
     +-phi(c)^b z^(a L/N) under zeta_L -> z, the reduction map of
-    modular_full_rank_certificate on the exact entries: L = N on the integer
-    path of operator_matrix (c = 0, or c = 1 with N even) and lcm(N, ord c)
-    otherwise, and q = 1 mod L is the prime that certificate picks.  phi(c)
-    is computed once; when c has a denominator divisible by q or phi(c) = 0
-    the reduction is not defined on the entries and `conclusive` is False.
+    modular_full_rank_certificate on the exact entries, which lie in
+    Q(zeta_L), L = _field_order(c, N); q = 1 mod L is the prime that
+    certificate picks.  phi(c) is computed once; when c has a denominator
+    divisible by q or phi(c) = 0 the reduction is not defined on the entries
+    and `conclusive` is False.
     """
 
     def __init__(self, G: FiniteMonomialGroup, c):
         cc = _coerce_c(c)
         n, N = G.n, G.N
-        integer_path = cc is None or (N % 2 == 0 and cc == 1)
-        L = N if integer_path else lcm(N, cc.order)
+        L = _field_order(cc, N)
         q, z = _certificate_prime(L)
         zpow = [pow(z, j, q) for j in range(L)]
         self.q, self.n, self.N, self.order = q, n, N, G.order
@@ -444,35 +464,28 @@ class ModularOperators:
         # c exponents lie in [-P, P], P = the largest number of inversions
         P = n * (n - 1) // 2
         self.cpow = np.ones(2 * P + 1, dtype=np.int64)
-        image = 1 if integer_path else _reduce_mod(cc.lift(L), q, zpow)
+        image = 1 if cc is None else _reduce_mod(cc.lift(L), q, zpow)
         self.conclusive = bool(image)
         if self.conclusive and image != 1:
             inverse = pow(image, q - 2, q)
             for b in range(1, P + 1):
                 self.cpow[P + b] = pow(image, b, q)
                 self.cpow[P - b] = pow(inverse, b, q)
-        members: dict = {}
-        for idx, g in enumerate(G.elements):
-            members.setdefault(g.perm, []).append((idx, g.exps))
-        self.members = {
-            perm: (np.array([i for i, _ in group]), np.array([e for _, e in group], dtype=np.int64))
-            for perm, group in members.items()
-        }
+        self.members = _by_perm(((g, i) for i, g in enumerate(G.elements)), n, N)
 
     def block(self, degree: int) -> "np.ndarray":
         """The order x k matrix of the degree slice mod q: row i is the
         operator of G.elements[i], and the k columns are the positions
         (w(x), x) that some element's operator fills."""
-        basis = np.array(slice_monomials(self.n, degree), dtype=np.int64)
-        dim = len(basis)
+        dim = len(slice_monomials(self.n, degree))
         P = len(self.cpow) // 2
         keys, parts = [], []
-        for perm, (rows, exps) in self.members.items():
-            image, sign, cexp = np.array(_slice_action(perm, degree), dtype=np.int64).T
+        for perm, (exps, rows) in self.members.items():
+            image, images, sign, cexp = _slice_images(perm, degree)
             factor = self.signs[sign] * self.cpow[cexp + P] % self.q
-            values = self.roots[exps @ basis[image].T % self.N] * factor % self.q
+            values = self.roots[_root_exponents(exps, images).T % self.N] * factor % self.q
             keys.append(image * dim + np.arange(dim))
-            parts.append((rows, values))
+            parts.append((np.array(rows), values))
         columns, position = np.unique(np.concatenate(keys), return_inverse=True)
         out = np.zeros((self.order, len(columns)), dtype=np.int64)
         for start, (rows, values) in zip(range(0, len(position), dim), parts):
@@ -493,16 +506,17 @@ def slice_trace(G: FiniteMonomialGroup, c, degree: int) -> Cyclotomic:
     (s, b, a mod N) are counted with integer multiplicity and each distinct
     scalar is built once."""
     cc = _coerce_c(c)
-    basis = slice_monomials(G.n, degree)
     counts: dict = {}
-    for perm, (columns, _) in _by_perm(group_sum_terms(G), G.n, G.N).items():
-        for col, (row, sign, cexp) in enumerate(_slice_action(perm, degree)):
-            if row == col:
-                if cc is None:
-                    sign = cexp = 0
-                for root_exp in _root_exponents(columns, basis[col]):
-                    key = (sign, cexp, root_exp % G.N)
-                    counts[key] = counts.get(key, 0) + 1
+    for perm, (exps, _) in _by_perm(group_sum_terms(G), G.n, G.N).items():
+        rows, images, signs, cexps = _slice_images(perm, degree)
+        fixed = np.flatnonzero(rows == np.arange(len(rows)))
+        all_roots = (_root_exponents(exps, images[fixed]) % G.N).tolist()
+        for sign, cexp, roots in zip(signs[fixed].tolist(), cexps[fixed].tolist(), all_roots):
+            if cc is None:
+                sign = cexp = 0
+            for root_exp in roots:
+                key = (sign, cexp, root_exp)
+                counts[key] = counts.get(key, 0) + 1
     trace = Cyclotomic.zero()
     for key, count in counts.items():
         trace = trace + _scalar(cc, G.N, *key) * count

@@ -299,6 +299,9 @@ def check_singular_list(cfg: VerifyConfig) -> list[CheckResult]:
 
 # -- 9: linear independence of the operators ---------------------------------
 
+# the saturation search runs this many degrees past the bound n*N
+SATURATION_SLACK = 12
+
 
 def independence_groups(cfg: VerifyConfig) -> list[FiniteMonomialGroup]:
     out = []
@@ -330,14 +333,14 @@ def check_operator_independence(cfg: VerifyConfig) -> list[CheckResult]:
     for G in independence_groups(cfg):
         for c in (0, 1, cyc_make(4, 1)):
             bound = G.n * G.N
-            d, _ = faithfulness_saturation_degree(G, c, bound + 12)
+            d, _ = faithfulness_saturation_degree(G, c, bound + SATURATION_SLACK)
             tag = str(c) if isinstance(c, int) else "zeta4"
             if d is not None and d <= bound:
                 detail = f"independent at degree {d}, bound {bound}"
             elif d is not None:
                 detail = f"not independent by the bound {bound}, saturates at degree {d}"
             else:
-                detail = f"no saturation found up to {bound + 12}"
+                detail = f"no saturation found up to {bound + SATURATION_SLACK}"
             out.append(
                 CheckResult(
                     "operator-independence",

@@ -318,7 +318,8 @@ def _assert_same_entries(got: dict, want: dict):
 def test_slice_action_kernel_matches_definition():
     # the kernel behind act_c and both operator_matrix paths against the
     # definition, entry by entry and field order by field order; integer
-    # coefficients at c in {0, 1} take the root-counting path
+    # coefficients at c in {0, 1} take the root-counting path, unless one
+    # exceeds its int64 counts
     rng = random.Random(61)
     cs = [0, 1, cyc_make(4, 1), Cyclotomic.rational(Fraction(1, 2)) + cyc_make(4, 1) * Fraction(1, 2)]
     coeffs = [Cyclotomic.rational(v) for v in (1, -2, 3, Fraction(1, 2))] + [cyc_make(4, 1)]
@@ -335,7 +336,7 @@ def test_slice_action_kernel_matches_definition():
                         image, scalar = _reference_action(c, g, k)
                         want[(row[image], col)] = scalar
                     _assert_same_entries(operator_matrix(g, c, d).entries, want)
-                for weights in (coeffs[:3], coeffs[2:]):
+                for weights in (coeffs[:3], coeffs[2:], [coeffs[0], Cyclotomic.rational(-(2**70)), coeffs[1]]):
                     terms = list(zip(elems, weights))
                     want = {}
                     for g, coeff in terms:
@@ -381,8 +382,10 @@ def test_slice_trace_matches_element_by_element_sum(G):
 def test_modular_blocks_are_the_reduced_exact_operators(G):
     # each block equals the exact element operators reduced entry by entry
     # with the prime modular_full_rank_certificate picks for them, on the
-    # columns (w(k), k) in sorted order; zeta8 takes the field past Q(zeta_N)
-    for c in (0, 1, cyc_make(4, 1), parse_scalar("1/2+1/2*zeta4"), cyc_make(8, 1)):
+    # columns (w(k), k) in sorted order; zeta8 takes the field past Q(zeta_N),
+    # and 1 and -1 written in Q(zeta5) are rationals of field order 1
+    cs = (0, 1, cyc_make(4, 1), parse_scalar("1/2+1/2*zeta4"), cyc_make(8, 1), Cyclotomic.rational(1, 5), Cyclotomic.rational(-1, 5))
+    for c in cs:
         action = ModularOperators(G, c)
         assert action.conclusive
         for degree in range(5):
