@@ -415,7 +415,7 @@ def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, deg
     matrix = SparseMatrix(dim, dim)
     if not groups:
         return matrix
-    keys, tallies = [], []
+    counts: dict = {}
     for perm, (exps, coeffs) in groups.items():
         rows, images, signs, _ = _slice_images(perm, degree)
         roots = _root_exponents(exps, images)
@@ -424,18 +424,14 @@ def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, deg
         tally = np.zeros((dim, N), dtype=np.int64)
         cints = np.array([integers[id(v)] for v in coeffs], dtype=np.int64)
         np.add.at(tally, (np.arange(dim)[:, None], roots % N), cints)
-        keys.append(rows * dim + np.arange(dim))
-        tallies.append(tally)
-    if len(keys) == 1:
-        entries, counts = keys[0], tallies[0]
-    else:
-        entries, position = np.unique(np.concatenate(keys), return_inverse=True)
-        counts = np.zeros((len(entries), N), dtype=np.int64)
-        np.add.at(counts, position, np.concatenate(tallies))
+        for col, (row, counted) in enumerate(zip(rows.tolist(), tally)):
+            key = (row, col)
+            counts[key] = counts[key] + counted if key in counts else counted
     _, reduction = _ctx(N)
-    for key, vec in zip(entries.tolist(), (counts @ np.array(reduction[:N], dtype=np.int64)).tolist()):
+    values = np.array(list(counts.values())) @ np.array(reduction[:N], dtype=np.int64)
+    for key, vec in zip(counts, values.tolist()):
         if any(vec):
-            matrix.entries[divmod(key, dim)] = Cyclotomic(N, tuple(Fraction(v) for v in vec))
+            matrix.entries[key] = Cyclotomic(N, tuple(Fraction(v) for v in vec))
     return matrix
 
 
