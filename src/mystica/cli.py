@@ -259,7 +259,7 @@ def _validate(args) -> str | None:
         group_size_cap()
     except ValueError as exc:
         return str(exc)
-    for name in ("m", "p", "cprime", "n", "cap"):
+    for name in ("m", "p", "cprime", "n", "cap", "max_m", "max_n", "instances"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             return f"{name} must be a positive integer"

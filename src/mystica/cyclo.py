@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis {zeta_N^j : 0 <= j < phi(N)} with
-arbitrary-precision rational coordinates, fully reduced modulo the N-th
-cyclotomic polynomial.  Equality of elements at different orders is decided
-after lifting both to the least common multiple order.  Everything is
-immutable and pure, so values can be shared freely between workers.
+Elements are stored in the power basis {zeta_N^j : 0 <= j < phi(N)}, fully
+reduced modulo the N-th cyclotomic polynomial, as integer numerators over one
+positive common denominator: the element sum_j nums[j] zeta_N^j / den, with
+gcd(den, *nums) = 1 and zero stored as (0, ..., 0)/1 (the nf_elem layout of
+ANTIC; Hart, "ANTIC: Algebraic Number Theory in C", 2015).  The form is
+canonical, so equality at one order is a tuple comparison; elements at
+different orders are compared after lifting both to the least common multiple
+order.  Everything is immutable and pure, so values can be shared freely
+between workers.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -83,41 +84,92 @@ def _ctx(order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return deg, tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _folds(order: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each product position t >= degree: (t, the nonzero (j, rows[t][j]))."""
+    deg, rows = _ctx(order)
+    return tuple(
+        (t, tuple((j, r) for j, r in enumerate(rows[t]) if r)) for t in range(deg, 2 * deg - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _roots(order: int) -> tuple[tuple["Cyclotomic", ...], dict]:
+    """(zeta_order^e for 0 <= e < order, e keyed by the numerators of its root)."""
+    _, rows = _ctx(order)
+    roots = tuple(_make(order, rows[e]) for e in range(order))
+    return roots, {root.nums: e for e, root in enumerate(roots)}
+
+
+_new = object.__new__
+
+
+def _make(order: int, nums, den: int = 1) -> "Cyclotomic":
+    """The element sum_j nums[j] zeta^j / den from reduced integer
+    coordinates and den >= 1, with gcd(den, *nums) divided out."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    out = _new(Cyclotomic)
+    out.order = order
+    out.nums = tuple(nums)
+    out.den = den
+    return out
+
+
+def _fraction_parts(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a rational value in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 class Cyclotomic:
     """An exact element of Q(zeta_N), canonical in the power basis mod Phi_N."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        # Trusted constructor: coeffs must already be reduced, length phi(order).
+    def __init__(self, order: int, coeffs):
+        # Trusted constructor: rational coordinates, already reduced, length phi(order).
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
         self.order = order
-        self.coeffs = coeffs
+        self.nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates, for text and tests."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclotomic":
         deg, _ = _ctx(order)
-        return Cyclotomic(order, (_F0,) * deg)
+        return _make(order, (0,) * deg)
 
     @staticmethod
     def one(order: int = 1) -> "Cyclotomic":
-        return Cyclotomic.rational(1, order)
+        return Cyclotomic.root(order, 0)
 
     @staticmethod
     def rational(value, order: int = 1) -> "Cyclotomic":
         deg, _ = _ctx(order)
-        v = Fraction(value)
-        return Cyclotomic(order, (v,) + (_F0,) * (deg - 1))
+        num, den = _fraction_parts(value)
+        return _make(order, (num,) + (0,) * (deg - 1), den)
 
     @staticmethod
     def root(order: int, exponent: int) -> "Cyclotomic":
-        """zeta_order^exponent in canonical form."""
+        """zeta_order^exponent in canonical form, memoised per order."""
         if order < 1:
             raise ValueError("order must be a positive integer")
-        deg, rows = _ctx(order)
-        row = rows[exponent % order]
-        return Cyclotomic(order, tuple(Fraction(c) for c in row))
+        return _roots(order)[0][exponent % order]
 
     # -- order handling -----------------------------------------------
 
@@ -129,19 +181,18 @@ class Cyclotomic:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
         step = order // self.order
         deg, rows = _ctx(order)
-        out = [_F0] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(j * step) % order]
-                for t in range(deg):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return Cyclotomic(order, tuple(out))
+        out = [0] * deg
+        for j, x in enumerate(self.nums):
+            if x:
+                for t, r in enumerate(rows[(j * step) % order]):
+                    if r:
+                        out[t] += x * r
+        return _make(order, out, self.den)
 
     @staticmethod
     def _pair(a: "Cyclotomic", b) -> tuple["Cyclotomic", "Cyclotomic"]:
         if not isinstance(b, Cyclotomic):
-            b = Cyclotomic.rational(b)
+            b = Cyclotomic.rational(b, a.order)
         if a.order == b.order:
             return a, b
         m = lcm(a.order, b.order)
@@ -151,67 +202,71 @@ class Cyclotomic:
 
     def __add__(self, other) -> "Cyclotomic":
         a, b = self._pair(self, other)
-        return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(a.order, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, tuple(-x for x in self.coeffs))
+        return _make(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "Cyclotomic":
         a, b = self._pair(self, other)
-        return Cyclotomic(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(a.order, [x * fa - y * fb for x, y in zip(a.nums, b.nums)], da * fa)
 
     def __rsub__(self, other) -> "Cyclotomic":
         return (-self) + other
 
     def __mul__(self, other) -> "Cyclotomic":
-        a, b = self._pair(self, other)
-        deg, rows = _ctx(a.order)
-        conv = [_F0] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
+        if not isinstance(other, Cyclotomic):
+            num, den = _fraction_parts(other)
+            return _make(self.order, [x * num for x in self.nums], self.den * den)
+        a, b = (self, other) if self.order == other.order else self._pair(self, other)
+        an, bn = a.nums, b.nums
+        deg = len(an)
+        conv = [0] * (2 * deg - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for t, y in enumerate(bn, i):
                     if y:
-                        conv[i + j] += x * y
+                        conv[t] += x * y
         out = conv[:deg]
-        for t in range(deg, 2 * deg - 1):
+        for t, row in _folds(a.order):
             c = conv[t]
             if c:
-                row = rows[t]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(a.order, tuple(out))
+                for j, r in row:
+                    out[j] += c * r
+        return _make(a.order, out, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Field inverse via the extended Euclidean algorithm modulo Phi_N."""
+        """Field inverse: a root of unity by negating its exponent, anything
+        else by the extended Euclidean algorithm modulo Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_F0], [_F1]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv_lead = 1 / r1[0]
-                deg, _ = _ctx(self.order)
-                out = [c * inv_lead for c in s1] + [_F0] * deg
-                return Cyclotomic(self.order, tuple(out[:deg]))
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
+        if self.den == 1:
+            roots, exponents = _roots(self.order)
+            e = exponents.get(self.nums)
+            if e is not None:
+                return roots[-e % self.order]
+        return _euclid_inverse(self)
 
     def __truediv__(self, other) -> "Cyclotomic":
         a, b = self._pair(self, other)
         return a * b.inverse()
 
     def __rtruediv__(self, other) -> "Cyclotomic":
-        return Cyclotomic.rational(other) / self
+        return self.inverse() * other
 
     def __pow__(self, k: int) -> "Cyclotomic":
         base = self if k >= 0 else self.inverse()
@@ -227,32 +282,36 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(N-1)."""
         n = self.order
-        out = Cyclotomic.zero(n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyclotomic.root(n, (-j) % n) * c
-        return out
+        deg, rows = _ctx(n)
+        out = [0] * deg
+        for j, x in enumerate(self.nums):
+            if x:
+                for t, r in enumerate(rows[(-j) % n]):
+                    if r:
+                        out[t] += x * r
+        return _make(n, out, self.den)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.rational(other)
-        elif not isinstance(other, Cyclotomic):
+            num, den = _fraction_parts(other)
+            return self.den == den and self.nums[0] == num and self.is_rational()
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = self._pair(self, other)
-        return a.coeffs == b.coeffs
+        a, b = (self, other) if self.order == other.order else self._pair(self, other)
+        return a.nums == b.nums and a.den == b.den
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -261,35 +320,43 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {scalar_to_text(self)!r})"
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) < len(den):
-        return [_F0], num
-    q = [_F0] * (len(num) - dn)
-    for i in reversed(range(len(q))):
-        c = num[i + dn] / den[dn]
-        q[i] = c
-        if c:
-            for j in range(len(den)):
-                num[i + j] -= c * den[j]
-    return q, num[:dn]
+def _euclid_inverse(a: Cyclotomic) -> Cyclotomic:
+    """a^-1 by the extended Euclidean algorithm on integer polynomials.
 
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_F0] * (n - len(a))
-    b = b + [_F0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    With A the numerator polynomial of a, each pair (r, s) keeps s*A = r mod
+    Phi_N, from (Phi_N, 0) and (A, 1).  Pseudo-division scales r and s by the
+    divisor's leading coefficient so that both stay integral, and each new
+    pair is divided by the gcd of all its coefficients.  The last remainder
+    is a nonzero constant r, and a^-1 = den * s / r.
+    """
+    r0, s0 = list(cyclotomic_polynomial(a.order)), []
+    r1, s1 = list(a.nums), [1]
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        lead = r1[-1]
+        while len(r0) >= len(r1):
+            c, shift = r0[-1], len(r0) - len(r1)
+            r0 = [lead * x for x in r0]
+            s0 = [lead * x for x in s0] + [0] * (len(s1) + shift - len(s0))
+            for k, x in enumerate(r1, shift):
+                r0[k] -= c * x
+            for k, x in enumerate(s1, shift):
+                s0[k] -= c * x
+            while r0 and not r0[-1]:
+                r0.pop()
+        g = gcd(*r0, *s0)
+        if g > 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    const = r1[0]
+    scale = a.den if const > 0 else -a.den
+    deg = len(a.nums)
+    while len(s1) > deg and not s1[-1]:
+        s1.pop()
+    nums = [scale * x for x in s1] + [0] * (deg - len(s1))
+    return _make(a.order, nums, abs(const))
 
 
 def cyc_make(order: int, exponent: int) -> Cyclotomic:
@@ -341,13 +408,13 @@ def in_gaussian_half_ring(a: Cyclotomic) -> bool:
     """Membership test for Z[i, 1/2]: an element of Q(i) = u + v*i whose
     denominators in lowest terms are powers of two."""
     m = lcm(a.order, 4)
-    b = a.lift(m)
-    ivec = Cyclotomic.root(m, m // 4).coeffs
-    # Solve b = u*1 + v*i by coordinates; basis vector of 1 is e_0.
+    coords = a.lift(m).coeffs
+    ivec = Cyclotomic.root(m, m // 4).nums
+    # Solve a = u*1 + v*i by coordinates; basis vector of 1 is e_0.
     pos = next(j for j in range(1, len(ivec)) if ivec[j] != 0)
-    v = b.coeffs[pos] / ivec[pos]
-    u = b.coeffs[0] - v * ivec[0]
-    for j, c in enumerate(b.coeffs):
+    v = coords[pos] / ivec[pos]
+    u = coords[0] - v * ivec[0]
+    for j, c in enumerate(coords):
         expect = v * ivec[j] + (u if j == 0 else 0)
         if c != expect:
             return False

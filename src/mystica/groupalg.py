@@ -14,8 +14,9 @@ built on top.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclo import Cyclotomic, scalar_to_text
+from .cyclo import Cyclotomic, _make, scalar_to_text
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix
 from .monomial import MonomialElement, identity, perm_apply
@@ -149,14 +150,23 @@ def _tau(n: int, N: int, i: int) -> MonomialElement:
     return MonomialElement(n, N, tuple(range(n)), tuple(exps))
 
 
+def _as_cyclotomic(c) -> Cyclotomic:
+    return c if isinstance(c, Cyclotomic) else Cyclotomic.rational(c)
+
+
 def _coerce_invertible(c, N: int) -> Cyclotomic:
-    if isinstance(c, (int, Fraction)):
-        c = Cyclotomic.rational(c)
+    c = _as_cyclotomic(c)
     if c.is_zero():
         raise ValueError("c must be invertible")
     if N % c.order != 0:
         raise ValueError(f"ambient torus order {N} does not contain the order-{c.order} scalars")
     return c
+
+
+# Q_ij^(c) and Q_w^(c) are memoised on c's canonical form (order included,
+# since the coefficients are written at c's order), the indices and the
+# ambient.  Callers share the returned elements and must not mutate their
+# terms.
 
 
 def q_ij_element(c, i: int, j: int, n: int, N: int) -> GroupAlgebraElement:
@@ -165,6 +175,12 @@ def q_ij_element(c, i: int, j: int, n: int, N: int) -> GroupAlgebraElement:
     if N % 2 != 0:
         raise ValueError("ambient torus order must be even to host sign elements")
     c = _coerce_invertible(c, N)
+    return _q_ij(c.order, c.nums, c.den, i, j, n, N)
+
+
+@lru_cache(maxsize=1024)
+def _q_ij(order: int, nums: tuple, den: int, i: int, j: int, n: int, N: int) -> GroupAlgebraElement:
+    c = _make(order, nums, den)
     cinv = c.inverse()
     ti, tj = _tau(n, N, i), _tau(n, N, j)
     plus = (c + cinv) * _QUARTER
@@ -182,6 +198,13 @@ def q_ij_element(c, i: int, j: int, n: int, N: int) -> GroupAlgebraElement:
 
 def q_w_element(c, perm: tuple[int, ...], n: int, N: int) -> GroupAlgebraElement:
     """Product of the pair elements over the inversions of the permutation."""
+    c = _as_cyclotomic(c)
+    return _q_w(c.order, c.nums, c.den, tuple(perm), n, N)
+
+
+@lru_cache(maxsize=1024)
+def _q_w(order: int, nums: tuple, den: int, perm: tuple[int, ...], n: int, N: int) -> GroupAlgebraElement:
+    c = _make(order, nums, den)
     out = GroupAlgebraElement.one(n, N)
     for i in range(n):
         for j in range(i + 1, n):
@@ -208,13 +231,8 @@ def j_c(c, a: GroupAlgebraElement) -> GroupAlgebraElement:
     element by the torus-algebra element of its permutation part.
     """
     out = GroupAlgebraElement.zero(a.n, a.N)
-    cache: dict[tuple[int, ...], GroupAlgebraElement] = {}
     for g, v in a.terms.items():
-        q = cache.get(g.perm)
-        if q is None:
-            q = q_w_element(c, g.perm, a.n, a.N)
-            cache[g.perm] = q
-        out = out + (GroupAlgebraElement.from_element(g, v) * q)
+        out = out + (GroupAlgebraElement.from_element(g, v) * q_w_element(c, g.perm, a.n, a.N))
     return out
 
 

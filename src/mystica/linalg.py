@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-import numpy as np
-
 from .cyclo import Cyclotomic
+
+# numpy is imported inside the functions that use it, so that commands which
+# never reach the F_q and exponent-array kernels start without loading it.
 
 
 @dataclass
@@ -170,15 +171,15 @@ def _prime_factors(value: int) -> list[int]:
 
 def _reduce_mod(value: Cyclotomic, q: int, zpow) -> int | None:
     """The image of value in F_q under zeta_(value.order) -> z, given
-    zpow[j] = z^j; None when a denominator of value is divisible by q."""
+    zpow[j] = z^j; None when the denominator of value is divisible by q."""
+    den = value.den % q
+    if den == 0:
+        return None
     image = 0
-    for j, coeff in enumerate(value.coeffs):
-        if coeff:
-            den = coeff.denominator % q
-            if den == 0:
-                return None
-            image += coeff.numerator * pow(den, q - 2, q) * zpow[j]
-    return image % q
+    for j, x in enumerate(value.nums):
+        if x:
+            image += x * zpow[j]
+    return image * pow(den, q - 2, q) % q
 
 
 def modular_full_rank_certificate(rows, target: int) -> bool:
@@ -189,6 +190,8 @@ def modular_full_rank_certificate(rows, target: int) -> bool:
     the image matrix proves full rank of the original.  A False answer is
     inconclusive and should fall back to the exact elimination.
     """
+    import numpy as np
+
     rows = list(rows)
     if len(rows) != target:
         return False
@@ -222,6 +225,8 @@ def modular_full_rank_certificate(rows, target: int) -> bool:
 
 
 def _modq_rank(A: "np.ndarray", q: int) -> int:
+    import numpy as np
+
     nrows, ncols = A.shape
     r = 0
     for c in range(ncols):
@@ -253,6 +258,8 @@ def modq_left_kernel(A: "np.ndarray", q: int) -> "np.ndarray":
     vector in its I part.  Entries stay below q, so every product fits in
     int64 for q < 2**31.
     """
+    import numpy as np
+
     nrows, ncols = A.shape
     work = np.hstack([A, np.eye(nrows, dtype=np.int64)])
     kernel = []
@@ -276,6 +283,8 @@ class ModqLeftKernel:
     The rank of the blocks seen so far is nrows - len(basis)."""
 
     def __init__(self, nrows: int, q: int):
+        import numpy as np
+
         if nrows * (q - 1) ** 2 >= 2**63:
             raise ValueError(f"q={q} is too large for int64 products over {nrows} rows")
         self.nrows = nrows

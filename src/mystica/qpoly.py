@@ -18,12 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-import numpy as np
-
-from .cyclo import Cyclotomic, _ctx
+from .cyclo import Cyclotomic, _ctx, _make
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix, _certificate_prime, _reduce_mod, sparse_rank
 from .monomial import MonomialElement, perm_apply
+
+# numpy is imported inside the functions that use it, so that commands which
+# never reach the F_q and exponent-array kernels start without loading it.
 
 _ONE = Cyclotomic.one()
 
@@ -290,6 +291,8 @@ def _root_exponents(exps: "np.ndarray", images) -> "np.ndarray":
     """The unreduced exponents a with t^(w(k)) = zeta_N^a: entry (i, j) for
     the monomial w(k) = images[i] and the element t*w whose torus exponents
     are exps[j]."""
+    import numpy as np
+
     return np.asarray(images, dtype=np.int64).reshape(-1, exps.shape[1]) @ exps.T
 
 
@@ -297,6 +300,8 @@ def _root_exponents(exps: "np.ndarray", images) -> "np.ndarray":
 def _slice_images(perm: tuple[int, ...], degree: int):
     """_slice_action as read-only arrays: the rows of w(k), the monomials
     w(k) as rows, the sign bits and the c exponents."""
+    import numpy as np
+
     rows, signs, cexps = np.array(_slice_action(perm, degree), dtype=np.int64).T
     basis = np.array(slice_monomials(len(perm), degree), dtype=np.int64)
     out = (rows, basis[rows], signs, cexps)
@@ -308,6 +313,8 @@ def _slice_images(perm: tuple[int, ...], degree: int):
 def _by_perm(terms, n: int, N: int) -> dict:
     """perm -> (torus exponents, one row per element, and values) of the
     (element, value) terms."""
+    import numpy as np
+
     members: dict = {}
     for elem, value in terms:
         if (elem.n, elem.N) != (n, N):
@@ -331,6 +338,8 @@ def phi_w_eval(c, perm: tuple[int, ...], k) -> Cyclotomic:
 
 def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     """The twisted action of a monomial matrix on a polynomial."""
+    import numpy as np
+
     if f.n != g.n:
         raise ValueError("rank mismatch")
     cc = _coerce_c(c)
@@ -400,9 +409,9 @@ def _integer_values(terms) -> dict | None:
     out: dict = {}
     for _, v in terms:
         if id(v) not in out:
-            if not v.is_rational() or v.coeffs[0].denominator != 1 or abs(v.coeffs[0]) >= 2**31:
+            if not v.is_rational() or v.den != 1 or abs(v.nums[0]) >= 2**31:
                 return None
-            out[id(v)] = int(v.coeffs[0])
+            out[id(v)] = v.nums[0]
     return out
 
 
@@ -411,6 +420,8 @@ def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, deg
     two sign actions: per matrix entry, count each root of unity with integer
     multiplicity, then materialize the cyclotomic values once.  Valid because
     every element scalar is +-zeta_N^e and -1 = zeta_N^(N/2) for even N."""
+    import numpy as np
+
     dim = len(slice_monomials(n, degree))
     matrix = SparseMatrix(dim, dim)
     if not groups:
@@ -431,7 +442,7 @@ def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, deg
     values = np.array(list(counts.values())) @ np.array(reduction[:N], dtype=np.int64)
     for key, vec in zip(counts, values.tolist()):
         if any(vec):
-            matrix.entries[key] = Cyclotomic(N, tuple(Fraction(v) for v in vec))
+            matrix.entries[key] = _make(N, vec)
     return matrix
 
 
@@ -449,6 +460,8 @@ class ModularOperators:
     """
 
     def __init__(self, G: FiniteMonomialGroup, c):
+        import numpy as np
+
         cc = _coerce_c(c)
         n, N = G.n, G.N
         L = _field_order(cc, N)
@@ -473,6 +486,8 @@ class ModularOperators:
         """The order x k matrix of the degree slice mod q: row i is the
         operator of G.elements[i], and the k columns are the positions
         (w(x), x) that some element's operator fills."""
+        import numpy as np
+
         dim = len(slice_monomials(self.n, degree))
         P = len(self.cpow) // 2
         keys, parts = [], []
@@ -501,6 +516,8 @@ def slice_trace(G: FiniteMonomialGroup, c, degree: int) -> Cyclotomic:
     monomial of each element contributes (-1)^s c^b zeta_N^a, so the keys
     (s, b, a mod N) are counted with integer multiplicity and each distinct
     scalar is built once."""
+    import numpy as np
+
     cc = _coerce_c(c)
     counts: dict = {}
     for perm, (exps, _) in _by_perm(group_sum_terms(G), G.n, G.N).items():

@@ -1,6 +1,10 @@
 """Tests for the command-line interface: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -153,6 +157,10 @@ def test_verify_all_json_schema(capsys):
         (("iso", "--m", "2", "--p", "2", "--n", "2", "--cap", "0"), "cap must be a positive integer"),
         (("thick", "--m", "2", "--n", "2", "--cap", "0"), "cap must be a positive integer"),
         (("equiv", "--m", "2", "--p", "2", "--n", "2", "--degree", "-1"), "degree must be a nonnegative integer"),
+        (("verify-all", "--max-m", "0"), "max_m must be a positive integer"),
+        (("verify-all", "--max-n", "0"), "max_n must be a positive integer"),
+        (("verify-all", "--instances", "0"), "instances must be a positive integer"),
+        (("verify-all", "--max-n", "-2", "--format", "json"), "max_n must be a positive integer"),
     ],
 )
 def test_nonpositive_arguments_are_usage_errors(capsys, argv, message):
@@ -161,6 +169,24 @@ def test_nonpositive_arguments_are_usage_errors(capsys, argv, message):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def test_mu_and_iso_do_not_load_numpy():
+    # numpy is imported only by the F_q and exponent-array kernels, so the
+    # queries that never reach them start without it
+    code = (
+        "import contextlib, io, sys\n"
+        "from mystica import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['mu', '--m', '4', '--p', '2', '--n', '3']),\n"
+        "             cli.main(['iso', '--m', '4', '--p', '2', '--n', '3'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
 
 
 def test_degree_zero_is_honoured(capsys):

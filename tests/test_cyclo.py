@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mystica.cyclo import (
     Cyclotomic,
     RootOfUnity,
+    _euclid_inverse,
     cyc_make,
     cyclotomic_polynomial,
     in_gaussian_half_ring,
@@ -189,3 +192,129 @@ def test_root_of_unity_monoid_homomorphism():
         assert (r1 * r2).to_cyclotomic() == r1.to_cyclotomic() * r2.to_cyclotomic()
     assert RootOfUnity(6, 3) == RootOfUnity(2, 1)
     assert RootOfUnity(4, 1) * RootOfUnity(4, 3) == RootOfUnity.one()
+
+
+# -- differential test against sympy ------------------------------------
+#
+# The reference keeps an element of Q(zeta_N) as a sympy polynomial with
+# rational coefficients, reduced modulo cyclotomic_poly(N).
+
+REFERENCE_ORDERS = [1, 2, 3, 4, 5, 6, 8, 12, 20, 24]
+_X = sympy.Symbol("x")
+
+
+def _reference(a: Cyclotomic) -> sympy.Poly:
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in a.coeffs]
+    return sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
+
+
+def _reduced(poly: sympy.Poly, order: int) -> sympy.Poly:
+    return poly.rem(sympy.Poly(sympy.cyclotomic_poly(order, _X), _X, domain="QQ"))
+
+
+def _reference_lift(poly: sympy.Poly, order: int, target: int) -> sympy.Poly:
+    step = target // order
+    return _reduced(poly.compose(sympy.Poly(_X**step, _X, domain="QQ")), target)
+
+
+def _reference_text(poly: sympy.Poly, order: int) -> str:
+    """The text form: nonzero coordinates as 'c', 'zetaN^j' or 'c*zetaN^j'."""
+    parts = []
+    for (j,), c in sorted(poly.terms()):
+        c = Fraction(int(c.p), int(c.q))
+        if j == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"zeta{order}^{j}")
+        else:
+            parts.append(f"{c}*zeta{order}^{j}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _assert_canonical(a: Cyclotomic) -> None:
+    assert len(a.nums) == len(cyclotomic_polynomial(a.order)) - 1
+    assert all(type(x) is int for x in a.nums)
+    assert type(a.den) is int and a.den >= 1
+    assert gcd(a.den, *a.nums) == 1
+    if not any(a.nums):
+        assert a.den == 1
+
+
+def _elements(order: int):
+    deg = len(cyclotomic_polynomial(order)) - 1
+    coord = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return st.lists(coord, min_size=deg, max_size=deg).map(lambda cs: Cyclotomic(order, tuple(cs)))
+
+
+@st.composite
+def _pairs(draw):
+    order = draw(st.sampled_from(REFERENCE_ORDERS))
+    other = draw(st.sampled_from(REFERENCE_ORDERS))
+    return order, draw(_elements(order)), draw(_elements(order)), other, draw(_elements(other))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs())
+def test_arithmetic_matches_sympy_reference(case):
+    order, a, b, other, c = case
+    ra, rb, rc = _reference(a), _reference(b), _reference(c)
+    for value, expected in (
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a * b, _reduced(ra * rb, order)),
+        (-a, -ra),
+        (a - a, ra - ra),
+    ):
+        _assert_canonical(value)
+        assert value.order == order
+        assert _reference(value) == expected
+    if not a.is_zero():
+        inverse = a.inverse()
+        _assert_canonical(inverse)
+        assert _reference(inverse) == ra.invert(sympy.Poly(sympy.cyclotomic_poly(order, _X), _X, domain="QQ"))
+    # lifting into a multiple order, and equality across orders
+    top = lcm(order, other)
+    lifted = a.lift(top)
+    _assert_canonical(lifted)
+    assert _reference(lifted) == _reference_lift(ra, order, top)
+    assert lifted == a and a == lifted
+    same = _reference_lift(ra, order, top) == _reference_lift(rc, other, top)
+    assert (a == c) is same and (c == a) is same
+    # the text form and its round trip
+    assert scalar_to_text(a) == _reference_text(ra, order)
+    assert parse_scalar(scalar_to_text(a)) == a
+
+
+def test_zero_is_stored_as_zero_over_one():
+    for order in REFERENCE_ORDERS:
+        a = cyc_make(order, 1) * Fraction(3, 4)
+        for zero in (Cyclotomic.zero(order), a - a, a * 0, Cyclotomic.rational(Fraction(0, 5), order)):
+            assert zero.nums == (0,) * len(zero.nums) and zero.den == 1
+            assert zero == 0 and scalar_to_text(zero) == "0"
+    assert Cyclotomic(4, (Fraction(2, 6), Fraction(-4, 6))).nums == (1, -2)
+    assert Cyclotomic(4, (Fraction(2, 6), Fraction(-4, 6))).den == 3
+
+
+def test_root_of_unity_inverse_negates_the_exponent():
+    for order in REFERENCE_ORDERS:
+        for e in range(-order, 2 * order):
+            x = Cyclotomic.root(order, e)
+            inverse = x.inverse()
+            assert x * inverse == 1
+            general = _euclid_inverse(x)
+            assert (inverse.order, inverse.nums, inverse.den) == (general.order, general.nums, general.den)
+            assert inverse is Cyclotomic.root(order, -e)
+            assert x ** -3 == general * general * general
+
+
+def test_general_inverse_of_non_roots():
+    rng = random.Random(41)
+    for order in REFERENCE_ORDERS:
+        for _ in range(10):
+            a = _random_element(rng, order)
+            if a.is_zero():
+                continue
+            inverse = a.inverse()
+            assert a * inverse == 1
+            assert inverse * a == 1
+            _assert_canonical(inverse)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar
+from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar, scalar_to_text
 from mystica.groupalg import (
     GroupAlgebraElement,
     e_group,
@@ -241,3 +241,77 @@ def test_rho_examples():
     G = make_gmpn(2, 2, 2)
     zero_mat = rho_apply(e_group(G), 0, 1)
     assert zero_mat.entries == {}
+
+
+# (c, c^-1) written out, so the reference below uses no field inverse; the
+# last value is 1 written in Q(zeta4), whose Q-elements carry order-4
+# coefficients
+_C_WITH_INVERSES = [
+    ("1", "1"),
+    ("-1", "-1"),
+    ("zeta4", "zeta4^3"),
+    ("zeta3", "zeta3^2"),
+    ("1/2+1/2*zeta4", "1-zeta4"),
+]
+
+
+def _reference_q_w(c, cinv, perm, n, N):
+    """Q_w^(c) multiplied out on the torus from the quarter-coefficient
+    formula, one inversion (i, j) at a time: (c + c^-1)/4 (1 - tau_i tau_j)
+    + (c^-1 - c + 2)/4 tau_i + (c - c^-1 + 2)/4 tau_j."""
+    half = N // 2
+    quarter = Fraction(1, 4)
+    out = {(0,) * n: Cyclotomic.one()}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if perm[i] < perm[j]:
+                continue
+            ti = tuple(half if k == i else 0 for k in range(n))
+            tj = tuple(half if k == j else 0 for k in range(n))
+            tij = tuple(half if k in (i, j) else 0 for k in range(n))
+            factor = {
+                (0,) * n: (c + cinv) * quarter,
+                tij: -(c + cinv) * quarter,
+                ti: (cinv - c + 2) * quarter,
+                tj: (c - cinv + 2) * quarter,
+            }
+            product = {}
+            for e, a in out.items():
+                for f, b in factor.items():
+                    key = tuple((x + y) % N for x, y in zip(e, f))
+                    product[key] = product[key] + a * b if key in product else a * b
+            out = product
+    identity_perm = tuple(range(n))
+    return {
+        MonomialElement(n, N, identity_perm, e): (v.order, v.nums, v.den)
+        for e, v in out.items()
+        if not v.is_zero()
+    }
+
+
+def test_memoised_q_w_matches_quarter_coefficient_products():
+    cs = [(parse_scalar(c), parse_scalar(cinv)) for c, cinv in _C_WITH_INVERSES]
+    cs.append((Cyclotomic.rational(1, 4), Cyclotomic.rational(1, 4)))
+    for c, cinv in cs:
+        assert c * cinv == 1
+    for N in (4, 12):
+        for c, cinv in cs:
+            for n in (1, 2, 3):
+                for perm in itertools.permutations(range(n)):
+                    if N % c.order and perm != tuple(range(n)):
+                        with pytest.raises(ValueError):
+                            q_w_element(c, perm, n, N)
+                        continue
+                    q = q_w_element(c, perm, n, N)
+                    got = {g: (v.order, v.nums, v.den) for g, v in q.terms.items()}
+                    assert got == _reference_q_w(c, cinv, perm, n, N), (scalar_to_text(c), c.order, perm, N)
+                    assert q_w_element(c, perm, n, N) == q
+                    assert q_w_element(c, list(perm), n, N) == q
+
+
+def test_memoised_q_ij_keeps_the_order_of_c():
+    # zeta3 and zeta4 share their numerators (0, 1); 1 and 1 in Q(zeta4) their value
+    for c in (cyc_make(3, 1), cyc_make(4, 1), Cyclotomic.one(), Cyclotomic.rational(1, 4)):
+        q = q_ij_element(c, 0, 1, 2, 12)
+        assert {v.order for v in q.terms.values()} == {c.order}
+        assert psi_eval(q, (1, 0)) == phi_eval(c, 0, 1, (1, 0))
