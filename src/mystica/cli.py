@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .classify import isomorphic
+from .classify import ISO_CAP, isomorphic
 from .cyclo import parse_scalar
 from .groups import CapExceededError, enumerate_thick, group_size_cap, make_gmpn, make_w
 from .mystic import (
@@ -32,7 +32,7 @@ from .qpoly import (
     invariant_degrees,
     invariant_dimension,
 )
-from .verify import ALL_CHECKS, VerifyConfig
+from .verify import VerifyConfig, run_all
 
 
 def _emit(lines) -> None:
@@ -156,7 +156,7 @@ def cmd_invariants(args) -> int:
 def cmd_iso(args) -> int:
     G = make_gmpn(args.m, args.p, args.n)
     mu = mu_group(G)
-    answer = isomorphic(G, mu, 500 if args.cap is None else args.cap)
+    answer = isomorphic(G, mu, ISO_CAP if args.cap is None else args.cap)
     if args.format == "json":
         _emit_json({"m": args.m, "p": args.p, "n": args.n, "isomorphic": answer})
     else:
@@ -172,9 +172,7 @@ def cmd_verify_all(args) -> int:
         degree=args.degree,
         instances=args.instances,
     )
-    results = []
-    for name, fn in ALL_CHECKS:
-        results.extend(fn(cfg))
+    results = run_all(cfg)
     results.sort(key=lambda r: (r.check, json.dumps(r.params, sort_keys=True)))
     failures = [r for r in results if not r.passed]
     if args.format == "json":
@@ -243,11 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_iso)
 
+    defaults = VerifyConfig()
     p = sub.add_parser("verify-all", help="run the full verification grid")
-    p.add_argument("--max-m", type=int, default=6)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--instances", type=int, default=10_000)
+    p.add_argument("--max-m", type=int, default=defaults.max_m)
+    p.add_argument("--max-n", type=int, default=defaults.max_n)
+    p.add_argument("--degree", type=int, default=defaults.degree)
+    p.add_argument("--instances", type=int, default=defaults.instances)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify_all)
 

@@ -107,10 +107,6 @@ class FiniteMonomialGroup:
     def element_set(self) -> frozenset:
         return self._eset
 
-    def is_subgroup_of(self, other: "FiniteMonomialGroup") -> bool:
-        a, b = common_ambient(self, other)
-        return a._eset <= b._eset
-
     def torus_elements(self) -> tuple[MonomialElement, ...]:
         return tuple(a for a in self.elements if a.is_torus())
 

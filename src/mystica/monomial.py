@@ -226,13 +226,6 @@ def central_scalar(n: int, N: int, eps) -> MonomialElement:
     return MonomialElement(n, N, tuple(range(n)), ((exponent % N),) * n)
 
 
-def perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
-
-
 def perm_apply(perm: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
     """Pushforward w(k), i.e. w(k)_{w(i)} = k_i."""
     out = [0] * len(vec)

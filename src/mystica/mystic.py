@@ -177,45 +177,15 @@ def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:
     c = cyc_make(4, 1).lift(G.N) if G.N != 4 else cyc_make(4, 1)
     cinv = c.inverse()
 
-    images: dict[MonomialElement, GroupAlgebraElement] = {}
-    support_ok = True
-    ring_ok = True
-    for g in G.elements:
-        img = j_c(c, GroupAlgebraElement.from_element(g))
-        images[g] = img
-        if not img.support() <= mu.element_set():
-            support_ok = False
-        if not all(in_gaussian_half_ring(v) for v in img.terms.values()):
-            ring_ok = False
-
-    inverse_images: dict[MonomialElement, GroupAlgebraElement] = {}
-    inv_support_ok = True
-    inv_ring_ok = True
-    for h in mu.elements:
-        img = j_c(cinv, GroupAlgebraElement.from_element(h))
-        inverse_images[h] = img
-        if not img.support() <= G.element_set():
-            inv_support_ok = False
-        if not all(in_gaussian_half_ring(v) for v in img.terms.values()):
-            inv_ring_ok = False
-
-    invertible = len(G) == len(mu) and support_ok and inv_support_ok
-    if invertible:
-        for g in G.elements:
-            acc = GroupAlgebraElement.zero(G.n, G.N)
-            for h, coeff in images[g].items():
-                acc = acc + inverse_images[h].scale(coeff)
-            if acc != GroupAlgebraElement.from_element(g):
-                invertible = False
-                break
-    if invertible:
-        for h in mu.elements:
-            acc = GroupAlgebraElement.zero(G.n, G.N)
-            for g, coeff in inverse_images[h].items():
-                acc = acc + images[g].scale(coeff)
-            if acc != GroupAlgebraElement.from_element(h):
-                invertible = False
-                break
+    images, support_ok, ring_ok = _twist_images(c, G, mu)
+    inverse_images, inv_support_ok, inv_ring_ok = _twist_images(cinv, mu, G)
+    invertible = (
+        len(G) == len(mu)
+        and support_ok
+        and inv_support_ok
+        and _composes_to_identity(images, inverse_images)
+        and _composes_to_identity(inverse_images, images)
+    )
 
     return GroupRingIsoReport(
         group=G.tag.label,
@@ -227,6 +197,26 @@ def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:
         inverse_coefficients_in_ring=inv_ring_ok,
         change_of_basis_invertible=invertible,
     )
+
+
+def _twist_images(c, source: FiniteMonomialGroup, target: FiniteMonomialGroup):
+    """(g -> j_c(g) for g in source, whether every image is supported in
+    target, whether every image coefficient lies in Z[i, 1/2])."""
+    images = {g: j_c(c, GroupAlgebraElement.from_element(g)) for g in source.elements}
+    support_ok = all(img.support() <= target.element_set() for img in images.values())
+    ring_ok = all(in_gaussian_half_ring(v) for img in images.values() for v in img.terms.values())
+    return images, support_ok, ring_ok
+
+
+def _composes_to_identity(images: dict, back: dict) -> bool:
+    """Whether following each g -> images[g] by h -> back[h] gives g back."""
+    for g, img in images.items():
+        acc = GroupAlgebraElement.zero(g.n, g.N)
+        for h, coeff in img.items():
+            acc = acc + back[h].scale(coeff)
+        if acc != GroupAlgebraElement.from_element(g):
+            return False
+    return True
 
 
 def _extend_operator_rows(rows, G: FiniteMonomialGroup, c, degree: int) -> None:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
-from .cyclo import Cyclotomic, _ctx, _make
+from .cyclo import Cyclotomic, _make
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix, _certificate_prime, _reduce_mod, sparse_rank
 from .monomial import MonomialElement, perm_apply
@@ -47,8 +48,8 @@ def _coerce_c(c):
 
 def _field_order(cc, N: int) -> int:
     """The order L of the field Q(zeta_L) holding the element operators'
-    entries: N for the untwisted action, lcm(N, ord c) otherwise (N for a
-    rational c, as on the integer path of operator_matrix)."""
+    entries: N for the untwisted action, lcm(N, ord c) otherwise, which is N
+    for a rational c of any order, since _coerce_c writes it at order 1."""
     return N if cc is None else lcm(N, cc.order)
 
 
@@ -278,15 +279,6 @@ def _inversions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _slice_action(perm: tuple[int, ...], degree: int) -> tuple[tuple[int, int, int], ...]:
-    """Per column k of slice_monomials: (row of w(k), sign bit, c exponent)."""
-    basis = slice_monomials(len(perm), degree)
-    pos = {k: idx for idx, k in enumerate(basis)}
-    pairs = _inversions(perm)
-    return tuple((pos[perm_apply(perm, k)],) + _cocycle(pairs, k) for k in basis)
-
-
 def _root_exponents(exps: "np.ndarray", images) -> "np.ndarray":
     """The unreduced exponents a with t^(w(k)) = zeta_N^a: entry (i, j) for
     the monomial w(k) = images[i] and the element t*w whose torus exponents
@@ -298,13 +290,17 @@ def _root_exponents(exps: "np.ndarray", images) -> "np.ndarray":
 
 @lru_cache(maxsize=None)
 def _slice_images(perm: tuple[int, ...], degree: int):
-    """_slice_action as read-only arrays: the rows of w(k), the monomials
-    w(k) as rows, the sign bits and the c exponents."""
+    """Per column k of slice_monomials, as read-only arrays: the rows of
+    w(k), the monomials w(k) as rows, and the sign bits and c exponents of
+    the cocycle."""
     import numpy as np
 
-    rows, signs, cexps = np.array(_slice_action(perm, degree), dtype=np.int64).T
-    basis = np.array(slice_monomials(len(perm), degree), dtype=np.int64)
-    out = (rows, basis[rows], signs, cexps)
+    basis = slice_monomials(len(perm), degree)
+    pos = {k: idx for idx, k in enumerate(basis)}
+    pairs = _inversions(perm)
+    table = [(pos[perm_apply(perm, k)],) + _cocycle(pairs, k) for k in basis]
+    rows, signs, cexps = np.array(table, dtype=np.int64).T
+    out = (rows, np.array(basis, dtype=np.int64)[rows], signs, cexps)
     for array in out:
         array.flags.writeable = False
     return out
@@ -374,76 +370,76 @@ def _terms_of(actor):
 def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     """Exact matrix of the actor on the degree slice, columns indexed by
     slice_monomials.  For group-algebra input this is the coefficient-weighted
-    sum of the element matrices."""
+    sum of the element matrices; each entry lies in the field the definition
+    puts it in, Q(zeta_L) with L = _field_order(c, N) or the larger field of
+    a coefficient."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     terms, n, N = _terms_of(actor)
-    cc = _coerce_c(c)
-    groups = _by_perm(terms, n, N)
-    if N % 2 == 0 and (cc is None or cc == 1):
-        integers = _integer_values(terms)
-        if integers is not None:
-            return _integer_sum_matrix(groups, integers, cc is not None, n, N, degree)
-    dim = len(slice_monomials(n, degree))
-    matrix = SparseMatrix(dim, dim)
-    for perm, (exps, coeffs) in groups.items():
-        caches = [{} for _ in coeffs]
-        _, images, _, _ = _slice_images(perm, degree)
-        all_roots = (_root_exponents(exps, images) % N).tolist()
-        for col, ((row, sign, cexp), roots) in enumerate(zip(_slice_action(perm, degree), all_roots)):
-            if cc is None:
-                sign = cexp = 0
-            for coeff, cache, root_exp in zip(coeffs, caches, roots):
-                key = (sign, cexp, root_exp)
-                scalar = cache.get(key)
-                if scalar is None:
-                    scalar = cache[key] = coeff * _scalar(cc, N, *key)
-                matrix.add(row, col, scalar)
-    return matrix
+    return _integer_sum_matrix(_by_perm(terms, n, N), _coerce_c(c), n, N, degree)
 
 
-def _integer_values(terms) -> dict | None:
-    """id(coefficient) -> its integer value, tested once per distinct
-    coefficient object (a group sum shares one); None if any coefficient is
-    not an integer of at most 31 bits, so that the counts fit in int64."""
-    out: dict = {}
-    for _, v in terms:
-        if id(v) not in out:
-            if not v.is_rational() or v.den != 1 or abs(v.nums[0]) >= 2**31:
-                return None
-            out[id(v)] = v.nums[0]
-    return out
+def _integer_sum_matrix(groups, cc, n: int, N: int, degree: int) -> SparseMatrix:
+    """The weighted sum of the element operators on the degree slice, from
+    _by_perm's perm -> (torus exponents, coefficients).
 
-
-def _integer_sum_matrix(groups, integers: dict, minus: bool, n: int, N: int, degree: int) -> SparseMatrix:
-    """Fast path for integer-coefficient sums of element operators under the
-    two sign actions: per matrix entry, count each root of unity with integer
-    multiplicity, then materialize the cyclotomic values once.  Valid because
-    every element scalar is +-zeta_N^e and -1 = zeta_N^(N/2) for even N."""
+    Every element scalar is (-1)^s c^b zeta_N^a, and (s, b) depend only on
+    the permutation and the column, so per permutation and column the root
+    exponents a are tallied with integer weights: one tally for the integer
+    coefficients of at most 31 bits in Q(zeta_L), and one for each other
+    coefficient, with weight 1, which multiplies its tally's value.  The
+    integer map of (-1)^s c^b from _factor_maps takes a tally to its value."""
     import numpy as np
 
     dim = len(slice_monomials(n, degree))
+    field_order = _field_order(cc, N)
+    maps, den, largest = _factor_maps(N, n, None if cc is None else (cc.order, cc.nums, cc.den))
+    weights: dict = {}  # id(coefficient) -> (tally class, integer weight)
+    multipliers = [None]  # tally class -> its coefficient; class 0 holds the integers
     matrix = SparseMatrix(dim, dim)
-    if not groups:
-        return matrix
-    counts: dict = {}
     for perm, (exps, coeffs) in groups.items():
-        rows, images, signs, _ = _slice_images(perm, degree)
-        roots = _root_exponents(exps, images)
-        if minus:
-            roots += (N // 2) * signs[:, None]
-        tally = np.zeros((dim, N), dtype=np.int64)
-        cints = np.array([integers[id(v)] for v in coeffs], dtype=np.int64)
-        np.add.at(tally, (np.arange(dim)[:, None], roots % N), cints)
-        for col, (row, counted) in enumerate(zip(rows.tolist(), tally)):
-            key = (row, col)
-            counts[key] = counts[key] + counted if key in counts else counted
-    _, reduction = _ctx(N)
-    values = np.array(list(counts.values())) @ np.array(reduction[:N], dtype=np.int64)
-    for key, vec in zip(counts, values.tolist()):
-        if any(vec):
-            matrix.entries[key] = _make(N, vec)
+        for v in coeffs:
+            if id(v) not in weights:
+                coeff = v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
+                if coeff.is_rational() and coeff.den == 1 and abs(coeff.nums[0]) < 2**31 and field_order % coeff.order == 0:
+                    weights[id(v)] = (0, coeff.nums[0])
+                else:
+                    weights[id(v)] = (len(multipliers), 1)
+                    multipliers.append(coeff)
+        classes, cints = zip(*[weights[id(v)] for v in coeffs])
+        slots = {k: i for i, k in enumerate(dict.fromkeys(classes))}  # the classes present here
+        rows, images, signs, cexps = _slice_images(perm, degree)
+        tally = np.zeros((dim, len(slots), N), dtype=np.int64)
+        roots = _root_exponents(exps, images) % N
+        np.add.at(tally, (np.arange(dim)[:, None], [slots[k] for k in classes], roots), cints)
+        factor_maps = maps[signs, cexps]
+        if sum(map(abs, cints)) * largest >= 2**63:  # values past int64: Python ints
+            tally, factor_maps = tally.astype(object), factor_maps.astype(object)
+        nums = np.matmul(tally, factor_maps).reshape(dim * len(slots), -1).tolist()
+        rows = rows.tolist()
+        for (col, k), vec in zip(product(range(dim), slots), nums):
+            if any(vec):
+                value = _make(field_order, vec, den)
+                matrix.add(rows[col], col, value if k == 0 else multipliers[k] * value)
     return matrix
+
+
+@lru_cache(maxsize=64)
+def _factor_maps(N: int, n: int, c_key):
+    """The factors (-1)^s c^b, |b| <= P = n(n-1)/2, of the element scalars as
+    integer maps, for c = _make(*c_key), or None for the untwisted action:
+    (maps, den, largest), where row a of maps[s, b] (a negative b indexes
+    from the end) holds the numerators of (-1)^s c^b zeta_N^a in Q(zeta_L)
+    over the common denominator den, and largest bounds every numerator."""
+    import numpy as np
+
+    cc = None if c_key is None else _make(*c_key)
+    P = n * (n - 1) // 2
+    values = [[[_scalar(cc, N, s, b, a) for a in range(N)] for b in range(-P, P + 1)] for s in (0, 1)]
+    den = lcm(*(v.den for block in values for row in block for v in row))
+    nums = [[[[x * (den // v.den) for x in v.nums] for v in row] for row in block[P:] + block[:P]] for block in values]
+    largest = max(abs(x) for block in nums for row in block for vec in row for x in vec)
+    return np.array(nums, dtype=np.int64 if largest < 2**63 else object), den, largest
 
 
 class ModularOperators:

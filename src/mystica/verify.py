@@ -27,6 +27,7 @@ from .mystic import (
     unique_equivalent_thick,
 )
 from .classify import (
+    ISO_CAP,
     singular_list,
     verify_classification_grid,
     verify_not_iso_grid,
@@ -60,22 +61,36 @@ class CheckResult:
         return out
 
 
+# check name -> (largest m, largest n, extra G(m,p,n) cells) of its grid
+GRIDS = {
+    "orders-grid": (6, 4, ()),
+    "counterpart-grid": (6, 3, ()),
+    "invariant-dimensions": (6, 3, ()),
+    "group-ring-change-of-basis": (6, 3, ()),
+    "isomorphism-parity": (4, 4, ()),
+    "thick-enumeration": (4, 3, ()),
+    "classification-grid": (4, 4, ()),
+    "singular-list": (4, 4, ()),
+    "operator-independence": (4, 3, ((1, 1, 4),)),
+}
+
+
 @dataclass
 class VerifyConfig:
-    """Grid bounds for the verification run."""
+    """Bounds for the verification run: max_m and max_n narrow every
+    check's grid in GRIDS."""
 
     max_m: int = 6
     max_n: int = 4
     degree: int | None = None  # overrides the per-cell truncation degree
     instances: int = 10_000
-    iso_cap: int = 500
+    iso_cap: int = ISO_CAP
     seed: int = 20140404
 
-    def clamp_m(self, bound: int) -> int:
-        return min(self.max_m, bound)
-
-    def clamp_n(self, bound: int) -> int:
-        return min(self.max_n, bound)
+    def bounds(self, check: str) -> tuple[int, int]:
+        """(max_m, max_n) of the check's grid, narrowed by the config."""
+        max_m, max_n, _ = GRIDS[check]
+        return min(self.max_m, max_m), min(self.max_n, max_n)
 
 
 def _divisors(m: int) -> list[int]:
@@ -87,8 +102,9 @@ def _divisors(m: int) -> list[int]:
 
 def check_orders(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    for m in range(1, cfg.clamp_m(6) + 1):
-        for n in range(2, cfg.clamp_n(4) + 1):
+    max_m, max_n = cfg.bounds("orders-grid")
+    for m in range(1, max_m + 1):
+        for n in range(2, max_n + 1):
             for p in _divisors(m):
                 got = make_gmpn(m, p, n).order
                 want = m**n * factorial(n) // p
@@ -106,9 +122,10 @@ def check_orders(cfg: VerifyConfig) -> list[CheckResult]:
 # -- 2: the counterpart construction and operator equivalence -----------
 
 
-def _even_m_cells(cfg: VerifyConfig, max_m: int = 6, max_n: int = 3):
-    for m in range(2, cfg.clamp_m(max_m) + 1, 2):
-        for n in range(2, cfg.clamp_n(max_n) + 1):
+def _even_m_cells(cfg: VerifyConfig, check: str):
+    max_m, max_n = cfg.bounds(check)
+    for m in range(2, max_m + 1, 2):
+        for n in range(2, max_n + 1):
             for p in _divisors(m):
                 yield m, p, n
 
@@ -116,7 +133,7 @@ def _even_m_cells(cfg: VerifyConfig, max_m: int = 6, max_n: int = 3):
 def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
     scanned = {}
-    for m, p, n in _even_m_cells(cfg):
+    for m, p, n in _even_m_cells(cfg, "counterpart-grid"):
         G = make_gmpn(m, p, n)
         mu = mu_group(G)  # raises if the det-filter set disagrees
         out.append(
@@ -155,7 +172,7 @@ def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_invariant_dimensions(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    for m, p, n in _even_m_cells(cfg):
+    for m, p, n in _even_m_cells(cfg, "invariant-dimensions"):
         G = make_gmpn(m, p, n)
         mu = mu_group(G)
         D = default_truncation_degree(m, p, n) if cfg.degree is None else cfg.degree
@@ -186,7 +203,7 @@ def check_invariant_dimensions(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_group_ring(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    for m, p, n in _even_m_cells(cfg):
+    for m, p, n in _even_m_cells(cfg, "group-ring-change-of-basis"):
         report = group_ring_iso_check(make_gmpn(m, p, n))
         out.append(
             CheckResult(
@@ -204,7 +221,7 @@ def check_group_ring(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_isomorphism_parity(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    grid = verify_not_iso_grid(cfg.clamp_m(4), cfg.clamp_n(4), cfg.iso_cap)
+    grid = verify_not_iso_grid(*cfg.bounds("isomorphism-parity"), cfg.iso_cap)
     for e in grid.entries:
         out.append(CheckResult("isomorphism-parity", e.params, e.match, f"predicted {e.predicted}, computed {e.computed}"))
     return out
@@ -222,8 +239,9 @@ def predicted_thick_family(m: int, n: int) -> set[FiniteMonomialGroup]:
 
 def check_thick_enumeration(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    for m in range(1, cfg.clamp_m(4) + 1):
-        for n in range(2, cfg.clamp_n(3) + 1):
+    max_m, max_n = cfg.bounds("thick-enumeration")
+    for m in range(1, max_m + 1):
+        for n in range(2, max_n + 1):
             found = set(enumerate_thick(m, n))
             predicted = predicted_thick_family(m, n)
             extra = sorted(g.tag.label for g in found - predicted)
@@ -245,7 +263,7 @@ def check_thick_enumeration(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def check_classification(cfg: VerifyConfig) -> list[CheckResult]:
-    grid = verify_classification_grid(cfg.clamp_m(4), cfg.clamp_n(4), 2, cfg.iso_cap)
+    grid = verify_classification_grid(*cfg.bounds("classification-grid"), 2, cfg.iso_cap)
     return [
         CheckResult(
             "classification-grid",
@@ -277,11 +295,12 @@ def _tag_in_bounds(label: str, max_m: int, max_n: int) -> bool:
 
 
 def check_singular_list(cfg: VerifyConfig) -> list[CheckResult]:
-    reports = singular_list(cfg.clamp_m(4), cfg.clamp_n(4))
+    max_m, max_n = cfg.bounds("singular-list")
+    reports = singular_list(max_m, max_n)
     found = [r.group for r in reports]
     out = []
     for name in EXPECTED_SINGULAR:
-        if not _tag_in_bounds(name, cfg.clamp_m(4), cfg.clamp_n(4)):
+        if not _tag_in_bounds(name, max_m, max_n):
             continue
         out.append(CheckResult("singular-list", {"group": name}, name in found, "expected singular"))
     for r in reports:
@@ -305,8 +324,9 @@ SATURATION_SLACK = 12
 
 def independence_groups(cfg: VerifyConfig) -> list[FiniteMonomialGroup]:
     out = []
-    for m in range(1, cfg.clamp_m(4) + 1):
-        for n in range(2, cfg.clamp_n(3) + 1):
+    max_m, max_n = cfg.bounds("operator-independence")
+    for m in range(1, max_m + 1):
+        for n in range(2, max_n + 1):
             for p in _divisors(m):
                 G = make_gmpn(m, p, n)
                 if G.order <= cfg.iso_cap:
@@ -316,8 +336,9 @@ def independence_groups(cfg: VerifyConfig) -> list[FiniteMonomialGroup]:
                     W = make_w(m, d, n)
                     if W.order <= cfg.iso_cap:
                         out.append(W)
-    if cfg.clamp_n(4) >= 4:
-        out.append(make_gmpn(1, 1, 4))
+    for m, p, n in GRIDS["operator-independence"][2]:
+        if m <= cfg.max_m and n <= cfg.max_n:
+            out.append(make_gmpn(m, p, n))
     seen = set()
     unique = []
     for G in out:

@@ -2,7 +2,8 @@
 
 One test per criterion, each printing a single PASS/FAIL line (plus the
 failing cells, if any), the verdicts `mystica verify-all` reports on the
-same grids.  Every comparison is exact; there are no numeric tolerances
+same grids: each check runs on the default VerifyConfig(), whose grids
+verify.GRIDS declares.  Every comparison is exact; there are no numeric tolerances
 anywhere.
 
 Each test asserts the verdict of every cell.  On criteria 1-5 and 10 every
@@ -94,7 +95,7 @@ def _criterion(name: str, results, refuted=()) -> None:
 def test_criterion_01_orders():
     """Order formula m^n n!/p over the full grid, in under a minute."""
     start = time.time()
-    results = check_orders(VerifyConfig(max_m=6, max_n=4))
+    results = check_orders(VerifyConfig())
     elapsed = time.time() - start
     assert elapsed < 60, f"orders grid took {elapsed:.1f}s"
     _criterion("orders-grid", results)
@@ -104,28 +105,28 @@ def test_criterion_02_counterpart_equivalence():
     """The det-twisted counterpart: set identity with the det filter, exact
     operator equivalence on every slice, and uniqueness among all thick
     subgroups."""
-    results = check_counterpart_equivalence(VerifyConfig(max_m=6, max_n=3))
+    results = check_counterpart_equivalence(VerifyConfig())
     _criterion("counterpart-grid", results)
 
 
 def test_criterion_03_invariant_dimensions():
     """Fundamental invariants commute under the sign twist and both fixed
     spaces match the free-algebra series in every degree."""
-    results = check_invariant_dimensions(VerifyConfig(max_m=6, max_n=3))
+    results = check_invariant_dimensions(VerifyConfig())
     _criterion("invariant-dimensions", results)
 
 
 def test_criterion_04_group_ring_change_of_basis():
     """The i-twist carries each integral group ring into its counterpart's
     with dyadic Gaussian coefficients and an invertible coefficient matrix."""
-    results = check_group_ring(VerifyConfig(max_m=6, max_n=3))
+    results = check_group_ring(VerifyConfig())
     _criterion("group-ring-change-of-basis", results)
 
 
 def test_criterion_05_isomorphism_parity():
     """A group and its counterpart are non-isomorphic exactly when the rank
     is even and m/p is odd; the scalar-involution power obstruction agrees."""
-    results = check_isomorphism_parity(VerifyConfig(max_m=4, max_n=4))
+    results = check_isomorphism_parity(VerifyConfig())
     _criterion("isomorphism-parity", results)
 
 
@@ -193,7 +194,7 @@ def test_criterion_06_thick_enumeration():
     the enumeration finds exactly those, and that each verdict is whether
     they are the two standard families.  See docs/decisions.md.
     """
-    results = check_thick_enumeration(VerifyConfig(max_m=4, max_n=3))
+    results = check_thick_enumeration(VerifyConfig())
     _criterion(
         "thick-enumeration",
         results,
@@ -252,7 +253,7 @@ def test_criterion_07_classification_grid():
     Coxeter generator images and checks them along the Cayley graph,
     without the isomorphism search.  See docs/decisions.md.
     """
-    results = check_classification(VerifyConfig(max_m=4, max_n=4))
+    results = check_classification(VerifyConfig())
     _criterion(
         "classification-grid",
         results,
@@ -287,7 +288,7 @@ def test_criterion_08_singular_list():
     abelian, normal, not the torus part, at least as large.  See
     docs/decisions.md.
     """
-    results = check_singular_list(VerifyConfig(max_m=4, max_n=4))
+    results = check_singular_list(VerifyConfig())
     s = adjacent_swap(2, 4, 1)
     witnesses = [
         # group, its label, generators of the witness, witness order
@@ -355,7 +356,7 @@ def test_criterion_09_operator_independence():
     only for G(4,1,2); for orders above 64 the saturation search returns the
     first certified degree.  See docs/decisions.md.
     """
-    results = check_operator_independence(VerifyConfig(max_m=4, max_n=4))
+    results = check_operator_independence(VerifyConfig())
     cells = [((4, 1, 2), 8, 10), ((4, 2, 3), 12, 15), ((4, 1, 3), 12, 21)]
     _criterion(
         "operator-independence",
@@ -382,7 +383,7 @@ def test_criterion_10_identity_suites():
     """Randomized identity suites, ten thousand instances each, exact
     equality throughout, within the stated time budget."""
     start = time.time()
-    results = check_identity_suites(VerifyConfig(instances=10_000))
+    results = check_identity_suites(VerifyConfig())
     elapsed = time.time() - start
     for r in results:
         assert r.params["instances"] == 10_000

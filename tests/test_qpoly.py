@@ -261,9 +261,10 @@ def test_odd_rank_invariants_not_closed_under_twisted_product():
     assert act_c(0, s1, prod) != prod
 
 
-def test_integer_fast_path_matches_generic_path():
-    # scaling by 1/2 forces the generic accumulation; doubling must recover
-    # the integer-path result exactly
+def test_integer_weights_match_half_scaled_tally():
+    # integer weights are counted in one tally per permutation; 1/2 is not an
+    # integer, so its elements get a tally of their own, whose value 1/2
+    # multiplies; doubling those entries must give the integer tally's exactly
     rng = random.Random(44)
     for G in (make_gmpn(2, 1, 2), make_w(2, 1, 2), make_gmpn(2, 2, 3)):
         for c in (0, 1):
@@ -291,21 +292,34 @@ def test_polynomial_text_and_json():
     ]
 
 
-def _reference_action(c, g, k):
-    """(w(k), scalar) of x^k under t*w straight from the definition:
-    phi_w^(c)(k) as phi_eval over the inversions of w, times
-    prod_j t_(w(j))^(k_j) as powers of Cyclotomic.root."""
-    n, N, w = g.n, g.N, g.perm
-    scalar = Cyclotomic.one()
+def _reference_cocycle(c, w, k, N):
+    """(w(k), phi_w^(c)(k)) straight from the definition: phi_eval over the
+    inversions of w, written in Q(zeta_L), L = lcm(N, ord c), the field of
+    the operator entries."""
+    n = len(w)
+    scalar = Cyclotomic.one(lcm(N, c.order if isinstance(c, Cyclotomic) else 1))
     for i in range(n):
         for j in range(i + 1, n):
             if w[i] > w[j]:
                 scalar = scalar * phi_eval(c, i, j, k)
     image = [0] * n
     for j in range(n):
-        scalar = scalar * Cyclotomic.root(N, g.exps[w[j]]) ** k[j]
         image[w[j]] = k[j]
     return tuple(image), scalar
+
+
+def _reference_torus(g, k):
+    """prod_j t_(w(j))^(k_j) of g = t*w as powers of Cyclotomic.root."""
+    scalar = Cyclotomic.one()
+    for j in range(g.n):
+        scalar = scalar * Cyclotomic.root(g.N, g.exps[g.perm[j]]) ** k[j]
+    return scalar
+
+
+def _reference_action(c, g, k):
+    """(w(k), scalar) of x^k under t*w straight from the definition."""
+    image, scalar = _reference_cocycle(c, g.perm, k, g.N)
+    return image, scalar * _reference_torus(g, k)
 
 
 def _assert_same_entries(got: dict, want: dict):
@@ -316,15 +330,37 @@ def _assert_same_entries(got: dict, want: dict):
 
 
 def test_slice_action_kernel_matches_definition():
-    # the kernel behind act_c and both operator_matrix paths against the
-    # definition, entry by entry and field order by field order; integer
-    # coefficients at c in {0, 1} take the root-counting path, unless one
-    # exceeds its int64 counts
+    # the kernel behind act_c and operator_matrix against the definition,
+    # entry by entry and field order by field order.  The weight sets mix
+    # integers (one tally per permutation, up to 2^31 - 1; -2^70 is too large
+    # for its int64 counts), non-integers (a tally each), plain int and
+    # Fraction coefficients, an integer written in Q(zeta_12), and
+    # whole-group sums sharing one coefficient.
+    # c = 2 and c = -1 are rational c other than 1; c = 10^7 takes the
+    # numerators past int64; the ambient N = 3 is odd, so -1 is not a power
+    # of zeta_N there.
     rng = random.Random(61)
-    cs = [0, 1, cyc_make(4, 1), Cyclotomic.rational(Fraction(1, 2)) + cyc_make(4, 1) * Fraction(1, 2)]
+    cs = [0, 1, 2, -1, 10**7, cyc_make(4, 1), Cyclotomic.rational(Fraction(1, 2)) + cyc_make(4, 1) * Fraction(1, 2)]
     coeffs = [Cyclotomic.rational(v) for v in (1, -2, 3, Fraction(1, 2))] + [cyc_make(4, 1)]
-    for G in (make_gmpn(3, 1, 2), make_gmpn(4, 1, 3), make_w(4, 1, 3)):
+    big = Cyclotomic.rational(-(2**70))
+    weight_sets = (
+        coeffs[:3],
+        coeffs[2:],
+        [coeffs[0], big, coeffs[1]],
+        [coeffs[1], big, coeffs[3], 2**31 - 1],
+        [2, Fraction(1, 2), -3, Cyclotomic.rational(5, 12)],
+    )
+    for G in (make_gmpn(3, 1, 2), make_gmpn(3, 1, 2, N=3), make_gmpn(4, 1, 3), make_w(4, 1, 3)):
         n = G.n
+        # sum over t of t^(w(k)), per permutation w and column k, for the group sums
+        sum_degree = 5 if G.order < 100 else 2
+        torus_sums = {}
+        for d in range(sum_degree + 1):
+            for col, k in enumerate(slice_monomials(n, d)):
+                for g in G.elements:
+                    key = (g.perm, d, col)
+                    torus = _reference_torus(g, k)
+                    torus_sums[key] = torus_sums[key] + torus if key in torus_sums else torus
         for c in cs:
             elems = rng.sample(G.elements, 4)
             for d in range(6):
@@ -336,7 +372,7 @@ def test_slice_action_kernel_matches_definition():
                         image, scalar = _reference_action(c, g, k)
                         want[(row[image], col)] = scalar
                     _assert_same_entries(operator_matrix(g, c, d).entries, want)
-                for weights in (coeffs[:3], coeffs[2:], [coeffs[0], Cyclotomic.rational(-(2**70)), coeffs[1]]):
+                for weights in weight_sets:
                     terms = list(zip(elems, weights))
                     want = {}
                     for g, coeff in terms:
@@ -346,6 +382,17 @@ def test_slice_action_kernel_matches_definition():
                             want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
                     want = {key: v for key, v in want.items() if not v.is_zero()}
                     _assert_same_entries(operator_matrix(terms, c, d).entries, want)
+                if d > sum_degree:
+                    continue
+                for shared in (coeffs[1], coeffs[4]):
+                    want = {}
+                    for w in {g.perm for g in G.elements}:
+                        for col, k in enumerate(basis):
+                            image, scalar = _reference_cocycle(c, w, k, G.N)
+                            key, value = (row[image], col), shared * scalar * torus_sums[w, d, col]
+                            want[key] = want[key] + value if key in want else value
+                    want = {key: v for key, v in want.items() if not v.is_zero()}
+                    _assert_same_entries(operator_matrix([(g, shared) for g in G.elements], c, d).entries, want)
             for g in elems:
                 f = QPolynomial(
                     n,
