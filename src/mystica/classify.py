@@ -16,9 +16,9 @@ from .groups import (
     CapExceededError,
     FiniteMonomialGroup,
     GroupTag,
-    IndexedGroup,
     common_ambient,
     enumerate_thick,
+    group_size_cap,
     make_gmpn,
     structure_probes,
 )
@@ -44,7 +44,7 @@ class Fingerprint:
 
 def fingerprint(G: FiniteMonomialGroup, cap: int | None = None) -> Fingerprint:
     probes = structure_probes(G, cap)
-    ig = IndexedGroup(G)
+    ig = G.indexed()
     classes = ig.conjugacy_classes()
     power_data = []
     for cls in classes:
@@ -70,20 +70,15 @@ def fingerprint(G: FiniteMonomialGroup, cap: int | None = None) -> Fingerprint:
 
 
 class _MultTable:
-    """Dense multiplication table for the backtracking search."""
+    """Dense multiplication table for the backtracking search, which runs
+    at orders up to ISO_CAP only."""
 
     def __init__(self, G: FiniteMonomialGroup):
-        ig = IndexedGroup(G)
+        ig = G.indexed()
         self.ig = ig
         size = len(ig.elems)
         self.size = size
-        self.table = [[0] * size for _ in range(size)]
-        for i in range(size):
-            row = self.table[i]
-            a = ig.elems[i]
-            index = ig.index
-            for j in range(size):
-                row[j] = index[a * ig.elems[j]]
+        self.table = [ig.left(i) for i in range(size)]
         self.id_index = ig.id_index
         self.orders = [g.element_order() for g in ig.elems]
         ig.conjugacy_classes()
@@ -184,7 +179,7 @@ def regular_singular(G: FiniteMonomialGroup, cap: int | None = None) -> Regulari
     """Enumerate the normal subgroups of the group, keep the abelian ones and
     compare their orders against the torus part; singular means some normal
     abelian subgroup other than the torus reaches the torus order."""
-    ig = IndexedGroup(G)
+    ig = G.indexed()
     torus_indices = {ig.index[t] for t in G.torus_elements()}
     torus_order = len(torus_indices)
     witness = None
@@ -192,7 +187,7 @@ def regular_singular(G: FiniteMonomialGroup, cap: int | None = None) -> Regulari
         indices = ig.materialize(class_set)
         if len(indices) < torus_order or indices == torus_indices:
             continue
-        if ig.is_abelian_subset(indices):
+        if ig.is_abelian_class_set(class_set):
             witness = ig.subgroup_from_indices(indices)
             break
     status = "singular" if witness is not None else "regular"
@@ -312,11 +307,14 @@ def _pair_predicted_isomorphic(G: FiniteMonomialGroup, H: FiniteMonomialGroup) -
 
 def thick_atlas(max_m: int, max_n: int, cap: int = ISO_CAP) -> list[FiniteMonomialGroup]:
     """All thick subgroups for every level m <= max_m and rank 2 <= n <= max_n,
-    deduplicated as subgroups, with orders within the cap."""
+    deduplicated as subgroups, with orders within the cap; levels and ranks
+    whose ambient G(m,1,n) exceeds group_size_cap() are left out, as
+    enumerate_thick would refuse them."""
     seen = {}
+    ambient_cap = group_size_cap()
     for m in range(1, max_m + 1):
         for n in range(2, max_n + 1):
-            if m**n * factorial(n) > 50_000:
+            if m**n * factorial(n) > ambient_cap:
                 continue
             for T in enumerate_thick(m, n):
                 if T.order > cap:

@@ -18,9 +18,7 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic, _make, scalar_to_text
 from .groups import FiniteMonomialGroup
-from .linalg import SparseMatrix
 from .monomial import MonomialElement, identity, perm_apply
-from .qpoly import operator_matrix
 
 _QUARTER = Fraction(1, 4)
 
@@ -246,8 +244,3 @@ def psi_eval(a: GroupAlgebraElement, k) -> Cyclotomic:
         e = sum(ej * kj for ej, kj in zip(g.exps, k)) % a.N
         out = out + v * Cyclotomic.root(a.N, e)
     return out
-
-
-def rho_apply(a: GroupAlgebraElement, c, degree: int) -> SparseMatrix:
-    """Operator matrix of a group-algebra element on a degree slice."""
-    return operator_matrix(a, c, degree)

@@ -17,10 +17,11 @@ import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from .linalg import _prime_factors
-from .monomial import MonomialElement, identity, perm_sign
+from .monomial import MonomialElement, _trusted, identity, perm_sign
 
 DEFAULT_CAP = 50_000
 
@@ -65,15 +66,37 @@ class FiniteMonomialGroup:
     """A finite set of monomial elements closed under the group law."""
 
     def __init__(self, n: int, N: int, elements, tag: GroupTag | None = None):
-        self.n = n
-        self.N = N
         elems = sorted(set(elements), key=lambda a: a.sort_key())
         for a in elems:
             if (a.n, a.N) != (n, N):
                 raise ValueError("element outside the stated ambient")
-        self.elements = tuple(elems)
-        self._eset = frozenset(elems)
+        self._fill(n, N, tuple(elems), tag)
+
+    @classmethod
+    def _sorted(cls, n: int, N: int, elements: tuple, tag: GroupTag | None = None) -> "FiniteMonomialGroup":
+        """The group of the given distinct elements of the stated ambient,
+        already in sort_key order; nothing is checked."""
+        group = object.__new__(cls)
+        group._fill(n, N, elements, tag)
+        return group
+
+    def _fill(self, n: int, N: int, elements: tuple, tag: GroupTag | None) -> None:
+        self.n = n
+        self.N = N
+        self.elements = elements
+        self._eset = frozenset(elements)
         self.tag = tag or GroupTag("explicit")
+        self._memo: dict = {}
+
+    def memo(self, key: str, build):
+        """build(), computed on first use and kept with the group under key."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def indexed(self) -> "IndexedGroup":
+        """The group's one IndexedGroup, shared by every caller."""
+        return self.memo("indexed", lambda: IndexedGroup(self))
 
     @property
     def order(self) -> int:
@@ -113,10 +136,11 @@ class FiniteMonomialGroup:
     def lift(self, N: int) -> "FiniteMonomialGroup":
         if N == self.N:
             return self
-        return FiniteMonomialGroup(self.n, N, (a.lift(N) for a in self.elements), self.tag)
+        # scaling the exponents keeps the sort order
+        return FiniteMonomialGroup._sorted(self.n, N, tuple(a.lift(N) for a in self.elements), self.tag)
 
     def retag(self, tag: GroupTag) -> "FiniteMonomialGroup":
-        return FiniteMonomialGroup(self.n, self.N, self.elements, tag)
+        return FiniteMonomialGroup._sorted(self.n, self.N, self.elements, tag)
 
     def to_json(self) -> dict:
         if self.tag.kind == "G":
@@ -140,6 +164,25 @@ def ambient_order(m: int) -> int:
     return lcm(m, 4)
 
 
+@lru_cache(maxsize=32)
+def _torus_rows(m: int, n: int, N: int, residues: frozenset) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors (N/m) f, f in {0..m-1}^n with sum(f) mod m in
+    residues, in lexicographic order."""
+    step = N // m
+    return tuple(
+        tuple([step * x for x in f]) for f in itertools.product(range(m), repeat=n) if sum(f) % m in residues
+    )
+
+
+def _family(n: int, N: int, tag: GroupTag, torus_of) -> FiniteMonomialGroup:
+    """The group of the elements t*w, w in S_n and t in torus_of(w), emitted
+    in sort order: permutations in lexicographic order, then exponents."""
+    elems = tuple(
+        _trusted(n, N, perm, exps) for perm in itertools.permutations(range(n)) for exps in torus_of(perm)
+    )
+    return FiniteMonomialGroup._sorted(n, N, elems, tag)
+
+
 def make_gmpn(m: int, p: int, n: int, *, N: int | None = None) -> FiniteMonomialGroup:
     """The imprimitive reflection group: pairs t*w with det t in the index-p
     subgroup of the m-th roots of unity.  Order m^n n!/p."""
@@ -148,13 +191,8 @@ def make_gmpn(m: int, p: int, n: int, *, N: int | None = None) -> FiniteMonomial
     N = N or ambient_order(m)
     if N % m != 0:
         raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
-    step = N // m
-    elems = []
-    for perm in itertools.permutations(range(n)):
-        for f in itertools.product(range(m), repeat=n):
-            if sum(f) % p == 0:
-                elems.append(MonomialElement(n, N, perm, tuple(step * x for x in f)))
-    group = FiniteMonomialGroup(n, N, elems, GroupTag("G", (m, p, n)))
+    torus = _torus_rows(m, n, N, frozenset(range(0, m, p)))
+    group = _family(n, N, GroupTag("G", (m, p, n)), lambda perm: torus)
     assert group.order == m**n * factorial(n) // p
     return group
 
@@ -167,16 +205,15 @@ def make_w(m: int, d: int, n: int, *, N: int | None = None) -> FiniteMonomialGro
     N = N or ambient_order(m)
     if N % m != 0:
         raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
-    step = N // m
     L = lcm(m, 2)  # det(t*w) lives in the L-th roots of unity
-    elems = []
-    for perm in itertools.permutations(range(n)):
-        sign_term = 0 if perm_sign(perm) == 1 else L // 2
-        for f in itertools.product(range(m), repeat=n):
-            det_exp = (sum(f) * (L // m) + sign_term) % L
-            if det_exp % (L // d) == 0:
-                elems.append(MonomialElement(n, N, perm, tuple(step * x for x in f)))
-    group = FiniteMonomialGroup(n, N, elems, GroupTag("W", (m, d, n)))
+
+    def torus(sign_term: int):
+        # det(t*w) = zeta_L^(sum(f) L/m + sign_term) must lie in the order-d subgroup
+        residues = frozenset(r for r in range(m) if (r * (L // m) + sign_term) % L % (L // d) == 0)
+        return _torus_rows(m, n, N, residues)
+
+    even, odd = torus(0), torus(L // 2)
+    group = _family(n, N, GroupTag("W", (m, d, n)), lambda perm: even if perm_sign(perm) == 1 else odd)
     if m % 2 == 0:
         expected = m ** (n - 1) * d * factorial(n)
     else:
@@ -304,26 +341,56 @@ def torus_part(G: FiniteMonomialGroup) -> TorusSubgroup:
 
 
 class IndexedGroup:
-    """Index-based view of a group for combinatorial computations."""
+    """Index-based view of a group for combinatorial computations.
+
+    Elements are numbered in the group's sort order.  Products enter through
+    one right-multiplication array per generator, filled from
+    MonomialElement products; the left multiplications, conjugations and
+    class products follow from those arrays by associativity along a
+    breadth-first spanning tree of the Cayley graph, as index lookups (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, ch. 3-4).  No
+    dense Cayley table is kept.  Class sets of the lattice are bit masks
+    internally.
+    """
 
     def __init__(self, G: FiniteMonomialGroup):
         self.group = G
-        self.elems = list(G.elements)
+        self.elems = G.elements
         self.index = {a: i for i, a in enumerate(self.elems)}
         self.id_index = self.index[G.identity()]
         self.inv = [self.index[a.inverse()] for a in self.elems]
+        self._right: dict[int, list[int]] = {}
+        self._gens: list[int] | None = None
+        self._tree: list[tuple[int, int, list[int]]] = []
         self._classes: list[frozenset[int]] | None = None
         self._class_of: list[int] | None = None
-        self._class_mult: list[list[frozenset[int]]] | None = None
-        self._gens: list[int] | None = None
+        self._class_mult: list[list[int]] | None = None
+        self._commuting: list[int] | None = None
 
     def mul(self, i: int, j: int) -> int:
         return self.index[self.elems[i] * self.elems[j]]
 
+    def right(self, g: int) -> list[int]:
+        """x -> x * g on indices, from MonomialElement products; kept per g."""
+        if g not in self._right:
+            index, h = self.index, self.elems[g]
+            self._right[g] = [index[a * h] for a in self.elems]
+        return self._right[g]
+
+    def left(self, r: int) -> list[int]:
+        """x -> r * x on indices, without products: where the spanning tree
+        has x = y * g, r * x = (r * y) * g."""
+        self.generators()
+        out = [r] * len(self.elems)  # r * identity = r; the tree fills the rest
+        for x, y, times_g in self._tree:
+            out[x] = times_g[out[y]]
+        return out
+
     # -- generators ------------------------------------------------------
 
     def generators(self) -> list[int]:
-        """A small generating set found greedily."""
+        """A small generating set found greedily: the first element not yet
+        generated joins the set, in index order."""
         if self._gens is not None:
             return self._gens
         gens: list[int] = []
@@ -332,54 +399,61 @@ class IndexedGroup:
             if i in covered:
                 continue
             gens.append(i)
-            covered = self._closure_indices(gens)
+            self._tree = self._spanning_tree(gens)
+            covered = {self.id_index}.union(x for x, _, _ in self._tree)
             if len(covered) == len(self.elems):
                 break
         self._gens = gens
         return gens
 
-    def _closure_indices(self, gens: list[int]) -> set[int]:
+    def _spanning_tree(self, gens: list[int]) -> list[tuple[int, int, list[int]]]:
+        """(x, y, right(g)) with x = y * g for every element x other than the
+        identity of the subgroup the gens generate, in breadth-first order."""
+        arrays = [self.right(g) for g in gens]
         seen = {self.id_index}
+        tree = []
         frontier = [self.id_index]
-        gset = list(gens) + [self.inv[g] for g in gens]
         while frontier:
             nxt = []
-            for a in frontier:
-                for g in gset:
-                    b = self.mul(a, g)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
+            for y in frontier:
+                for times_g in arrays:
+                    x = times_g[y]
+                    if x not in seen:
+                        seen.add(x)
+                        tree.append((x, y, times_g))
+                        nxt.append(x)
             frontier = nxt
-        return seen
+        return tree
 
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_classes(self) -> list[frozenset[int]]:
+        """The classes, numbered by their smallest element, as orbits under
+        conjugation by the generators."""
         if self._classes is not None:
             return self._classes
-        gens = self.generators()
-        n = len(self.elems)
-        class_of = [-1] * n
+        size = len(self.elems)
+        conjugations = []
+        for g in self.generators():
+            times_g_inv = [0] * size
+            for x, y in enumerate(self.right(g)):
+                times_g_inv[y] = x
+            conjugations.append([times_g_inv[y] for y in self.left(g)])  # x -> g x g^-1
+        class_of = [-1] * size
         classes: list[frozenset[int]] = []
-        for start in range(n):
+        for start in range(size):
             if class_of[start] >= 0:
                 continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in gens:
-                        y = self.mul(self.mul(g, x), self.inv[g])
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
             cid = len(classes)
+            class_of[start] = cid
+            orbit = [start]
+            for x in orbit:  # the orbit grows while it is walked
+                for conj in conjugations:
+                    y = conj[x]
+                    if class_of[y] < 0:
+                        class_of[y] = cid
+                        orbit.append(y)
             classes.append(frozenset(orbit))
-            for x in orbit:
-                class_of[x] = cid
         self._classes = classes
         self._class_of = class_of
         return classes
@@ -388,55 +462,67 @@ class IndexedGroup:
         self.conjugacy_classes()
         return self._class_of[i]
 
-    def class_mult(self) -> list[list[frozenset[int]]]:
-        """class_mult[i][j]: the set of classes met by (rep of class i) * class j."""
+    def class_mult(self) -> list[list[int]]:
+        """class_mult[i][j]: the bit mask of the classes met by (rep of class
+        i) * class j, the rep being the smallest element of class i."""
         if self._class_mult is not None:
             return self._class_mult
         classes = self.conjugacy_classes()
-        reps = [min(c) for c in classes]
-        table: list[list[frozenset[int]]] = []
-        for rep in reps:
-            row = []
-            for cls in classes:
-                row.append(frozenset(self._class_of[self.mul(rep, x)] for x in cls))
-            table.append(row)
+        class_of = self._class_of
+        table = []
+        for cls in classes:
+            times_rep = self.left(min(cls))
+            table.append([_mask({class_of[times_rep[x]] for x in other}) for other in classes])
         self._class_mult = table
         return table
 
     # -- the class-join lattice of normal subgroups -------------------------
 
-    def _close_class_set(self, seed: frozenset[int]) -> frozenset[int]:
+    def _join(self, mask: int, c: int) -> int:
+        """The classes of A<C>, for the normal subgroup A with class mask
+        `mask` and the class C numbered c: A C^k grows by one factor C at a
+        time, and only the classes found last need multiplying again."""
+        if mask >> c & 1:
+            return mask
         table = self.class_mult()
-        current = set(seed)
-        current.add(self._class_of[self.id_index])
-        changed = True
-        while changed:
-            changed = False
-            for i in list(current):
-                for j in list(current):
-                    extra = table[i][j]
-                    if not extra <= current:
-                        current |= extra
-                        changed = True
-        return frozenset(current)
+        frontier = mask
+        while frontier:
+            grown = 0
+            for a in _bits(frontier):
+                grown |= table[a][c]
+            frontier = grown & ~mask
+            mask |= frontier
+        return mask
+
+    def normal_closure(self, class_set) -> frozenset[int]:
+        """The classes of the smallest normal subgroup containing the given
+        classes."""
+        mask = 1 << self.class_of(self.id_index)
+        for c in class_set:
+            mask = self._join(mask, c)
+        return frozenset(_bits(mask))
 
     def normal_subgroup_class_sets(self) -> list[frozenset[int]]:
-        """All normal subgroups, each as a frozenset of class indices."""
+        """All normal subgroups, each as a frozenset of class indices: the
+        joins of the normal closures of single classes."""
         classes = self.conjugacy_classes()
-        trivial = self._close_class_set(frozenset())
-        principals = {self._close_class_set(frozenset([c])) for c in range(len(classes))}
-        known = {trivial} | principals
+        trivial = 1 << self._class_of[self.id_index]
+        principals: dict[int, int] = {}  # normal closure of a class -> that class
+        for c in range(len(classes)):
+            principals.setdefault(self._join(trivial, c), c)
+        known = {trivial} | set(principals)
         frontier = list(known)
         while frontier:
             nxt = []
             for a in frontier:
-                for p in principals:
-                    joined = self._close_class_set(a | p)
+                for c in principals.values():
+                    joined = self._join(a, c)
                     if joined not in known:
                         known.add(joined)
                         nxt.append(joined)
             frontier = nxt
-        return sorted(known, key=lambda s: (sum(len(classes[c]) for c in s), sorted(s)))
+        sets = [frozenset(_bits(mask)) for mask in known]
+        return sorted(sets, key=lambda s: (sum(len(classes[c]) for c in s), sorted(s)))
 
     def materialize(self, class_set: frozenset[int]) -> set[int]:
         classes = self.conjugacy_classes()
@@ -447,17 +533,47 @@ class IndexedGroup:
 
     def subgroup_from_indices(self, indices, tag: GroupTag | None = None) -> FiniteMonomialGroup:
         G = self.group
-        return FiniteMonomialGroup(G.n, G.N, (self.elems[i] for i in indices), tag)
+        return FiniteMonomialGroup._sorted(G.n, G.N, tuple(self.elems[i] for i in sorted(indices)), tag)
 
-    def is_abelian_subset(self, indices: set[int]) -> bool:
-        lst = sorted(indices)
-        for a in lst:
-            for b in lst:
-                if b >= a:
-                    break
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
+    def is_abelian_class_set(self, class_set) -> bool:
+        """Whether the union of the classes is abelian.  It is exactly when the
+        rep of each of its classes commutes with all of it: conjugating by g
+        carries that pair to (g rep g^-1, the same union)."""
+        if self._commuting is None:
+            self._commuting = self._commuting_classes()
+        mask = _mask(class_set)
+        return all(self._commuting[c] & mask == mask for c in class_set)
+
+    def _commuting_classes(self) -> list[int]:
+        """Per class i, the bit mask of the classes whose every element
+        commutes with the rep of class i; x * rep is found as the inverse of
+        rep^-1 * x^-1."""
+        inv = self.inv
+        classes = self.conjugacy_classes()
+        out = []
+        for cls in classes:
+            rep = min(cls)
+            times_rep, times_rep_inv = self.left(rep), self.left(inv[rep])
+            out.append(
+                _mask(
+                    c
+                    for c, other in enumerate(classes)
+                    if all(times_rep[x] == inv[times_rep_inv[inv[x]]] for x in other)
+                )
+            )
+        return out
+
+
+def _mask(class_ids) -> int:
+    return sum(1 << c for c in class_ids)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of the mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_thick(m: int, n: int, cap: int | None = None) -> list[FiniteMonomialGroup]:
@@ -467,7 +583,7 @@ def enumerate_thick(m: int, n: int, cap: int | None = None) -> list[FiniteMonomi
     if m**n * factorial(n) > cap:
         raise CapExceededError(f"ambient order {m ** n * factorial(n)} exceeds cap {cap}")
     amb = make_gmpn(m, 1, n)
-    ig = IndexedGroup(amb)
+    ig = amb.indexed()
     out = []
     for class_set in ig.normal_subgroup_class_sets():
         indices = ig.materialize(class_set)
@@ -512,18 +628,15 @@ def structure_probes(G: FiniteMonomialGroup, cap: int | None = None) -> Structur
     cap = cap or group_size_cap()
     if G.order > cap:
         raise CapExceededError(f"group of order {G.order} exceeds cap {cap}")
-    ig = IndexedGroup(G)
-    n_elems = len(ig.elems)
+    ig = G.indexed()
+    classes = ig.conjugacy_classes()
+    center = [i for cls in classes if len(cls) == 1 for i in cls]
+    # [G,G] is the normal closure of the commutators of a generating set
     gens = ig.generators()
-    center = [i for i in range(n_elems) if all(ig.mul(i, g) == ig.mul(g, i) for g in gens)]
-    commutators = set()
-    for a in range(n_elems):
-        inv_a = ig.inv[a]
-        for g in gens:
-            commutators.add(ig.mul(ig.mul(a, g), ig.mul(inv_a, ig.inv[g])))
-    derived = _subgroup_closure(ig, commutators)
+    commutators = {ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens}
+    derived = ig.materialize(ig.normal_closure({ig.class_of(x) for x in commutators}))
     ab_invariants = _abelian_quotient_invariants(ig, derived)
-    class_sizes = tuple(sorted(len(c) for c in ig.conjugacy_classes()))
+    class_sizes = tuple(sorted(len(c) for c in classes))
     hist = Counter(a.element_order() for a in G.elements)
     return StructureProbes(
         order=G.order,
@@ -535,23 +648,6 @@ def structure_probes(G: FiniteMonomialGroup, cap: int | None = None) -> Structur
         center=ig.subgroup_from_indices(center),
         derived=ig.subgroup_from_indices(derived),
     )
-
-
-def _subgroup_closure(ig: IndexedGroup, seed: set[int]) -> set[int]:
-    seen = set(seed)
-    seen.add(ig.id_index)
-    frontier = list(seen)
-    gens = sorted(seed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = ig.mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
 
 
 def _abelian_quotient_invariants(ig: IndexedGroup, derived: set[int]) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ other normal form w*t uses w*t = (w(t))*w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .cyclo import Cyclotomic, RootOfUnity
 
@@ -59,12 +60,11 @@ class MonomialElement:
             raise ValueError("mismatched ambient parameters")
         n, N = self.n, self.N
         w, e = self.perm, self.exps
-        w2, e2 = other.perm, other.exps
+        e2 = other.exps
         new_exps = list(e)
         for i in range(n):
             new_exps[w[i]] = (new_exps[w[i]] + e2[i]) % N
-        new_perm = tuple(w[w2[i]] for i in range(n))
-        return MonomialElement(n, N, new_perm, tuple(new_exps))
+        return _trusted(n, N, tuple([w[j] for j in other.perm]), tuple(new_exps))
 
     def inverse(self) -> "MonomialElement":
         n, N = self.n, self.N
@@ -72,8 +72,7 @@ class MonomialElement:
         winv = [0] * n
         for i in range(n):
             winv[w[i]] = i
-        new_exps = tuple((-e[w[i]]) % N for i in range(n))
-        return MonomialElement(n, N, tuple(winv), new_exps)
+        return _trusted(n, N, tuple(winv), tuple([(-e[w[i]]) % N for i in range(n)]))
 
     def __pow__(self, k: int) -> "MonomialElement":
         base = self if k >= 0 else self.inverse()
@@ -87,12 +86,22 @@ class MonomialElement:
         return out
 
     def element_order(self) -> int:
-        out = self
+        """lcm over the cycles C of w of |C| * N / gcd(N, sum of e_i over C):
+        the |C|-th power of t*w acts on the coordinates of C as the scalar
+        zeta_N^(sum of e_i over C)."""
         order = 1
-        ident = MonomialElement.identity(self.n, self.N)
-        while out != ident:
-            out = out * self
-            order += 1
+        seen = [False] * self.n
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            length = total = 0
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                length += 1
+                total += self.exps[i]
+                i = self.perm[i]
+            order = lcm(order, length * (self.N // gcd(self.N, total)))
         return order
 
     # -- characters and actions -------------------------------------------
@@ -124,7 +133,7 @@ class MonomialElement:
         if N % self.N != 0:
             raise ValueError(f"cannot lift torus order {self.N} into {N}")
         step = N // self.N
-        return MonomialElement(self.n, N, self.perm, tuple(e * step for e in self.exps))
+        return _trusted(self.n, N, self.perm, tuple([e * step for e in self.exps]))
 
     # -- serialization ----------------------------------------------------
 
@@ -151,6 +160,19 @@ class MonomialElement:
 
     def __repr__(self) -> str:
         return f"MonomialElement({self.to_text()!r}, N={self.N})"
+
+
+def _trusted(n: int, N: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> MonomialElement:
+    """The element t*w from a bijective perm and exponents already in 0..N-1,
+    without the checks of the public constructor: products, inverses, lifts
+    and the group constructors build their elements through it."""
+    elem = object.__new__(MonomialElement)
+    elem.n = n
+    elem.N = N
+    elem.perm = perm
+    elem.exps = exps
+    elem._hash = hash((n, N, perm, exps))  # as in __init__
+    return elem
 
 
 def cycle_text(perm: tuple[int, ...]) -> str:

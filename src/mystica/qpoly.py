@@ -348,10 +348,19 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     return QPolynomial(f.n, out)
 
 
-def group_sum_terms(G: FiniteMonomialGroup) -> list:
-    """The group sum as operator terms (element, 1), all sharing one
-    coefficient object, so operator_matrix tests its integrality once."""
-    return [(g, _ONE) for g in G.elements]
+class _GroupSum:
+    """The group sum as operator terms (element, 1) grouped by permutation,
+    all sharing one coefficient object, so operator_matrix tests its
+    integrality once."""
+
+    def __init__(self, G: FiniteMonomialGroup):
+        self.n, self.N = G.n, G.N
+        self.by_perm = _by_perm(((g, _ONE) for g in G.elements), G.n, G.N)
+
+
+def group_sum_terms(G: FiniteMonomialGroup) -> _GroupSum:
+    """The group sum of G as operator terms, grouped once per group."""
+    return G.memo("group_sum", lambda: _GroupSum(G))
 
 
 def _terms_of(actor):
@@ -375,8 +384,12 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     a coefficient."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    terms, n, N = _terms_of(actor)
-    return _integer_sum_matrix(_by_perm(terms, n, N), _coerce_c(c), n, N, degree)
+    if isinstance(actor, _GroupSum):
+        groups, n, N = actor.by_perm, actor.n, actor.N
+    else:
+        terms, n, N = _terms_of(actor)
+        groups = _by_perm(terms, n, N)
+    return _integer_sum_matrix(groups, _coerce_c(c), n, N, degree)
 
 
 def _integer_sum_matrix(groups, cc, n: int, N: int, degree: int) -> SparseMatrix:
@@ -516,7 +529,7 @@ def slice_trace(G: FiniteMonomialGroup, c, degree: int) -> Cyclotomic:
 
     cc = _coerce_c(c)
     counts: dict = {}
-    for perm, (exps, _) in _by_perm(group_sum_terms(G), G.n, G.N).items():
+    for perm, (exps, _) in group_sum_terms(G).by_perm.items():
         rows, images, signs, cexps = _slice_images(perm, degree)
         fixed = np.flatnonzero(rows == np.arange(len(rows)))
         all_roots = (_root_exponents(exps, images[fixed]) % G.N).tolist()

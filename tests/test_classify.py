@@ -175,3 +175,13 @@ def test_thick_atlas_dedupes_repeated_subgroups():
     atlas = thick_atlas(2, 2)
     labels = [g.tag.label for g in atlas]
     assert labels == ["G(1,1,2)", "G(2,2,2)", "W(2,1,2)", "G(2,1,2)"]
+
+
+def test_thick_atlas_reads_the_group_size_cap(monkeypatch):
+    # G(3,1,3) has order 162 and G(2,1,3) order 48: a cap of 100 drops the
+    # level-3 rank-3 thick subgroups and keeps the rest of the atlas
+    full = [T.tag.label for T in thick_atlas(3, 3)]
+    monkeypatch.setenv("MYSTICA_CAP", "100")
+    narrowed = [T.tag.label for T in thick_atlas(3, 3)]
+    assert "G(3,1,3)" in full and "G(3,3,3)" in full
+    assert narrowed == [label for label in full if label not in ("G(3,1,3)", "G(3,3,3)")]

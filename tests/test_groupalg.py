@@ -21,7 +21,6 @@ from mystica.groupalg import (
     psi_eval,
     q_ij_element,
     q_w_element,
-    rho_apply,
 )
 from mystica.groups import make_gmpn, make_w, closure_generate
 from mystica.monomial import MonomialElement, adjacent_swap, identity, torus_gen
@@ -219,7 +218,7 @@ def test_twist_then_untwisted_operator_equals_twisted_operator():
             G.n, G.N, {rng.choice(elems): rng.randint(-2, 2) for _ in range(3)}
         )
         for d in range(4):
-            assert rho_apply(j_c(c, a), 0, d) == rho_apply(a, c, d)
+            assert operator_matrix(j_c(c, a), 0, d) == operator_matrix(a, c, d)
 
 
 def test_j_at_i_of_swap_matches_twisted_operator():
@@ -230,16 +229,16 @@ def test_j_at_i_of_swap_matches_twisted_operator():
     tau2 = torus_gen(2, 4, 2, 2)
     assert image.support() == frozenset({s1 * tau1, s1 * tau2})
     for d in range(3):
-        assert rho_apply(image, 0, d) == operator_matrix(s1, c, d)
+        assert operator_matrix(image, 0, d) == operator_matrix(s1, c, d)
 
 
 def test_rho_examples():
     one = GroupAlgebraElement.one(2, 4)
     for d in range(3):
-        mat = rho_apply(one, cyc_make(4, 1), d)
+        mat = operator_matrix(one, cyc_make(4, 1), d)
         assert all(r == c and v == 1 for (r, c), v in mat.entries.items())
     G = make_gmpn(2, 2, 2)
-    zero_mat = rho_apply(e_group(G), 0, 1)
+    zero_mat = operator_matrix(e_group(G), 0, 1)
     assert zero_mat.entries == {}
 
 

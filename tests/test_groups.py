@@ -1,7 +1,9 @@
 """Tests for group construction, closure and structural predicates."""
 
 import itertools
-from math import factorial
+import random
+from collections import Counter
+from math import factorial, lcm
 
 import pytest
 
@@ -18,7 +20,7 @@ from mystica.groups import (
     structure_probes,
     torus_part,
 )
-from mystica.monomial import MonomialElement, adjacent_swap, identity, torus_gen
+from mystica.monomial import MonomialElement, adjacent_swap, identity, perm_sign, torus_gen
 
 
 def test_closure_of_empty_set_is_trivial():
@@ -227,3 +229,137 @@ def test_group_json_forms():
     data = trivial.to_json()
     assert data["kind"] == "explicit"
     assert data["elements"] == [identity(2, 4).to_json()]
+
+
+# -- the indexed core against element-level references ---------------------------
+
+
+def _reference_family(n, N, m, keep):
+    """The reference element tuple of a family: every (perm, exponent vector)
+    the filter keeps, built through the public constructor, then deduplicated
+    and sorted."""
+    step = N // m
+    elems = [
+        MonomialElement(n, N, perm, tuple(step * x for x in f))
+        for perm in itertools.permutations(range(n))
+        for f in itertools.product(range(m), repeat=n)
+        if keep(perm, f)
+    ]
+    return tuple(sorted(set(elems), key=lambda a: a.sort_key()))
+
+
+def _w_filter(m, d):
+    L = lcm(m, 2)
+
+    def keep(perm, f):
+        sign_term = 0 if perm_sign(perm) == 1 else L // 2
+        return (sum(f) * (L // m) + sign_term) % L % (L // d) == 0
+
+    return keep
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2), (4, 3), (6, 2), (3, 3)])
+def test_family_elements_match_sorted_set_construction(m, n):
+    for N in (ambient_order(m), 3 * ambient_order(m)):
+        for p in (p for p in range(1, m + 1) if m % p == 0):
+            G = make_gmpn(m, p, n, N=N)
+            assert G.elements == _reference_family(n, N, m, lambda perm, f: sum(f) % p == 0)
+            W = make_w(m, p, n, N=N)
+            assert W.elements == _reference_family(n, N, m, _w_filter(m, p))
+
+
+def _indexed_pairs(G, pairs):
+    ig = G.indexed()
+    for i, j in pairs:
+        a, b = ig.elems[i], ig.elems[j]
+        assert ig.elems[ig.left(i)[j]] == a * b
+        assert ig.elems[ig.right(j)[i]] == a * b
+        assert ig.elems[ig.mul(i, j)] == a * b
+        assert ig.elems[ig.inv[i]] == a.inverse()
+
+
+def test_indexed_products_and_inverses_match_element_law():
+    G = make_gmpn(2, 1, 3)
+    _indexed_pairs(G, itertools.product(range(G.order), repeat=2))
+    rng = random.Random(7)
+    for G in (make_gmpn(4, 2, 3), make_w(4, 1, 3), make_gmpn(2, 2, 3).lift(12)):
+        _indexed_pairs(G, [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(400)])
+
+
+def _reference_normal_subgroups(G):
+    """Conjugacy classes, normal subgroups and their abelian flags from
+    element products only: classes under conjugation by every element, and
+    normal subgroups as the subgroups generated by unions of the normal
+    closures of single classes."""
+    elems = G.elements
+    classes = {frozenset(g * x * g.inverse() for g in elems) for x in elems}
+    principals = {closure_generate((G.N, G.n), cls).element_set() for cls in classes}
+    known = {frozenset([G.identity()])} | principals
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for p in principals:
+                joined = closure_generate((G.N, G.n), a | p).element_set()
+                if joined not in known:
+                    known.add(joined)
+                    nxt.append(joined)
+        frontier = nxt
+    abelian = {S: all(a * b == b * a for a in S for b in S) for S in known}
+    return classes, abelian
+
+
+@pytest.mark.parametrize(
+    "G", [make_gmpn(2, 1, 3), make_gmpn(3, 1, 2), make_w(4, 1, 2), make_gmpn(4, 4, 2), make_gmpn(1, 1, 4)],
+    ids=lambda G: G.tag.label,
+)
+def test_class_lattice_matches_element_level_reference(G):
+    classes, abelian = _reference_normal_subgroups(G)
+    ig = G.indexed()
+    assert {frozenset(ig.elems[i] for i in cls) for cls in ig.conjugacy_classes()} == classes
+    found = {}
+    for class_set in ig.normal_subgroup_class_sets():
+        elements = frozenset(ig.elems[i] for i in ig.materialize(class_set))
+        found[elements] = ig.is_abelian_class_set(class_set)
+    assert found == abelian
+    # each class-product mask against the products themselves
+    table = ig.class_mult()
+    for i, cls in enumerate(ig.conjugacy_classes()):
+        rep = ig.elems[min(cls)]
+        for j, other in enumerate(ig.conjugacy_classes()):
+            met = {ig.class_of(ig.index[rep * ig.elems[x]]) for x in other}
+            assert table[i][j] == sum(1 << c for c in met)
+
+
+def test_one_indexed_view_per_group(monkeypatch):
+    from mystica import classify
+
+    builds = []
+    original = IndexedGroup.__init__
+
+    def counting(self, G):
+        builds.append(G)
+        original(self, G)
+
+    monkeypatch.setattr(IndexedGroup, "__init__", counting)
+    G = make_gmpn(2, 2, 3)
+    classify.fingerprint(G)
+    classify.regular_singular(G)
+    structure_probes(G)
+    classify.isomorphic(G, make_gmpn(1, 1, 4))  # the same fingerprint, so it builds both tables
+    assert G.indexed() is G.indexed()
+    assert builds.count(G) == 1
+
+
+@pytest.mark.parametrize(
+    "G", [make_gmpn(2, 1, 3), make_w(4, 1, 2), make_gmpn(3, 3, 3), make_w(2, 1, 3)], ids=lambda G: G.tag.label
+)
+def test_structure_probes_match_element_level_reference(G):
+    # the centre as the singleton classes and [G,G] as the normal closure of
+    # the generators' commutators, against all pairs of elements
+    elems = G.elements
+    probes = structure_probes(G)
+    assert probes.center.element_set() == frozenset(z for z in elems if all(z * g == g * z for g in elems))
+    commutators = {a * b * a.inverse() * b.inverse() for a in elems for b in elems}
+    assert probes.derived.element_set() == closure_generate((G.N, G.n), commutators).element_set()
+    assert probes.order_histogram == tuple(sorted(Counter(g.element_order() for g in elems).items()))

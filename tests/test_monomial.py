@@ -182,3 +182,32 @@ def test_ambient_mismatch_rejected():
         identity(2, 2) * identity(2, 4)
     with pytest.raises(ValueError):
         identity(2, 2) * identity(3, 2)
+
+
+def _order_by_repeated_products(a):
+    """The reference element order: multiply until the identity comes back."""
+    out, order, ident = a, 1, identity(a.n, a.N)
+    while out != ident:
+        out = out * a
+        order += 1
+    return order
+
+
+def test_closed_form_order_matches_repeated_products():
+    from mystica.groups import make_gmpn, make_w
+
+    for G in (make_gmpn(4, 1, 3), make_w(4, 2, 3), make_gmpn(3, 1, 3)):
+        for a in G.elements:
+            assert a.element_order() == _order_by_repeated_products(a), a
+
+
+def test_public_constructor_rejects_bad_input():
+    for perm in [(0, 0, 1), (0, 1, 3), (1, 2)]:
+        with pytest.raises(ValueError):
+            MonomialElement(3, 4, perm, (0, 0, 0))
+    with pytest.raises(ValueError):
+        MonomialElement(3, 4, (0, 1, 2), (0, 0))
+    # exponents are reduced mod N, so the result equals a product's
+    a = MonomialElement(2, 4, (1, 0), (5, -1))
+    assert a.exps == (1, 3)
+    assert a == adjacent_swap(2, 4, 1) * torus_gen(2, 4, 1, 3) * torus_gen(2, 4, 2, 1)

@@ -449,3 +449,20 @@ def test_modular_blocks_are_the_reduced_exact_operators(G):
                 for (r, col), v in M.entries.items():
                     expected[i, position[r * dim + col]] = _reduce_mod(v.lift(L), q, zpow)
             assert np.array_equal(action.block(degree), expected), (c, degree)
+
+
+def test_group_sum_grouping_is_kept_and_matches_uncached_grouping():
+    from mystica.qpoly import _by_perm, group_sum_terms
+
+    for G in (make_gmpn(4, 2, 3), make_w(4, 1, 2), make_gmpn(3, 1, 2)):
+        group_sum = group_sum_terms(G)
+        assert group_sum_terms(G) is group_sum
+        terms = [(g, Cyclotomic.one()) for g in G.elements]
+        fresh = _by_perm(terms, G.n, G.N)
+        assert list(group_sum.by_perm) == list(fresh)
+        for perm, (exps, values) in fresh.items():
+            cached_exps, cached_values = group_sum.by_perm[perm]
+            assert np.array_equal(cached_exps, exps) and cached_values == values
+        for c in (0, 1, cyc_make(4, 1)):
+            for degree in range(4):
+                assert operator_matrix(group_sum, c, degree) == operator_matrix(terms, c, degree)
