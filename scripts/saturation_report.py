@@ -3,12 +3,11 @@
 independent, for levels beyond the acceptance grid.
 
 For each level m in 5, 6 the script takes every rank-2 group G(m,p,2), and
-W(m,d,2) for even m, plus the rank-3 groups of order at most 216, and prints the saturation degree of faithfulness_saturation_degree
-for c = 0, 1 and zeta4 next to the bound n*N that criterion 9 tests and the sum
+W(m,d,2) for even m, plus the rank-3 groups of order at most ISO_CAP, and
+prints the exact saturation degree of faithfulness_saturation_degree for
+c = 0, 1 and zeta4 next to the bound n*N that criterion 9 tests and the sum
 of (d_i - 1) over the fundamental invariant degrees (for W(m,d,n), those of its
-counterpart G(m,m/d,n)).  Groups of order above 64 report the first degree the
-modular certificate proves, an upper bound marked "<=".  This is a report,
-not an acceptance check.
+counterpart G(m,m/d,n)).  This is a report, not an acceptance check.
 
     PYTHONPATH=src python3 scripts/saturation_report.py
 """
@@ -16,6 +15,7 @@ not an acceptance check.
 import time
 from math import factorial
 
+from mystica.classify import ISO_CAP
 from mystica.cyclo import cyc_make
 from mystica.groups import make_gmpn, make_w
 from mystica.mystic import faithfulness_saturation_degree
@@ -24,7 +24,7 @@ from mystica.verify import SATURATION_SLACK
 
 C_VALUES = (("0", 0), ("1", 1), ("zeta4", cyc_make(4, 1)))
 LEVELS = (5, 6)
-MAX_ORDER = 216
+MAX_ORDER = ISO_CAP
 
 
 def groups(m: int):
@@ -55,10 +55,7 @@ def main() -> None:
             cells = []
             for _, c in C_VALUES:
                 d, _ = faithfulness_saturation_degree(G, c, top)
-                if d is None:
-                    cells.append(f"> {top}")
-                else:
-                    cells.append(f"<= {d}" if G.order > 64 else str(d))
+                cells.append(f"> {top}" if d is None else str(d))
             elapsed = time.perf_counter() - start
             print(
                 f"{G.tag.label:10s} {G.order:5d} {bound:4d} {sum(d - 1 for d in degrees):10d}  "

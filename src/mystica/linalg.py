@@ -3,30 +3,26 @@
 Rows and matrices are dictionaries keyed by hashable column labels; all
 arithmetic is exact field arithmetic in Q(zeta_N).  The rank routine keeps
 the pivot rows in reduced echelon form, which guarantees termination and
-keeps fill-in local when the input has block structure.
+keeps fill-in local when the input has block structure; the same insertion
+step serves a caller that feeds rows one at a time and stops at a target
+rank.
 
 For full-rank certificates there is also a modular route: mapping zeta_N to
 an order-N element of a prime field F_q (q = 1 mod N) is a ring map on the
 cyclotomic integers, so a nonvanishing minor mod q is nonvanishing in
 characteristic zero and full rank mod q proves full rank over the field.
 The converse direction is not used anywhere.
-
-When the columns arrive in blocks (one block per degree slice), the modular
-rank is kept incrementally: ModqLeftKernel holds a basis K of the left kernel
-{y : y [B_0 ... B_d] = 0 mod q} and replaces it by ker(K B_(d+1)) K, so no
-block is reduced twice (elimination over word-size prime fields as in Dumas,
-Giorgi and Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import isqrt, lcm
 
 from .cyclo import Cyclotomic
 
 # numpy is imported inside the functions that use it, so that commands which
-# never reach the F_q and exponent-array kernels start without loading it.
+# never reach the F_q kernel start without loading it.
 
 
 @dataclass
@@ -115,25 +111,33 @@ def sparse_rank(rows) -> int:
                 local[pivot_col] = {c: v * inv for c, v in row.items()}
         ordered.extend(local.values())
     for row in sorted(ordered, key=len):
-        row = _reduce_row(dict(row), pivots)
-        if not row:
-            continue
-        pivot_col = min(row, key=repr)
-        inv = row[pivot_col].inverse()
-        normalized = {c: v * inv for c, v in row.items()}
-        # keep reduced echelon form: clear the new pivot column everywhere
-        for pcol, prow in list(pivots.items()):
-            if pivot_col in prow:
-                factor = prow[pivot_col]
-                for col, value in normalized.items():
-                    cur = prow.get(col)
-                    total = -factor * value if cur is None else cur - factor * value
-                    if total.is_zero():
-                        prow.pop(col, None)
-                    else:
-                        prow[col] = total
-        pivots[pivot_col] = normalized
+        _insert_pivot(dict(row), pivots)
     return len(pivots)
+
+
+def _insert_pivot(row: dict, pivots: dict) -> bool:
+    """Reduce the row against the reduced-echelon pivot rows and, if anything
+    is left, add it as a new pivot row, clearing its pivot column from the
+    others so the form stays reduced; whether the rank grew.  The row may be
+    modified."""
+    row = _reduce_row(row, pivots)
+    if not row:
+        return False
+    pivot_col = min(row, key=repr)
+    inv = row[pivot_col].inverse()
+    normalized = {c: v * inv for c, v in row.items()}
+    for prow in pivots.values():
+        if pivot_col in prow:
+            factor = prow[pivot_col]
+            for col, value in normalized.items():
+                cur = prow.get(col)
+                total = -factor * value if cur is None else cur - factor * value
+                if total.is_zero():
+                    prow.pop(col, None)
+                else:
+                    prow[col] = total
+    pivots[pivot_col] = normalized
+    return True
 
 
 def _certificate_prime(N: int, floor: int = 1_000_003) -> tuple[int, int]:
@@ -142,14 +146,12 @@ def _certificate_prime(N: int, floor: int = 1_000_003) -> tuple[int, int]:
     q = floor + ((1 - floor) % N)
     while True:
         q += N
-        if q % 2 and all(q % d for d in range(3, int(q**0.5) + 1, 2)):
+        if q % 2 and all(q % d for d in range(3, isqrt(q) + 1, 2)):
             break
     exponent = (q - 1) // N
     prime_parts = _prime_factors(N)
     for g in range(2, q):
         z = pow(g, exponent, q)
-        if z == 1:
-            continue
         if all(pow(z, N // r, q) != 1 for r in prime_parts):
             return q, z
     raise RuntimeError("no order-N element found (unreachable for prime q = 1 mod N)")
@@ -247,56 +249,3 @@ def _modq_rank(A: "np.ndarray", q: int) -> int:
             A[r + 1 :][hit] = (block - np.outer(below[hit], A[r])) % q
         r += 1
     return r
-
-
-def modq_left_kernel(A: "np.ndarray", q: int) -> "np.ndarray":
-    """Rows spanning the left kernel {y : y A = 0 mod q} of an int64 matrix
-    with entries in [0, q); A itself is not modified.
-
-    Row-by-row elimination on [A | I]: each row is cleared by the pivots of
-    the rows above it, and a row whose A part is then zero carries a kernel
-    vector in its I part.  Entries stay below q, so every product fits in
-    int64 for q < 2**31.
-    """
-    import numpy as np
-
-    nrows, ncols = A.shape
-    work = np.hstack([A, np.eye(nrows, dtype=np.int64)])
-    kernel = []
-    for i in range(nrows):
-        row = work[i]
-        nz = np.flatnonzero(row[:ncols])
-        if not len(nz):
-            kernel.append(i)
-            continue
-        col = nz[0]
-        row[:] = row * pow(int(row[col]), q - 2, q) % q
-        hit = i + 1 + np.flatnonzero(work[i + 1 :, col])
-        if len(hit):
-            work[hit] = (work[hit] - np.outer(work[hit, col], row)) % q
-    return work[kernel, ncols:]
-
-
-class ModqLeftKernel:
-    """The left kernel mod q of a matrix whose column blocks arrive one at a
-    time: basis rows y with y [B_0 ... B_d] = 0, started at the identity.
-    The rank of the blocks seen so far is nrows - len(basis)."""
-
-    def __init__(self, nrows: int, q: int):
-        import numpy as np
-
-        if nrows * (q - 1) ** 2 >= 2**63:
-            raise ValueError(f"q={q} is too large for int64 products over {nrows} rows")
-        self.nrows = nrows
-        self.q = q
-        self.basis = np.eye(nrows, dtype=np.int64)
-
-    def extend(self, block: "np.ndarray") -> None:
-        """Add the columns of block (nrows x k, entries in [0, q))."""
-        if len(self.basis):
-            image = self.basis @ block % self.q
-            self.basis = modq_left_kernel(image, self.q) @ self.basis % self.q
-
-    @property
-    def rank(self) -> int:
-        return self.nrows - len(self.basis)

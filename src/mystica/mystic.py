@@ -7,6 +7,11 @@ to a truncation degree D, which every report records.  The correspondence mu
 maps the torus-filtered family to the det-filtered family; the group-ring
 check verifies that the coefficient-twisting map carries one integral group
 ring onto the other inside Z[i, 1/2].
+
+The operators of the group elements on the slices of degree at most d become
+linearly independent once d is large enough; the smallest such d is found
+exactly on the conjugacy-class sums, with the element-level rank kept as
+the slow reference.
 """
 
 from __future__ import annotations
@@ -16,12 +21,9 @@ from dataclasses import dataclass
 from .cyclo import cyc_make, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, j_c
 from .groups import FiniteMonomialGroup, GroupTag, common_ambient, enumerate_thick, make_w
-from .linalg import ModqLeftKernel, sparse_rank
+from .linalg import _insert_pivot, sparse_rank
 from .monomial import MonomialElement, perm_sign
-from .qpoly import ModularOperators, group_sum_terms, operator_matrix
-
-# groups up to this order get an exact answer from the saturation search
-_EXACT_ORDER_CAP = 64
+from .qpoly import class_sum_terms, group_sum_terms, operator_matrix
 
 
 def default_truncation_degree(m: int, p: int, n: int) -> int:
@@ -219,56 +221,45 @@ def _composes_to_identity(images: dict, back: dict) -> bool:
     return True
 
 
-def _extend_operator_rows(rows, G: FiniteMonomialGroup, c, degree: int) -> None:
-    """Append the degree-slice operator of each element of G to its row,
-    keyed (degree, row, column)."""
-    for row, g in zip(rows, G.elements):
-        for (r, col), v in operator_matrix(g, c, degree).entries.items():
-            row[(degree, r, col)] = v
-
-
 def faithfulness_rank(G: FiniteMonomialGroup, c, degree: int) -> int:
     """Rank of the family of operators of the group elements on the slices of
-    degree at most the bound, viewed as one long vector each; equals the
-    group order exactly when the operators are linearly independent."""
+    degree at most the bound, viewed as one long vector each, keyed (degree,
+    row, column); equals the group order exactly when the operators are
+    linearly independent."""
     rows = [dict() for _ in G.elements]
     for d in range(degree + 1):
-        _extend_operator_rows(rows, G, c, d)
+        for row, g in zip(rows, G.elements):
+            for (r, col), v in operator_matrix(g, c, d).entries.items():
+                row[(d, r, col)] = v
     return sparse_rank(rows)
 
 
 def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
-    """First degree bound at which the operators of the group elements on the
-    slices of degree at most that bound are shown to be linearly independent,
-    with the rank there; (None, rank) if no degree up to max_degree is.
+    """(d, G.order) for the smallest degree bound d at which the operators of
+    the group elements on the slices of degree at most d are linearly
+    independent; (None, faithfulness_rank(G, c, max_degree)) if no bound up
+    to max_degree is one.
 
-    Full rank is certified through the modular reduction map (a proof, not an
-    estimate), kept as an incremental left kernel mod q across the degrees.
-    For groups of order at most 64 exact elimination settles the degrees
-    below the first certified one, so the degree returned is the smallest one
-    at which the rank reaches the group order.  For larger groups the degree
-    returned is the first certified one, an upper bound on the smallest; when
-    no degree is certified the rank is unknown and the result is (None, None).
+    The action is a representation of G, so the kernel of the operator map
+    on the group algebra CG is a two-sided ideal, a sum of Wedderburn blocks;
+    it is zero exactly when no nonzero central element maps to zero.  The
+    element operators are therefore independent exactly when the k
+    conjugacy-class sums, which span the centre, have independent operators
+    (Serre, Linear Representations of Finite Groups, 2.5 and 6.3).  Their
+    rank is found exactly: each position (degree, row, column) of the slice
+    matrices gives a column of k class values, the distinct columns of each
+    degree join one reduced-echelon pivot set, and the search stops when the
+    pivots reach k.
     """
-    action = ModularOperators(G, c)
-    certified = None
-    if action.conclusive:
-        kernel = ModqLeftKernel(G.order, action.q)
-        for d in range(max_degree + 1):
-            kernel.extend(action.block(d))
-            if kernel.rank == G.order:
-                certified = d
-                break
-    if G.order > _EXACT_ORDER_CAP:
-        return (certified, G.order) if certified is not None else (None, None)
-    if certified is None:
-        rank = faithfulness_rank(G, c, max_degree)
-        if rank < G.order:
-            return None, rank
-        certified = max_degree
-    # the rank only grows with the degree bound: walk down from the full one
-    # while the bound below is exactly full
-    d = certified
-    while d > 0 and faithfulness_rank(G, c, d - 1) == G.order:
-        d -= 1
-    return d, G.order
+    classes = class_sum_terms(G)
+    pivots: dict = {}
+    for d in range(max_degree + 1):
+        columns: dict = {}  # (row, col) -> {class: entry}
+        for i, class_sum in enumerate(classes):
+            for position, v in operator_matrix(class_sum, c, d).entries.items():
+                columns.setdefault(position, {})[i] = v
+        distinct = {tuple((i, v.order, v.nums, v.den) for i, v in col.items()): col for col in columns.values()}
+        for column in distinct.values():
+            if _insert_pivot(column, pivots) and len(pivots) == len(classes):
+                return d, G.order
+    return None, faithfulness_rank(G, c, max_degree)

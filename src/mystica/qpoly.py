@@ -21,11 +21,11 @@ from math import lcm
 
 from .cyclo import Cyclotomic, _make
 from .groups import FiniteMonomialGroup
-from .linalg import SparseMatrix, _certificate_prime, _reduce_mod, sparse_rank
+from .linalg import SparseMatrix, sparse_rank
 from .monomial import MonomialElement, perm_apply
 
 # numpy is imported inside the functions that use it, so that commands which
-# never reach the F_q and exponent-array kernels start without loading it.
+# never reach the exponent-array kernels start without loading it.
 
 _ONE = Cyclotomic.one()
 
@@ -349,18 +349,28 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
 
 
 class _GroupSum:
-    """The group sum as operator terms (element, 1) grouped by permutation,
-    all sharing one coefficient object, so operator_matrix tests its
-    integrality once."""
+    """The sum of a list of elements of G as operator terms (element, 1)
+    grouped by permutation, all sharing one coefficient object, so
+    operator_matrix tests its integrality once."""
 
-    def __init__(self, G: FiniteMonomialGroup):
+    def __init__(self, G: FiniteMonomialGroup, elements):
         self.n, self.N = G.n, G.N
-        self.by_perm = _by_perm(((g, _ONE) for g in G.elements), G.n, G.N)
+        self.by_perm = _by_perm(((g, _ONE) for g in elements), G.n, G.N)
 
 
 def group_sum_terms(G: FiniteMonomialGroup) -> _GroupSum:
     """The group sum of G as operator terms, grouped once per group."""
-    return G.memo("group_sum", lambda: _GroupSum(G))
+    return G.memo("group_sum", lambda: _GroupSum(G, G.elements))
+
+
+def class_sum_terms(G: FiniteMonomialGroup) -> list[_GroupSum]:
+    """The conjugacy-class sums of G as operator terms, one per class of
+    G.indexed().conjugacy_classes(), in that order; grouped once per group."""
+
+    def build():
+        return [_GroupSum(G, [G.elements[i] for i in sorted(cls)]) for cls in G.indexed().conjugacy_classes()]
+
+    return G.memo("class_sums", build)
 
 
 def _terms_of(actor):
@@ -453,64 +463,6 @@ def _factor_maps(N: int, n: int, c_key):
     nums = [[[[x * (den // v.den) for x in v.nums] for v in row] for row in block[P:] + block[:P]] for block in values]
     largest = max(abs(x) for block in nums for row in block for vec in row for x in vec)
     return np.array(nums, dtype=np.int64 if largest < 2**63 else object), den, largest
-
-
-class ModularOperators:
-    """The operators of the elements of G on each degree slice, reduced into
-    F_q without field arithmetic.
-
-    An entry (-1)^s c^b zeta_N^a of the operator of t*w maps to
-    +-phi(c)^b z^(a L/N) under zeta_L -> z, the reduction map of
-    modular_full_rank_certificate on the exact entries, which lie in
-    Q(zeta_L), L = _field_order(c, N); q = 1 mod L is the prime that
-    certificate picks.  phi(c) is computed once; when c has a denominator
-    divisible by q or phi(c) = 0 the reduction is not defined on the entries
-    and `conclusive` is False.
-    """
-
-    def __init__(self, G: FiniteMonomialGroup, c):
-        import numpy as np
-
-        cc = _coerce_c(c)
-        n, N = G.n, G.N
-        L = _field_order(cc, N)
-        q, z = _certificate_prime(L)
-        zpow = [pow(z, j, q) for j in range(L)]
-        self.q, self.n, self.N, self.order = q, n, N, G.order
-        self.roots = np.array(zpow[:: L // N], dtype=np.int64)
-        self.signs = np.array([1, 1 if cc is None else q - 1], dtype=np.int64)
-        # c exponents lie in [-P, P], P = the largest number of inversions
-        P = n * (n - 1) // 2
-        self.cpow = np.ones(2 * P + 1, dtype=np.int64)
-        image = 1 if cc is None else _reduce_mod(cc.lift(L), q, zpow)
-        self.conclusive = bool(image)
-        if self.conclusive and image != 1:
-            inverse = pow(image, q - 2, q)
-            for b in range(1, P + 1):
-                self.cpow[P + b] = pow(image, b, q)
-                self.cpow[P - b] = pow(inverse, b, q)
-        self.members = _by_perm(((g, i) for i, g in enumerate(G.elements)), n, N)
-
-    def block(self, degree: int) -> "np.ndarray":
-        """The order x k matrix of the degree slice mod q: row i is the
-        operator of G.elements[i], and the k columns are the positions
-        (w(x), x) that some element's operator fills."""
-        import numpy as np
-
-        dim = len(slice_monomials(self.n, degree))
-        P = len(self.cpow) // 2
-        keys, parts = [], []
-        for perm, (exps, rows) in self.members.items():
-            image, images, sign, cexp = _slice_images(perm, degree)
-            factor = self.signs[sign] * self.cpow[cexp + P] % self.q
-            values = self.roots[_root_exponents(exps, images).T % self.N] * factor % self.q
-            keys.append(image * dim + np.arange(dim))
-            parts.append((np.array(rows), values))
-        columns, position = np.unique(np.concatenate(keys), return_inverse=True)
-        out = np.zeros((self.order, len(columns)), dtype=np.int64)
-        for start, (rows, values) in zip(range(0, len(position), dim), parts):
-            out[rows[:, None], position[start : start + dim]] = values
-        return out
 
 
 # -- invariants --------------------------------------------------------

@@ -351,10 +351,9 @@ def test_criterion_09_operator_independence():
     degree of the Jacobian.  The test proves the deficit below R: a nonzero
     element b of the group algebra, built in closed form from the Jacobian
     character, has zero operator on every degree below R and a nonzero one
-    at R; the prover's full-rank certificate at R then pins the saturation
-    degree.  Exact cyclotomic elimination in the prover confirms the deficit
-    only for G(4,1,2); for orders above 64 the saturation search returns the
-    first certified degree.  See docs/decisions.md.
+    at R.  The prover's saturation search finds R itself, exactly at every
+    order: it decides independence on the conjugacy-class sums, which span
+    the centre of the group algebra.  See docs/decisions.md.
     """
     results = check_operator_independence(VerifyConfig())
     cells = [((4, 1, 2), 8, 10), ((4, 2, 3), 12, 15), ((4, 1, 3), 12, 21)]

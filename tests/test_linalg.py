@@ -2,14 +2,11 @@
 
 from fractions import Fraction
 
-import numpy as np
-
 from mystica.cyclo import Cyclotomic, cyc_make
 from mystica.linalg import (
-    ModqLeftKernel,
     SparseMatrix,
-    _modq_rank,
-    modq_left_kernel,
+    _certificate_prime,
+    _prime_factors,
     modular_full_rank_certificate,
     sparse_rank,
 )
@@ -109,41 +106,11 @@ def test_sparse_matrix_equality_and_dense():
     assert dense[0][0].is_zero()
 
 
-def _random_modq_matrix(rng, q, nrows, ncols):
-    """A random matrix mod q, often of low rank (a product through a narrow
-    inner dimension), sometimes with a repeated row or sparse noise."""
-    inner = rng.integers(0, min(nrows, ncols) + 1)
-    A = rng.integers(0, q, (nrows, inner)) @ rng.integers(0, q, (inner, ncols)) % q
-    if nrows > 1 and rng.random() < 0.3:
-        A[rng.integers(nrows)] = A[rng.integers(nrows)]
-    if rng.random() < 0.5:
-        A = (A + rng.integers(0, q, (nrows, ncols)) * (rng.random((nrows, ncols)) < 0.1)) % q
-    return A
+def test_certificate_prime_is_prime_with_an_element_of_exact_order():
+    from sympy import isprime
 
-
-def test_modq_left_kernel_matches_modq_rank():
-    rng = np.random.default_rng(2008)
-    for q in (5, 13, 1_000_033):
-        for _ in range(60):
-            nrows, ncols = rng.integers(1, 10), rng.integers(0, 10)
-            A = _random_modq_matrix(rng, q, nrows, ncols)
-            before = A.copy()
-            K = modq_left_kernel(A, q)
-            assert np.array_equal(A, before)
-            assert K.shape == (nrows - _modq_rank(A.copy(), q), nrows)
-            assert not (K @ A % q).any()
-            assert _modq_rank(K.copy(), q) == len(K)  # a basis, not just a spanning set
-
-
-def test_incremental_left_kernel_matches_concatenated_rank():
-    rng = np.random.default_rng(35)
-    for q in (5, 1_000_033):
-        for _ in range(30):
-            nrows = rng.integers(1, 9)
-            kernel = ModqLeftKernel(nrows, q)
-            blocks = []
-            for _ in range(rng.integers(1, 6)):
-                blocks.append(_random_modq_matrix(rng, q, nrows, rng.integers(0, 5)))
-                kernel.extend(blocks[-1])
-                assert kernel.rank == _modq_rank(np.hstack(blocks), q)
-                assert not (kernel.basis @ np.hstack(blocks) % q).any()
+    for N in (1, 2, 4, 5, 12, 20, 24, 60, 97):
+        q, z = _certificate_prime(N)
+        assert isprime(q) and (q - 1) % N == 0 and q > 1_000_003, N
+        assert pow(z, N, q) == 1, N
+        assert all(pow(z, N // r, q) != 1 for r in _prime_factors(N)), N

@@ -3,14 +3,11 @@ ring change of basis and faithfulness ranks."""
 
 import pytest
 
-from mystica import linalg, qpoly
 from mystica.cyclo import cyc_make, parse_scalar
 from mystica.groupalg import GroupAlgebraElement, e_group, j_c
 from mystica.groups import closure_generate, make_gmpn, make_w
-from mystica.linalg import modular_full_rank_certificate
 from mystica.mystic import (
     EquivalenceReport,
-    _extend_operator_rows,
     default_truncation_degree,
     faithfulness_rank,
     faithfulness_saturation_degree,
@@ -19,7 +16,6 @@ from mystica.mystic import (
     mystic_equiv_check,
     unique_equivalent_thick,
 )
-from mystica.qpoly import slice_monomials
 from mystica.verify import VerifyConfig, independence_groups
 
 
@@ -160,9 +156,10 @@ def test_faithfulness_deficit_at_level_four_confirmed_exactly():
 
 
 def test_saturation_unknown_without_certificate():
-    # order 96 > 64 and no slice up to degree 2 is certified: the rank is
-    # unknown, not 0
-    assert faithfulness_saturation_degree(make_w(4, 1, 3), 0, 2) == (None, None)
+    # no degree up to 2 saturates W(4,1,3), order 96: the rank there is
+    # reported exactly
+    G = make_w(4, 1, 3)
+    assert faithfulness_saturation_degree(G, 0, 2) == (None, 28) == (None, faithfulness_rank(G, 0, 2))
 
 
 # -- the saturation search against its slow reference -------------------------
@@ -171,22 +168,11 @@ C_VALUES = (0, 1, cyc_make(4, 1), parse_scalar("1/2+1/2*zeta4"))
 
 
 def _reference_saturation(G, c, max_degree):
-    """The search degree by degree: the exact rows of every degree so far go
-    through modular_full_rank_certificate, and for order <= 64 an
-    inconclusive degree falls back to faithfulness_rank."""
-    rows = [dict() for _ in G.elements]
-    space = 0
+    """The element-level exact scan: the first degree bound at which
+    faithfulness_rank reaches the group order, else the rank at max_degree."""
     for d in range(max_degree + 1):
-        _extend_operator_rows(rows, G, c, d)
-        space += len(slice_monomials(G.n, d)) ** 2
-        if space < G.order:
-            continue
-        if modular_full_rank_certificate(rows, G.order):
+        if faithfulness_rank(G, c, d) == G.order:
             return d, G.order
-        if G.order <= 64 and faithfulness_rank(G, c, d) == G.order:
-            return d, G.order
-    if G.order > 64:
-        return None, None
     return None, faithfulness_rank(G, c, max_degree)
 
 
@@ -202,52 +188,10 @@ def test_saturation_search_matches_reference(G):
 
 
 def test_saturation_search_above_exact_order_matches_reference():
-    # order 96: the first certified degree, with no exact elimination
+    # order 96: the degree found on the class sums is exactly the one at
+    # which the element operators become independent
     G = make_w(4, 1, 3)
     for c in (0, cyc_make(4, 1)):
-        assert faithfulness_saturation_degree(G, c, G.n * G.N) == _reference_saturation(G, c, G.n * G.N)
-
-
-def _first_certified(G, c, max_degree):
-    action = qpoly.ModularOperators(G, c)
-    if not action.conclusive:
-        return None
-    kernel = linalg.ModqLeftKernel(G.order, action.q)
-    for d in range(max_degree + 1):
-        kernel.extend(action.block(d))
-        if kernel.rank == G.order:
-            return d
-    return None
-
-
-def test_walk_down_when_no_degree_is_certified(monkeypatch):
-    # with q = 5 the parameter c = 5 reduces to 0, so no degree is certified
-    # mod q although the exact rank is full: the search walks down from
-    # max_degree by exact elimination alone
-    monkeypatch.setattr(qpoly, "_certificate_prime", lambda L: (5, 2) if L == 4 else linalg._certificate_prime(L))
-    for G in (make_gmpn(2, 2, 2), make_gmpn(2, 1, 2), make_gmpn(4, 4, 2)):
-        max_degree = G.n * G.N
-        assert _first_certified(G, 5, max_degree) is None
-        expected = _reference_saturation(G, 5, max_degree)
-        assert expected[0] is not None and expected[0] < max_degree - 1
-        assert faithfulness_saturation_degree(G, 5, max_degree) == expected
-
-
-def test_walk_down_from_a_late_certificate(monkeypatch):
-    # a mod-q block that is dropped from the kernel leaves a weaker (still
-    # sound) certificate; the search must walk down to the exact degree
-    G = make_gmpn(2, 1, 2)
-    exact_degree, _ = _reference_saturation(G, 1, 12)
-    block = qpoly.ModularOperators.block
-
-    def late_block(self, degree):
-        out = block(self, degree)
-        return out[:, :0] if exact_degree <= degree <= exact_degree + 1 else out
-
-    monkeypatch.setattr(qpoly.ModularOperators, "block", late_block)
-    certified = _first_certified(G, 1, 12)
-    assert certified is not None and certified >= exact_degree + 2
-    calls = []
-    monkeypatch.setattr("mystica.mystic.faithfulness_rank", lambda *a: calls.append(a[2]) or faithfulness_rank(*a))
-    assert faithfulness_saturation_degree(G, 1, 12) == (exact_degree, G.order)
-    assert calls == list(range(certified - 1, exact_degree - 2, -1))
+        d, rank = faithfulness_saturation_degree(G, c, G.n * G.N)
+        assert rank == G.order and d is not None, c
+        assert faithfulness_rank(G, c, d - 1) < G.order == faithfulness_rank(G, c, d), c

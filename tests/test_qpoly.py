@@ -10,10 +10,8 @@ import pytest
 
 from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar
 from mystica.groups import make_gmpn, make_w
-from mystica.linalg import _certificate_prime, _reduce_mod
 from mystica.monomial import MonomialElement, adjacent_swap, identity, perm_apply, torus_gen
 from mystica.qpoly import (
-    ModularOperators,
     QMatrix,
     QPolynomial,
     act_c,
@@ -425,32 +423,6 @@ def test_slice_trace_matches_element_by_element_sum(G):
             assert slice_trace(G, c, degree) == expected, (c, degree)
 
 
-@pytest.mark.parametrize("G", [make_gmpn(3, 1, 2), make_gmpn(2, 1, 3), make_w(4, 1, 3)], ids=lambda G: G.tag.label)
-def test_modular_blocks_are_the_reduced_exact_operators(G):
-    # each block equals the exact element operators reduced entry by entry
-    # with the prime modular_full_rank_certificate picks for them, on the
-    # columns (w(k), k) in sorted order; zeta8 takes the field past Q(zeta_N),
-    # and 1 and -1 written in Q(zeta5) are rationals of field order 1
-    cs = (0, 1, cyc_make(4, 1), parse_scalar("1/2+1/2*zeta4"), cyc_make(8, 1), Cyclotomic.rational(1, 5), Cyclotomic.rational(-1, 5))
-    for c in cs:
-        action = ModularOperators(G, c)
-        assert action.conclusive
-        for degree in range(5):
-            matrices = [operator_matrix(g, c, degree) for g in G.elements]
-            L = lcm(*(v.order for M in matrices for v in M.entries.values()))
-            q, z = _certificate_prime(L)
-            assert action.q == q
-            zpow = [pow(z, j, q) for j in range(L)]
-            dim = len(slice_monomials(G.n, degree))
-            keys = sorted({r * dim + col for M in matrices for r, col in M.entries})
-            position = {key: i for i, key in enumerate(keys)}
-            expected = np.zeros((G.order, len(keys)), dtype=np.int64)
-            for i, M in enumerate(matrices):
-                for (r, col), v in M.entries.items():
-                    expected[i, position[r * dim + col]] = _reduce_mod(v.lift(L), q, zpow)
-            assert np.array_equal(action.block(degree), expected), (c, degree)
-
-
 def test_group_sum_grouping_is_kept_and_matches_uncached_grouping():
     from mystica.qpoly import _by_perm, group_sum_terms
 
@@ -466,3 +438,21 @@ def test_group_sum_grouping_is_kept_and_matches_uncached_grouping():
         for c in (0, 1, cyc_make(4, 1)):
             for degree in range(4):
                 assert operator_matrix(group_sum, c, degree) == operator_matrix(terms, c, degree)
+
+
+def test_class_sums_are_kept_and_add_up_to_the_group_sum():
+    from mystica.qpoly import class_sum_terms, group_sum_terms
+
+    for G in (make_gmpn(4, 2, 3), make_w(4, 1, 2), make_gmpn(3, 1, 2)):
+        classes = class_sum_terms(G)
+        assert class_sum_terms(G) is classes
+        assert len(classes) == len(G.indexed().conjugacy_classes())
+        assert sum(len(values) for cls in classes for _, values in cls.by_perm.values()) == G.order
+        for c in (0, cyc_make(4, 1)):
+            for degree in range(4):
+                whole = operator_matrix(group_sum_terms(G), c, degree)
+                total = operator_matrix(classes[0], c, degree)
+                for cls in classes[1:]:
+                    for (r, col), v in operator_matrix(cls, c, degree).entries.items():
+                        total.add(r, col, v)
+                assert total == whole, (c, degree)
