@@ -42,8 +42,8 @@ class Fingerprint:
     class_power_data: tuple[tuple[int, int, int, int], ...]
 
 
-def fingerprint(G: FiniteMonomialGroup, cap: int | None = None) -> Fingerprint:
-    probes = structure_probes(G, cap)
+def fingerprint(G: FiniteMonomialGroup) -> Fingerprint:
+    probes = structure_probes(G)
     ig = G.indexed()
     classes = ig.conjugacy_classes()
     power_data = []
@@ -175,7 +175,7 @@ class RegularityReport:
         }
 
 
-def regular_singular(G: FiniteMonomialGroup, cap: int | None = None) -> RegularityReport:
+def regular_singular(G: FiniteMonomialGroup) -> RegularityReport:
     """Enumerate the normal subgroups of the group, keep the abelian ones and
     compare their orders against the torus part; singular means some normal
     abelian subgroup other than the torus reaches the torus order."""
@@ -348,8 +348,6 @@ def verify_classification_grid(
     for i, G in enumerate(atlas):
         for H in atlas[i + 1 :]:
             if G.n == H.n:
-                if _normalized_key(G) == _normalized_key(H):
-                    continue
                 if G.order != H.order:
                     continue  # trivially not isomorphic, skip the search
                 predicted = _pair_predicted_isomorphic(G, H)
@@ -377,9 +375,9 @@ def verify_classification_grid(
     return GridReport("thick-subgroup-classification", tuple(entries))
 
 
-def singular_list(max_m: int = 4, max_n: int = 4, cap: int = 50_000) -> list[RegularityReport]:
+def singular_list(max_m: int = 4, max_n: int = 4) -> list[RegularityReport]:
     """Regular/singular status of every thick subgroup on the grid."""
     out = []
-    for G in thick_atlas(max_m, max_n, cap):
+    for G in thick_atlas(max_m, max_n, group_size_cap()):
         out.append(regular_singular(G))
     return [r for r in out if r.status == "singular"]

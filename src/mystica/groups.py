@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
-from .linalg import _prime_factors
 from .monomial import MonomialElement, _trusted, identity, perm_sign
 
 DEFAULT_CAP = 50_000
@@ -297,10 +296,6 @@ def torus_part(G: FiniteMonomialGroup) -> TorusSubgroup:
     torus = G.torus_elements()
     # smallest m with all entries inside the m-th roots
     m = 1
-    for t in torus:
-        for e in t.exps:
-            if e:
-                m = lcm(m, N // gcd(e, N))
     for a in G.elements:
         for e in a.exps:
             if e:
@@ -624,8 +619,8 @@ class StructureProbes:
     derived: FiniteMonomialGroup = field(compare=False, repr=False)
 
 
-def structure_probes(G: FiniteMonomialGroup, cap: int | None = None) -> StructureProbes:
-    cap = cap or group_size_cap()
+def structure_probes(G: FiniteMonomialGroup) -> StructureProbes:
+    cap = group_size_cap()
     if G.order > cap:
         raise CapExceededError(f"group of order {G.order} exceeds cap {cap}")
     ig = G.indexed()
@@ -651,7 +646,10 @@ def structure_probes(G: FiniteMonomialGroup, cap: int | None = None) -> Structur
 
 
 def _abelian_quotient_invariants(ig: IndexedGroup, derived: set[int]) -> tuple[int, ...]:
-    """Invariant factors of G/[G,G] (an ascending divisor chain)."""
+    """Invariant factors of G/[G,G] (an ascending divisor chain).  A cyclic
+    subgroup of largest order in a finite abelian group is a direct summand
+    (Rotman, An Introduction to the Theory of Groups, ch. 6), so the next
+    factor is the largest coset order modulo the part K split off so far."""
     # cosets of the derived subgroup
     coset_of: dict[int, int] = {}
     reps: list[int] = []
@@ -662,76 +660,19 @@ def _abelian_quotient_invariants(ig: IndexedGroup, derived: set[int]) -> tuple[i
         reps.append(i)
         for d in derived:
             coset_of[ig.mul(i, d)] = cid
-    size = len(reps)
 
-    def cmul(a: int, b: int) -> int:
-        return coset_of[ig.mul(reps[a], reps[b])]
+    def powers(a: int, K: set[int]) -> list[int]:
+        """The cosets a^0, a^1, ..., a^(k-1), for a^k the first power in K."""
+        out, x = [coset_of[ig.id_index]], reps[a]
+        while coset_of[x] not in K:
+            out.append(coset_of[x])
+            x = ig.mul(x, reps[a])
+        return out
 
-    cid_identity = coset_of[ig.id_index]
-    # order statistics per prime determine the abelian type
-    primes = _prime_factors(size)
-    partitions: dict[int, list[int]] = {}
-    for p in primes:
-        counts = []
-        k = 1
-        power = p
-        while True:
-            cnt = 0
-            for a in range(size):
-                if _cpow(cmul, a, power, cid_identity) == cid_identity:
-                    cnt += 1
-            counts.append(cnt)
-            if cnt == _count_p_part(cmul, size, p, cid_identity):
-                break
-            k += 1
-            power *= p
-        s_values = [0] + [_int_log(c, p) for c in counts]
-        lam = []
-        for i in range(1, len(s_values)):
-            lam.append(s_values[i] - s_values[i - 1])
-        # lam[i] = number of parts >= i+1; convert conjugate to parts
-        parts = []
-        for i, cnt in enumerate(lam):
-            nxt = lam[i + 1] if i + 1 < len(lam) else 0
-            parts.extend([i + 1] * (cnt - nxt))
-        partitions[p] = sorted(parts, reverse=True)
-    depth = max((len(v) for v in partitions.values()), default=0)
+    K = {coset_of[ig.id_index]}
     factors = []
-    for k in range(depth):
-        f = 1
-        for p, parts in partitions.items():
-            if k < len(parts):
-                f *= p ** parts[k]
-        factors.append(f)
+    while len(K) < len(reps):
+        cyclic = max((powers(a, K) for a in range(len(reps))), key=len)
+        factors.append(len(cyclic))
+        K = {coset_of[ig.mul(reps[k], reps[b])] for k in K for b in cyclic}
     return tuple(sorted(factors))
-
-
-def _cpow(cmul, a: int, k: int, ident: int) -> int:
-    out = ident
-    base = a
-    while k:
-        if k & 1:
-            out = cmul(out, base)
-        base = cmul(base, base)
-        k >>= 1
-    return out
-
-
-def _count_p_part(cmul, size: int, p: int, ident: int) -> int:
-    pk = 1
-    while size % (pk * p) == 0:
-        pk *= p
-    count = 0
-    for a in range(size):
-        if _cpow(cmul, a, pk, ident) == ident:
-            count += 1
-    return count
-
-
-def _int_log(value: int, base: int) -> int:
-    out = 0
-    while value > 1:
-        value //= base
-        out += 1
-    return out
-

@@ -87,31 +87,12 @@ def _reduce_row(row: dict, pivots: dict) -> dict:
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a list of sparse rows (dicts col -> Cyclotomic), exactly."""
+    """Rank of a list of sparse rows (dicts col -> Cyclotomic), exactly: the
+    rows, shortest first, go into one reduced-echelon pivot set."""
     pivots: dict = {}
-    # identical-support rows are reduced together first; this collapses the
-    # large same-shape blocks produced by group operators before they meet
-    # the global elimination
-    buckets: dict = {}
-    for row in rows:
-        live = {c: v for c, v in row.items() if not v.is_zero()}
-        if live:
-            buckets.setdefault(frozenset(live), []).append(live)
-    ordered = []
-    for _, bucket in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(map(repr, kv[0])))):
-        if len(bucket) == 1:
-            ordered.extend(bucket)
-            continue
-        local: dict = {}
-        for row in bucket:
-            row = _reduce_row(row, local)
-            if row:
-                pivot_col = min(row, key=repr)
-                inv = row[pivot_col].inverse()
-                local[pivot_col] = {c: v * inv for c, v in row.items()}
-        ordered.extend(local.values())
-    for row in sorted(ordered, key=len):
-        _insert_pivot(dict(row), pivots)
+    live = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
+    for row in sorted(live, key=len):
+        _insert_pivot(row, pivots)
     return len(pivots)
 
 

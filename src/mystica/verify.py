@@ -339,14 +339,7 @@ def independence_groups(cfg: VerifyConfig) -> list[FiniteMonomialGroup]:
     for m, p, n in GRIDS["operator-independence"][2]:
         if m <= cfg.max_m and n <= cfg.max_n:
             out.append(make_gmpn(m, p, n))
-    seen = set()
-    unique = []
-    for G in out:
-        key = (G.n, G.N, G.element_set())
-        if key not in seen:
-            seen.add(key)
-            unique.append(G)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def check_operator_independence(cfg: VerifyConfig) -> list[CheckResult]:

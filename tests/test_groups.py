@@ -3,7 +3,7 @@
 import itertools
 import random
 from collections import Counter
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
@@ -190,6 +190,34 @@ def test_torus_part_generation_on_thick_grid():
             T = torus_part(G)
             assert T.form_matches, G
             assert T.generation_matches, G
+
+
+def _abelianization_reference_groups():
+    def diag(n, N, exps):
+        return MonomialElement(n, N, tuple(range(n)), exps)
+
+    groups = [G for m in range(1, 5) for n in range(1, 4) for G in enumerate_thick(m, n)]
+    groups.append(closure_generate((12, 2), [diag(2, 12, (1, 0)), diag(2, 12, (0, 4))]))  # Z3 x Z12
+    groups.append(closure_generate((2, 3), [diag(3, 2, e) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]))  # Z2^3
+    groups.append(closure_generate((8, 2), [adjacent_swap(2, 8, 1) * torus_gen(2, 8, 1, 1), diag(2, 8, (2, 6))]))
+    groups.append(closure_generate((6, 3), [adjacent_swap(3, 6, 1), adjacent_swap(3, 6, 2) * torus_gen(3, 6, 1, 2)]))
+    return groups
+
+
+def test_abelianization_counts_kth_powers_in_the_derived_subgroup():
+    # in G/D = Z_d1 + ... + Z_dr the cosets x with x^k = 1 number
+    # prod gcd(k, d_i); these counts over the k dividing |G/D| determine the
+    # abelian group, and here they are taken from MonomialElement powers
+    for G in _abelianization_reference_groups():
+        probes = structure_probes(G)
+        D = probes.derived.element_set()
+        factors = probes.abelianization
+        assert all(d > 1 for d in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:])), G
+        index = G.order // len(D)
+        assert prod(factors) == index, G
+        for k in range(1, index + 1):
+            if index % k == 0:
+                assert sum(1 for g in G if g**k in D) == len(D) * prod(gcd(k, d) for d in factors), (G, k)
 
 
 def test_structure_probes_klein_four():

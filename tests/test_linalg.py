@@ -1,6 +1,11 @@
 """Tests for the exact sparse elimination and the modular rank certificate."""
 
+import random
 from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mystica.cyclo import Cyclotomic, cyc_make
 from mystica.linalg import (
@@ -53,6 +58,41 @@ def test_sparse_rank_same_support_bucket():
     assert sparse_rank(rows) == 3
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_rank_matches_sympy_on_random_rational_rows(data):
+    ncols = data.draw(st.integers(1, 8))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3))
+    dense = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    keep_zeros = data.draw(st.booleans())  # zero entries stored in the rows are ignored
+    rows = [{c: R(v) for c, v in enumerate(row) if v or keep_zeros} for row in dense]
+    reference = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in dense])
+    assert sparse_rank(rows) == reference.rank()
+
+
+def test_sparse_rank_on_combinations_of_independent_cyclotomic_rows():
+    # r rows in echelon form (a one at column i, nothing left of it) are
+    # independent; rows that are combinations of them add nothing to the rank
+    rng = random.Random(12)
+
+    def scalar():
+        return sum((R(rng.randint(-2, 2)) * cyc_make(12, rng.randrange(12)) for _ in range(2)), Cyclotomic.zero(12))
+
+    for r in range(7):
+        labels = rng.sample(range(100), 8)  # the echelon columns in a scrambled label order
+        basis = [{labels[i]: Cyclotomic.one(12), **{labels[j]: scalar() for j in range(i + 1, 8)}} for i in range(r)]
+        rows = list(basis)
+        for _ in range(rng.randint(0, 4)):
+            combo: dict = {}
+            for b in basis:
+                coefficient = scalar()
+                for col, v in b.items():
+                    combo[col] = combo.get(col, Cyclotomic.zero(12)) + coefficient * v
+            rows.append(combo)
+        rng.shuffle(rows)
+        assert sparse_rank(rows) == r, r
+
+
 def test_modular_certificate_full_rank():
     i = cyc_make(4, 1)
     rows = [
@@ -72,8 +112,6 @@ def test_modular_certificate_rejects_dependence():
 
 
 def test_modular_certificate_agrees_with_exact_on_random_family():
-    import random
-
     rng = random.Random(77)
     for _ in range(30):
         n_rows = rng.randint(2, 6)
