@@ -10,18 +10,8 @@ sound and complete for the desk-scale orders it is run at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
-from .groups import (
-    CapExceededError,
-    FiniteMonomialGroup,
-    GroupTag,
-    common_ambient,
-    enumerate_thick,
-    group_size_cap,
-    make_gmpn,
-    structure_probes,
-)
+from .groups import CapExceededError, FiniteMonomialGroup, common_ambient, make_gmpn, structure_probes
 from .monomial import central_scalar
 from .mystic import mu_group
 
@@ -166,14 +156,6 @@ class RegularityReport:
     torus_order: int
     witness: FiniteMonomialGroup | None
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "status": self.status,
-            "torus_order": self.torus_order,
-            "witness_order": self.witness.order if self.witness else None,
-        }
-
 
 def regular_singular(G: FiniteMonomialGroup) -> RegularityReport:
     """Enumerate the normal subgroups of the group, keep the abelian ones and
@@ -231,153 +213,3 @@ def z_power_obstruction(m: int, p: int, n: int) -> PowerObstructionReport:
         central_in_counterpart_powers=z in mu_powers,
         central_involutions_of_group_in_powers=bad,
     )
-
-
-# -- verification grids --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridEntry:
-    params: dict
-    predicted: bool
-    computed: bool
-
-    @property
-    def match(self) -> bool:
-        return self.predicted == self.computed
-
-    def to_json(self) -> dict:
-        return {"params": self.params, "predicted": self.predicted, "computed": self.computed, "match": self.match}
-
-
-@dataclass(frozen=True)
-class GridReport:
-    name: str
-    entries: tuple[GridEntry, ...]
-
-    @property
-    def mismatches(self) -> tuple[GridEntry, ...]:
-        return tuple(e for e in self.entries if not e.match)
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    def to_json(self) -> list:
-        return [e.to_json() for e in self.entries]
-
-
-def verify_not_iso_grid(max_m: int = 4, max_n: int = 4, cap: int = ISO_CAP) -> GridReport:
-    """Abstract isomorphism of each group with its counterpart against the
-    parity rule: not isomorphic exactly when n is even and m/p is odd."""
-    entries = []
-    for m in range(2, max_m + 1, 2):
-        for n in range(2, max_n + 1):
-            for p in range(1, m + 1):
-                if m % p:
-                    continue
-                G = make_gmpn(m, p, n)
-                if G.order > cap:
-                    continue
-                mu = mu_group(G)
-                predicted = not (n % 2 == 0 and (m // p) % 2 == 1)
-                computed = isomorphic(G, mu, cap)
-                entries.append(GridEntry({"m": m, "p": p, "n": n}, predicted, computed))
-    return GridReport("counterpart-isomorphism-parity", tuple(entries))
-
-
-def _pair_predicted_isomorphic(G: FiniteMonomialGroup, H: FiniteMonomialGroup) -> bool:
-    """The classification's prediction for a pair of distinct thick subgroups."""
-    tg, th = G.tag, H.tag
-    if G.n == H.n:
-        n = G.n
-        if n % 2 == 0:
-            return False
-        pair = {tg.kind: tg.params, th.kind: th.params}
-        if set(pair) != {"G", "W"}:
-            return False
-        m, p, _ = pair["G"]
-        mw, d, _ = pair["W"]
-        return m == mw and m % 2 == 0 and d == m // p and (m // p) % 2 == 1
-    low, high = (G, H) if G.n < H.n else (H, G)
-    if high.tag != GroupTag("G", (1, 1, 4)):
-        return False
-    return low.tag in (GroupTag("G", (2, 2, 3)), GroupTag("W", (2, 1, 3)))
-
-
-def thick_atlas(max_m: int, max_n: int, cap: int = ISO_CAP) -> list[FiniteMonomialGroup]:
-    """All thick subgroups for every level m <= max_m and rank 2 <= n <= max_n,
-    deduplicated as subgroups, with orders within the cap; levels and ranks
-    whose ambient G(m,1,n) exceeds group_size_cap() are left out, as
-    enumerate_thick would refuse them."""
-    seen = {}
-    ambient_cap = group_size_cap()
-    for m in range(1, max_m + 1):
-        for n in range(2, max_n + 1):
-            if m**n * factorial(n) > ambient_cap:
-                continue
-            for T in enumerate_thick(m, n):
-                if T.order > cap:
-                    continue
-                norm = _normalized_key(T)
-                if norm not in seen:
-                    seen[norm] = T
-    return sorted(seen.values(), key=lambda g: (g.n, g.order, g.tag.label))
-
-
-def _normalized_key(T: FiniteMonomialGroup):
-    """Identity of a subgroup: its rank plus its element set at a common
-    torus order."""
-    target = 12
-    while target % T.N:
-        target *= 2
-    lifted = T.lift(target)
-    return (T.n, frozenset(a.sort_key() for a in lifted.elements))
-
-
-def verify_classification_grid(
-    max_m: int = 4, max_n: int = 4, max_m_cross: int = 2, cap: int = ISO_CAP
-) -> GridReport:
-    """Exhaustive pairwise isomorphism among thick subgroups, checked against
-    the classification's characterization.  Same-rank pairs range over the
-    full atlas; cross-rank pairs take the second group from the smaller
-    atlas."""
-    atlas = thick_atlas(max_m, max_n, cap)
-    small = [T for T in thick_atlas(max_m_cross, max_n, cap)]
-    entries = []
-    for i, G in enumerate(atlas):
-        for H in atlas[i + 1 :]:
-            if G.n == H.n:
-                if G.order != H.order:
-                    continue  # trivially not isomorphic, skip the search
-                predicted = _pair_predicted_isomorphic(G, H)
-                computed = isomorphic(G, H, cap)
-                entries.append(
-                    GridEntry(
-                        {"left": G.tag.label, "right": H.tag.label, "n": G.n},
-                        predicted,
-                        computed,
-                    )
-                )
-    for G in atlas:
-        for H in small:
-            if G.n >= H.n or G.order != H.order:
-                continue
-            predicted = _pair_predicted_isomorphic(G, H)
-            computed = isomorphic(G, H, cap)
-            entries.append(
-                GridEntry(
-                    {"left": G.tag.label, "right": H.tag.label, "n": G.n, "n2": H.n},
-                    predicted,
-                    computed,
-                )
-            )
-    return GridReport("thick-subgroup-classification", tuple(entries))
-
-
-def singular_list(max_m: int = 4, max_n: int = 4) -> list[RegularityReport]:
-    """Regular/singular status of every thick subgroup on the grid."""
-    out = []
-    for G in thick_atlas(max_m, max_n, group_size_cap()):
-        out.append(regular_singular(G))
-    return [r for r in out if r.status == "singular"]

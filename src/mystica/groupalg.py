@@ -121,10 +121,6 @@ class GroupAlgebraElement:
     def is_torus_supported(self) -> bool:
         return all(g.is_torus() for g in self.terms)
 
-    def to_json(self) -> list:
-        ordered = sorted(self.terms, key=lambda g: g.sort_key())
-        return [{"elem": g.to_json(), "coeff": scalar_to_text(self.terms[g])} for g in ordered]
-
     def __repr__(self) -> str:
         parts = [
             f"({scalar_to_text(v)})*[{g.to_text()}]"

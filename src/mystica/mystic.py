@@ -105,9 +105,7 @@ def mystic_equiv_check(
     )
 
 
-def unique_equivalent_thick(
-    G: FiniteMonomialGroup, degree: int, cap: int | None = None
-) -> list[FiniteMonomialGroup]:
+def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int) -> list[FiniteMonomialGroup]:
     """All thick subgroups of G(m,1,n) whose twisted action is equivalent to
     the untwisted action of G; exactly one match is expected, the counterpart."""
     if G.tag.kind != "G":
@@ -122,7 +120,7 @@ def unique_equivalent_thick(
         return left_cache[d]
 
     matches = []
-    for T in enumerate_thick(m, n, cap):
+    for T in enumerate_thick(m, n):
         right = group_sum_terms(T.lift(G.N))
         if all(left(d) == operator_matrix(right, 1, d) for d in range(degree + 1)):
             matches.append(T)
@@ -149,19 +147,6 @@ class GroupRingIsoReport:
             and self.inverse_coefficients_in_ring
             and self.change_of_basis_invertible
         )
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "counterpart": self.counterpart,
-            "order": self.order,
-            "support_contained": self.support_contained,
-            "coefficients_in_ring": self.coefficients_in_ring,
-            "inverse_support_contained": self.inverse_support_contained,
-            "inverse_coefficients_in_ring": self.inverse_coefficients_in_ring,
-            "change_of_basis_invertible": self.change_of_basis_invertible,
-            "passed": self.passed,
-        }
 
 
 def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:

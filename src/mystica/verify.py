@@ -16,7 +16,7 @@ from math import factorial
 
 from .cyclo import Cyclotomic, cyc_make
 from .groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
-from .groups import FiniteMonomialGroup, enumerate_thick, make_gmpn, make_w
+from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w
 from .monomial import MonomialElement, central_scalar, perm_apply
 from .mystic import (
     default_truncation_degree,
@@ -26,12 +26,7 @@ from .mystic import (
     mystic_equiv_check,
     unique_equivalent_thick,
 )
-from .classify import (
-    ISO_CAP,
-    singular_list,
-    verify_classification_grid,
-    verify_not_iso_grid,
-)
+from .classify import ISO_CAP, isomorphic, regular_singular
 from .qpoly import (
     QMatrix,
     act_c,
@@ -74,6 +69,12 @@ GRIDS = {
     "operator-independence": (4, 3, ((1, 1, 4),)),
 }
 
+# criterion 7 pairs a thick subgroup with those of higher rank up to this level
+CROSS_RANK_MAX_M = 2
+
+# every identity suite draws from random.Random(SEED)
+SEED = 20140404
+
 
 @dataclass
 class VerifyConfig:
@@ -84,8 +85,6 @@ class VerifyConfig:
     max_n: int = 4
     degree: int | None = None  # overrides the per-cell truncation degree
     instances: int = 10_000
-    iso_cap: int = ISO_CAP
-    seed: int = 20140404
 
     def bounds(self, check: str) -> tuple[int, int]:
         """(max_m, max_n) of the check's grid, narrowed by the config."""
@@ -219,11 +218,20 @@ def check_group_ring(cfg: VerifyConfig) -> list[CheckResult]:
 # -- 5: abstract isomorphism parity --------------------------------------
 
 
+def _prediction(check: str, params: dict, predicted: bool, computed: bool) -> CheckResult:
+    return CheckResult(check, params, predicted == computed, f"predicted {predicted}, computed {computed}")
+
+
 def check_isomorphism_parity(cfg: VerifyConfig) -> list[CheckResult]:
+    """Each group against its counterpart: not isomorphic exactly when n is
+    even and m/p is odd."""
     out = []
-    grid = verify_not_iso_grid(*cfg.bounds("isomorphism-parity"), cfg.iso_cap)
-    for e in grid.entries:
-        out.append(CheckResult("isomorphism-parity", e.params, e.match, f"predicted {e.predicted}, computed {e.computed}"))
+    for m, p, n in _even_m_cells(cfg, "isomorphism-parity"):
+        G = make_gmpn(m, p, n)
+        if G.order > ISO_CAP:
+            continue
+        predicted = not (n % 2 == 0 and (m // p) % 2 == 1)
+        out.append(_prediction("isomorphism-parity", {"m": m, "p": p, "n": n}, predicted, isomorphic(G, mu_group(G))))
     return out
 
 
@@ -262,17 +270,60 @@ def check_thick_enumeration(cfg: VerifyConfig) -> list[CheckResult]:
 # -- 7: classification grid -------------------------------------------------
 
 
-def check_classification(cfg: VerifyConfig) -> list[CheckResult]:
-    grid = verify_classification_grid(*cfg.bounds("classification-grid"), 2, cfg.iso_cap)
-    return [
-        CheckResult(
-            "classification-grid",
-            e.params,
-            e.match,
-            f"predicted {e.predicted}, computed {e.computed}",
-        )
-        for e in grid.entries
+def _pair_predicted_isomorphic(G: FiniteMonomialGroup, H: FiniteMonomialGroup) -> bool:
+    """The classification's prediction for a pair of distinct thick subgroups."""
+    tg, th = G.tag, H.tag
+    if G.n == H.n:
+        n = G.n
+        if n % 2 == 0:
+            return False
+        pair = {tg.kind: tg.params, th.kind: th.params}
+        if set(pair) != {"G", "W"}:
+            return False
+        m, p, _ = pair["G"]
+        mw, d, _ = pair["W"]
+        return m == mw and m % 2 == 0 and d == m // p and (m // p) % 2 == 1
+    low, high = (G, H) if G.n < H.n else (H, G)
+    if high.tag != GroupTag("G", (1, 1, 4)):
+        return False
+    return low.tag in (GroupTag("G", (2, 2, 3)), GroupTag("W", (2, 1, 3)))
+
+
+def thick_atlas(max_m: int, max_n: int) -> list[tuple[int, FiniteMonomialGroup]]:
+    """(m, T) for every thick subgroup T of G(m,1,n), m <= max_m and
+    2 <= n <= max_n, sorted by (n, order, label).  Levels and ranks whose
+    ambient exceeds group_size_cap() are left out, as enumerate_thick would
+    refuse them.  No group occurs at two levels: the entries of a thick
+    subgroup of G(m,1,n) generate exactly mu_m."""
+    cap = group_size_cap()
+    atlas = [
+        (m, T)
+        for m in range(1, max_m + 1)
+        for n in range(2, max_n + 1)
+        if m**n * factorial(n) <= cap
+        for T in enumerate_thick(m, n)
     ]
+    return sorted(atlas, key=lambda entry: (entry[1].n, entry[1].order, entry[1].tag.label))
+
+
+def check_classification(cfg: VerifyConfig) -> list[CheckResult]:
+    """Pairwise isomorphism of the thick subgroups of order up to ISO_CAP
+    against the classification: every same-rank pair of equal order, then
+    every pair with a higher-rank partner of level up to CROSS_RANK_MAX_M."""
+    atlas = [(m, T) for m, T in thick_atlas(*cfg.bounds("classification-grid")) if T.order <= ISO_CAP]
+    out = []
+    for i, (_, G) in enumerate(atlas):
+        for _, H in atlas[i + 1 :]:
+            if G.n == H.n and G.order == H.order:
+                params = {"left": G.tag.label, "right": H.tag.label, "n": G.n}
+                out.append(_prediction("classification-grid", params, _pair_predicted_isomorphic(G, H), isomorphic(G, H)))
+    partners = [H for m, H in atlas if m <= CROSS_RANK_MAX_M]
+    for _, G in atlas:
+        for H in partners:
+            if G.n < H.n and G.order == H.order:
+                params = {"left": G.tag.label, "right": H.tag.label, "n": G.n, "n2": H.n}
+                out.append(_prediction("classification-grid", params, _pair_predicted_isomorphic(G, H), isomorphic(G, H)))
+    return out
 
 
 # -- 8: the singular list ----------------------------------------------------
@@ -296,7 +347,8 @@ def _tag_in_bounds(label: str, max_m: int, max_n: int) -> bool:
 
 def check_singular_list(cfg: VerifyConfig) -> list[CheckResult]:
     max_m, max_n = cfg.bounds("singular-list")
-    reports = singular_list(max_m, max_n)
+    reports = [regular_singular(T) for _, T in thick_atlas(max_m, max_n)]
+    reports = [r for r in reports if r.status == "singular"]
     found = [r.group for r in reports]
     out = []
     for name in EXPECTED_SINGULAR:
@@ -329,12 +381,12 @@ def independence_groups(cfg: VerifyConfig) -> list[FiniteMonomialGroup]:
         for n in range(2, max_n + 1):
             for p in _divisors(m):
                 G = make_gmpn(m, p, n)
-                if G.order <= cfg.iso_cap:
+                if G.order <= ISO_CAP:
                     out.append(G)
             if m % 2 == 0:
                 for d in _divisors(m):
                     W = make_w(m, d, n)
-                    if W.order <= cfg.iso_cap:
+                    if W.order <= ISO_CAP:
                         out.append(W)
     for m, p, n in GRIDS["operator-independence"][2]:
         if m <= cfg.max_m and n <= cfg.max_n:
@@ -522,7 +574,7 @@ IDENTITY_SUITES = (
 def check_identity_suites(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
     for name, suite in IDENTITY_SUITES:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(SEED)
         failures = suite(rng, cfg.instances)
         out.append(
             CheckResult(

@@ -1,20 +1,27 @@
-"""Tests for fingerprints, the isomorphism decision and the dichotomy scans."""
+"""Tests for fingerprints, the isomorphism decision, the dichotomy and the
+verification checks of criteria 5, 7 and 8 that run on them."""
+
+from math import gcd, lcm
 
 import pytest
 
-from mystica.classify import (
-    GridReport,
-    fingerprint,
-    isomorphic,
-    regular_singular,
-    singular_list,
-    thick_atlas,
-    verify_classification_grid,
-    verify_not_iso_grid,
-    z_power_obstruction,
-)
-from mystica.groups import CapExceededError, make_gmpn, make_w
+from mystica.classify import fingerprint, isomorphic, regular_singular, z_power_obstruction
+from mystica.groups import CapExceededError, enumerate_thick, make_gmpn, make_w
 from mystica.mystic import mu_group
+from mystica.verify import (
+    CheckResult,
+    VerifyConfig,
+    check_classification,
+    check_isomorphism_parity,
+    check_singular_list,
+    thick_atlas,
+)
+
+
+def _predicted_computed(result: CheckResult) -> tuple[bool, bool]:
+    """(predicted, computed) read back from a "predicted X, computed Y" detail."""
+    predicted, computed = (part.split()[1] == "True" for part in result.detail.split(", "))
+    return predicted, computed
 
 
 def test_fingerprint_examples():
@@ -118,9 +125,9 @@ def test_power_obstruction_mechanism_fails_for_singular_pair():
 
 
 def test_not_iso_grid_matches_parity_everywhere():
-    report = verify_not_iso_grid(4, 4)
-    assert report.passed
-    cells = {tuple(e.params.values()): (e.predicted, e.computed) for e in report.entries}
+    results = check_isomorphism_parity(VerifyConfig(max_m=4, max_n=4))
+    assert all(r.passed for r in results)
+    cells = {tuple(r.params.values()): _predicted_computed(r) for r in results}
     assert cells[(2, 2, 2)] == (False, False)
     assert cells[(2, 2, 3)] == (True, True)
     assert cells[(4, 2, 2)] == (True, True)  # m/p even: same subgroup
@@ -128,27 +135,27 @@ def test_not_iso_grid_matches_parity_everywhere():
 
 
 def test_classification_grid_structure():
-    report = verify_classification_grid(2, 4, 2)
-    assert isinstance(report, GridReport)
-    assert report.passed  # no defects below level 3
-    labels = {(e.params["left"], e.params["right"]) for e in report.entries}
+    results = check_classification(VerifyConfig(max_m=2, max_n=4))
+    assert results and all(r.check == "classification-grid" for r in results)
+    assert all(r.passed for r in results)  # no defects below level 3
+    labels = {(r.params["left"], r.params["right"]) for r in results}
     assert ("G(2,2,3)", "G(1,1,4)") in labels
     assert ("W(2,1,3)", "G(1,1,4)") in labels
 
 
 def test_classification_grid_finds_known_coincidences():
-    report = verify_classification_grid(4, 4, 2)
+    results = check_classification(VerifyConfig(max_m=4, max_n=4))
     computed_iso = {
-        frozenset((e.params["left"], e.params["right"]))
-        for e in report.entries
-        if e.computed
+        frozenset((r.params["left"], r.params["right"]))
+        for r in results
+        if _predicted_computed(r)[1]
     }
     assert frozenset(("G(2,2,3)", "W(2,1,3)")) in computed_iso
     assert frozenset(("G(2,2,3)", "G(1,1,4)")) in computed_iso
     assert frozenset(("G(4,4,3)", "W(4,1,3)")) in computed_iso
     # the two coincidences outside the predicted characterization
     mismatch_pairs = {
-        frozenset((e.params["left"], e.params["right"])) for e in report.mismatches
+        frozenset((r.params["left"], r.params["right"])) for r in results if not r.passed
     }
     assert mismatch_pairs == {
         frozenset(("G(2,1,2)", "G(4,4,2)")),
@@ -159,7 +166,10 @@ def test_classification_grid_finds_known_coincidences():
 def test_singular_list_level_two():
     # at level m <= 2 the six known singular groups appear, plus the
     # rank-four group whose Klein-times-center subgroup ties the torus order
-    found = {r.group for r in singular_list(2, 4)}
+    results = check_singular_list(VerifyConfig(max_m=2, max_n=4))
+    expected = [r for r in results if r.detail == "expected singular"]
+    assert all(r.passed for r in expected)
+    found = {r.params["group"] for r in results}
     assert found == {
         "G(1,1,2)",
         "G(1,1,3)",
@@ -171,17 +181,22 @@ def test_singular_list_level_two():
     }
 
 
-def test_thick_atlas_dedupes_repeated_subgroups():
-    atlas = thick_atlas(2, 2)
-    labels = [g.tag.label for g in atlas]
-    assert labels == ["G(1,1,2)", "G(2,2,2)", "W(2,1,2)", "G(2,1,2)"]
+def test_thick_entries_generate_the_level_roots():
+    # every thick subgroup of G(m,1,n) contains the det-1 torus, whose entries
+    # have order m, so the entries of T generate exactly mu_m; no thick
+    # subgroup occurs at two levels and thick_atlas needs no deduplication
+    for m in range(1, 5):
+        for n in range(2, 4):
+            for T in enumerate_thick(m, n):
+                entry_orders = {T.N // gcd(T.N, e) for g in T.elements for e in g.exps}
+                assert lcm(*entry_orders) == m, (m, T.tag.label)
 
 
 def test_thick_atlas_reads_the_group_size_cap(monkeypatch):
     # G(3,1,3) has order 162 and G(2,1,3) order 48: a cap of 100 drops the
     # level-3 rank-3 thick subgroups and keeps the rest of the atlas
-    full = [T.tag.label for T in thick_atlas(3, 3)]
+    full = [T.tag.label for _, T in thick_atlas(3, 3)]
     monkeypatch.setenv("MYSTICA_CAP", "100")
-    narrowed = [T.tag.label for T in thick_atlas(3, 3)]
+    narrowed = [T.tag.label for _, T in thick_atlas(3, 3)]
     assert "G(3,1,3)" in full and "G(3,3,3)" in full
     assert narrowed == [label for label in full if label not in ("G(3,1,3)", "G(3,3,3)")]
