@@ -21,8 +21,8 @@ from math import isqrt, lcm
 
 from .cyclo import Cyclotomic
 
-# numpy is imported inside the functions that use it, so that commands which
-# never reach the F_q kernel start without loading it.
+# numpy is imported inside the F_q certificate, which no command calls, so
+# no command loads it.
 
 
 @dataclass

@@ -105,9 +105,12 @@ def mystic_equiv_check(
     )
 
 
-def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int) -> list[FiniteMonomialGroup]:
+def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int, thick=None) -> list[FiniteMonomialGroup]:
     """All thick subgroups of G(m,1,n) whose twisted action is equivalent to
-    the untwisted action of G; exactly one match is expected, the counterpart."""
+    the untwisted action of G; exactly one match is expected, the counterpart.
+    A caller scanning several G of one ambient passes enumerate_thick(m, n)
+    as thick, so that it is enumerated once and the group sums of its
+    members keep their entries across the scans."""
     if G.tag.kind != "G":
         raise ValueError("the uniqueness scan starts from a G(m,p,n) group")
     m, _, n = G.tag.params
@@ -120,7 +123,7 @@ def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int) -> list[FiniteM
         return left_cache[d]
 
     matches = []
-    for T in enumerate_thick(m, n):
+    for T in enumerate_thick(m, n) if thick is None else thick:
         right = group_sum_terms(T.lift(G.N))
         if all(left(d) == operator_matrix(right, 1, d) for d in range(degree + 1)):
             matches.append(T)

@@ -15,17 +15,14 @@ distinguished value 0 selects the untwisted action (cocycle identically 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
 from math import lcm
+from operator import mul
 
 from .cyclo import Cyclotomic, _make
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix, sparse_rank
 from .monomial import MonomialElement, perm_apply
-
-# numpy is imported inside the functions that use it, so that commands which
-# never reach the exponent-array kernels start without loading it.
 
 _ONE = Cyclotomic.one()
 
@@ -245,7 +242,8 @@ def commute_check(q: QMatrix, polys) -> bool:
 #
 # For g = t*w in canonical form the twisted action sends x^k to
 # (-1)^s * c^b * zeta_N^a * x^(w(k)): (s, b) is the cocycle phi_w^(c)(k) of
-# w, and zeta_N^a = prod_j t_{w(j)}^(k_j) = t^(w(k)) is the torus root.
+# w, and zeta_N^a = prod_j t_{w(j)}^(k_j) = t^(w(k)) is the torus root, so
+# a = <t, w(k)> mod N.
 
 
 def _cocycle(pairs, k) -> tuple[int, int]:
@@ -279,47 +277,82 @@ def _inversions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _root_exponents(exps: "np.ndarray", images) -> "np.ndarray":
-    """The unreduced exponents a with t^(w(k)) = zeta_N^a: entry (i, j) for
-    the monomial w(k) = images[i] and the element t*w whose torus exponents
-    are exps[j]."""
-    import numpy as np
-
-    return np.asarray(images, dtype=np.int64).reshape(-1, exps.shape[1]) @ exps.T
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 @lru_cache(maxsize=None)
-def _slice_images(perm: tuple[int, ...], degree: int):
-    """Per column k of slice_monomials, as read-only arrays: the rows of
-    w(k), the monomials w(k) as rows, and the sign bits and c exponents of
-    the cocycle."""
-    import numpy as np
-
+def _slice_images(perm: tuple[int, ...], degree: int, N: int):
+    """Per column k of slice_monomials: the row of w(k), and the key
+    (w(k) mod N, sign bit, c exponent) that fixes the entry of every term
+    with permutation w at that column."""
     basis = slice_monomials(len(perm), degree)
     pos = {k: idx for idx, k in enumerate(basis)}
     pairs = _inversions(perm)
-    table = [(pos[perm_apply(perm, k)],) + _cocycle(pairs, k) for k in basis]
-    rows, signs, cexps = np.array(table, dtype=np.int64).T
-    out = (rows, np.array(basis, dtype=np.int64)[rows], signs, cexps)
-    for array in out:
-        array.flags.writeable = False
-    return out
+    rows, keys = [], []
+    for k in basis:
+        image = perm_apply(perm, k)
+        rows.append(pos[image])
+        keys.append((tuple(x % N for x in image), *_cocycle(pairs, k)))
+    return tuple(rows), tuple(keys)
+
+
+@lru_cache(maxsize=1024)
+def _factor_row(N: int, c_key, sign: int, cexp: int):
+    """(nums, den): nums[a] holds the numerators of (-1)^sign c^cexp zeta_N^a,
+    0 <= a < N, in Q(zeta_L) over the common denominator den, for
+    c = _make(*c_key), or for the untwisted action when c_key is None."""
+    cc = None if c_key is None else _make(*c_key)
+    values = [_scalar(cc, N, sign, cexp, a) for a in range(N)]
+    den = lcm(*(v.den for v in values))
+    return tuple(tuple(x * (den // v.den) for x in v.nums) for v in values), den
 
 
 def _by_perm(terms, n: int, N: int) -> dict:
-    """perm -> (torus exponents, one row per element, and values) of the
-    (element, value) terms."""
-    import numpy as np
-
+    """perm -> (torus exponents, values) of the (element, value) terms."""
     members: dict = {}
     for elem, value in terms:
         if (elem.n, elem.N) != (n, N):
             raise ValueError("mixed ambients in operator")
-        members.setdefault(elem.perm, []).append((elem.exps, value))
-    return {
-        perm: (np.array([exps for exps, _ in group], dtype=np.int64), [value for _, value in group])
-        for perm, group in members.items()
-    }
+        exps, values = members.setdefault(elem.perm, ([], []))
+        exps.append(elem.exps)
+        values.append(value)
+    return members
+
+
+def _period(counts: dict, N: int):
+    """(generators, order, coset representatives with multiplicity) of the
+    period group U = {u : counts[e + u] = counts[e] for every e} of a
+    multiset of torus exponents, given as exponents -> multiplicity.
+
+    U lies in E - e0 for the support E and any e0 in it, so the candidates
+    e - e0 are tried in turn, skipping those already in the span of the
+    generators found; each one that is a period joins the span."""
+    if len(counts) == 1:  # one element's operator
+        return (), 1, tuple(counts.items())
+
+    def shift(e, u):
+        return tuple((x + y) % N for x, y in zip(e, u))
+
+    first = next(iter(counts))
+    span = {(0,) * len(first)}
+    gens = []
+    for e in counts:
+        u = tuple((x - y) % N for x, y in zip(e, first))
+        if u in span or any(counts.get(shift(f, u)) != m for f, m in counts.items()):
+            continue
+        gens.append(u)
+        grown, step = set(span), u
+        while step not in span:
+            grown.update(shift(s, step) for s in span)
+            step = shift(step, u)
+        span = grown
+    reps, covered = [], set()
+    for e, m in counts.items():
+        if e not in covered:
+            reps.append((e, m))
+            covered.update(shift(e, u) for u in span)
+    return tuple(gens), len(span), tuple(reps)
 
 
 def phi_eval(c, i: int, j: int, k) -> Cyclotomic:
@@ -334,33 +367,102 @@ def phi_w_eval(c, perm: tuple[int, ...], k) -> Cyclotomic:
 
 def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     """The twisted action of a monomial matrix on a polynomial."""
-    import numpy as np
-
     if f.n != g.n:
         raise ValueError("rank mismatch")
     cc = _coerce_c(c)
     pairs = _inversions(g.perm)
-    images = [perm_apply(g.perm, k) for k in f.terms]
-    roots = _root_exponents(np.array([g.exps], dtype=np.int64), images)[:, 0].tolist()
     out: dict = {}
-    for (k, coeff), image, root_exp in zip(f.terms.items(), images, roots):
-        out[image] = coeff * _scalar(cc, g.N, *_cocycle(pairs, k), root_exp)
+    for k, coeff in f.terms.items():
+        image = perm_apply(g.perm, k)
+        out[image] = coeff * _scalar(cc, g.N, *_cocycle(pairs, k), _dot(g.exps, image))
     return QPolynomial(f.n, out)
 
 
-class _GroupSum:
-    """The sum of a list of elements of G as operator terms (element, 1)
-    grouped by permutation, all sharing one coefficient object, so
-    operator_matrix tests its integrality once."""
+class _Entries(dict):
+    """key -> entry of the terms of one permutation under one c, None for a
+    zero entry; computed on first lookup and kept."""
 
-    def __init__(self, G: FiniteMonomialGroup, elements):
-        self.n, self.N = G.n, G.N
-        self.by_perm = _by_perm(((g, _ONE) for g in elements), G.n, G.N)
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
+class _GroupSum:
+    """Operator terms (element, coefficient) grouped by permutation, whose
+    entries are kept per (c, permutation, key) across degrees and calls.
+
+    The terms of permutation w that share one coefficient form a multiset E
+    of torus exponents, and their entry at column k is the coefficient times
+    (-1)^s c^b sum_{e in E} zeta_N^<e, w(k)>, which depends only on the key
+    (w(k) mod N, s, b).  For the period group U of E, the sum is
+    |U| [r orthogonal to U] sum_{rho in E/U} zeta_N^<rho, r> at r = w(k): one
+    term per coset for a group sum (U is the torus) and for a class sum (U
+    holds (1 - w)T)."""
+
+    def __init__(self, terms, n: int, N: int):
+        self.n, self.N = n, N
+        self.by_perm = _by_perm(terms, n, N)
+        self._parts = {}  # perm -> ((coefficient, generators of U, |U|, representatives), ...)
+        for perm, (exps, values) in self.by_perm.items():
+            shared: dict = {}  # coefficient -> (coefficient, exponents -> multiplicity)
+            for e, v in zip(exps, values):
+                coeff = v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
+                counts = shared.setdefault((coeff.order, coeff.nums, coeff.den), (coeff, {}))[1]
+                counts[e] = counts.get(e, 0) + 1
+            self._parts[perm] = tuple((coeff, *_period(counts, N)) for coeff, counts in shared.values())
+        self._tables: dict = {}  # (c key, perm) -> _Entries
+
+    def _entries(self, cc, perm) -> _Entries:
+        c_key = None if cc is None else (cc.order, cc.nums, cc.den)
+        table = self._tables.get((c_key, perm))
+        if table is None:
+            field_order = _field_order(cc, self.N)
+            plan = []  # (coefficient to multiply by or None, denominator, generators of U, (rep, weight) pairs)
+            for coeff, gens, size, reps in self._parts[perm]:
+                if coeff.is_rational() and field_order % coeff.order == 0:  # it scales the tally
+                    plan.append((None, coeff.den, gens, tuple((rep, size * m * coeff.nums[0]) for rep, m in reps)))
+                else:
+                    plan.append((coeff, 1, gens, tuple((rep, size * m) for rep, m in reps)))
+            table = _Entries(partial(_entry, self.N, c_key, field_order, plan))
+            self._tables[c_key, perm] = table
+        return table
+
+
+def _entry(N: int, c_key, field_order: int, plan, key):
+    """The entry at a column of the given key, from _GroupSum._entries's
+    plan: per coefficient whose period group is orthogonal to w(k), the root
+    exponents <rho, w(k)> of the coset representatives are tallied with
+    their weights and mapped through (-1)^s c^b into Q(zeta_L)."""
+    image, sign, cexp = key
+    nums, den = _factor_row(N, c_key, sign, cexp)
+    total = None
+    for coeff, cden, gens, reps in plan:
+        if any(_dot(image, u) % N for u in gens):
+            continue
+        tally: dict = {}
+        for rep, weight in reps:
+            a = _dot(image, rep) % N
+            tally[a] = tally.get(a, 0) + weight
+        vec = [0] * len(nums[0])
+        for a, weight in tally.items():
+            for j, x in enumerate(nums[a]):
+                vec[j] += weight * x
+        if not any(vec):
+            continue
+        value = _make(field_order, vec, den * cden)
+        if coeff is not None:
+            value = coeff * value
+        total = value if total is None else total + value
+    return None if total is None or total.is_zero() else total
 
 
 def group_sum_terms(G: FiniteMonomialGroup) -> _GroupSum:
     """The group sum of G as operator terms, grouped once per group."""
-    return G.memo("group_sum", lambda: _GroupSum(G, G.elements))
+    return G.memo("group_sum", lambda: _GroupSum([(g, _ONE) for g in G.elements], G.n, G.N))
 
 
 def class_sum_terms(G: FiniteMonomialGroup) -> list[_GroupSum]:
@@ -368,7 +470,10 @@ def class_sum_terms(G: FiniteMonomialGroup) -> list[_GroupSum]:
     G.indexed().conjugacy_classes(), in that order; grouped once per group."""
 
     def build():
-        return [_GroupSum(G, [G.elements[i] for i in sorted(cls)]) for cls in G.indexed().conjugacy_classes()]
+        return [
+            _GroupSum([(G.elements[i], _ONE) for i in sorted(cls)], G.n, G.N)
+            for cls in G.indexed().conjugacy_classes()
+        ]
 
     return G.memo("class_sums", build)
 
@@ -394,75 +499,29 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     a coefficient."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if isinstance(actor, _GroupSum):
-        groups, n, N = actor.by_perm, actor.n, actor.N
-    else:
-        terms, n, N = _terms_of(actor)
-        groups = _by_perm(terms, n, N)
-    return _integer_sum_matrix(groups, _coerce_c(c), n, N, degree)
+    if not isinstance(actor, _GroupSum):
+        actor = _GroupSum(*_terms_of(actor))
+    return _integer_sum_matrix(actor, _coerce_c(c), degree)
 
 
-def _integer_sum_matrix(groups, cc, n: int, N: int, degree: int) -> SparseMatrix:
-    """The weighted sum of the element operators on the degree slice, from
-    _by_perm's perm -> (torus exponents, coefficients).
-
-    Every element scalar is (-1)^s c^b zeta_N^a, and (s, b) depend only on
-    the permutation and the column, so per permutation and column the root
-    exponents a are tallied with integer weights: one tally for the integer
-    coefficients of at most 31 bits in Q(zeta_L), and one for each other
-    coefficient, with weight 1, which multiplies its tally's value.  The
-    integer map of (-1)^s c^b from _factor_maps takes a tally to its value."""
-    import numpy as np
-
-    dim = len(slice_monomials(n, degree))
-    field_order = _field_order(cc, N)
-    maps, den, largest = _factor_maps(N, n, None if cc is None else (cc.order, cc.nums, cc.den))
-    weights: dict = {}  # id(coefficient) -> (tally class, integer weight)
-    multipliers = [None]  # tally class -> its coefficient; class 0 holds the integers
+def _integer_sum_matrix(actor: _GroupSum, cc, degree: int) -> SparseMatrix:
+    """The weighted sum of the element operators on the degree slice: per
+    permutation w, column k holds the entry of its key at the row of w(k)."""
+    dim = len(slice_monomials(actor.n, degree))
     matrix = SparseMatrix(dim, dim)
-    for perm, (exps, coeffs) in groups.items():
-        for v in coeffs:
-            if id(v) not in weights:
-                coeff = v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
-                if coeff.is_rational() and coeff.den == 1 and abs(coeff.nums[0]) < 2**31 and field_order % coeff.order == 0:
-                    weights[id(v)] = (0, coeff.nums[0])
-                else:
-                    weights[id(v)] = (len(multipliers), 1)
-                    multipliers.append(coeff)
-        classes, cints = zip(*[weights[id(v)] for v in coeffs])
-        slots = {k: i for i, k in enumerate(dict.fromkeys(classes))}  # the classes present here
-        rows, images, signs, cexps = _slice_images(perm, degree)
-        tally = np.zeros((dim, len(slots), N), dtype=np.int64)
-        roots = _root_exponents(exps, images) % N
-        np.add.at(tally, (np.arange(dim)[:, None], [slots[k] for k in classes], roots), cints)
-        factor_maps = maps[signs, cexps]
-        if sum(map(abs, cints)) * largest >= 2**63:  # values past int64: Python ints
-            tally, factor_maps = tally.astype(object), factor_maps.astype(object)
-        nums = np.matmul(tally, factor_maps).reshape(dim * len(slots), -1).tolist()
-        rows = rows.tolist()
-        for (col, k), vec in zip(product(range(dim), slots), nums):
-            if any(vec):
-                value = _make(field_order, vec, den)
-                matrix.add(rows[col], col, value if k == 0 else multipliers[k] * value)
+    placed = matrix.entries
+    for perm in actor.by_perm:
+        entries = actor._entries(cc, perm)
+        rows, keys = _slice_images(perm, degree, actor.N)
+        for col, (row, key) in enumerate(zip(rows, keys)):
+            value = entries[key]
+            if value is None:
+                continue
+            if (row, col) in placed:  # another permutation maps k to the same row
+                matrix.add(row, col, value)
+            else:
+                placed[row, col] = value
     return matrix
-
-
-@lru_cache(maxsize=64)
-def _factor_maps(N: int, n: int, c_key):
-    """The factors (-1)^s c^b, |b| <= P = n(n-1)/2, of the element scalars as
-    integer maps, for c = _make(*c_key), or None for the untwisted action:
-    (maps, den, largest), where row a of maps[s, b] (a negative b indexes
-    from the end) holds the numerators of (-1)^s c^b zeta_N^a in Q(zeta_L)
-    over the common denominator den, and largest bounds every numerator."""
-    import numpy as np
-
-    cc = None if c_key is None else _make(*c_key)
-    P = n * (n - 1) // 2
-    values = [[[_scalar(cc, N, s, b, a) for a in range(N)] for b in range(-P, P + 1)] for s in (0, 1)]
-    den = lcm(*(v.den for block in values for row in block for v in row))
-    nums = [[[[x * (den // v.den) for x in v.nums] for v in row] for row in block[P:] + block[:P]] for block in values]
-    largest = max(abs(x) for block in nums for row in block for vec in row for x in vec)
-    return np.array(nums, dtype=np.int64 if largest < 2**63 else object), den, largest
 
 
 # -- invariants --------------------------------------------------------
@@ -473,27 +532,19 @@ class DimensionMismatchError(RuntimeError):
 
 
 def slice_trace(G: FiniteMonomialGroup, c, degree: int) -> Cyclotomic:
-    """Trace of the group sum's operator on the degree slice: each fixed
-    monomial of each element contributes (-1)^s c^b zeta_N^a, so the keys
-    (s, b, a mod N) are counted with integer multiplicity and each distinct
-    scalar is built once."""
-    import numpy as np
-
+    """Trace of the group sum's operator on the degree slice: the sum of the
+    group sum's entries at the columns each permutation fixes."""
     cc = _coerce_c(c)
-    counts: dict = {}
-    for perm, (exps, _) in group_sum_terms(G).by_perm.items():
-        rows, images, signs, cexps = _slice_images(perm, degree)
-        fixed = np.flatnonzero(rows == np.arange(len(rows)))
-        all_roots = (_root_exponents(exps, images[fixed]) % G.N).tolist()
-        for sign, cexp, roots in zip(signs[fixed].tolist(), cexps[fixed].tolist(), all_roots):
-            if cc is None:
-                sign = cexp = 0
-            for root_exp in roots:
-                key = (sign, cexp, root_exp)
-                counts[key] = counts.get(key, 0) + 1
-    trace = Cyclotomic.zero()
-    for key, count in counts.items():
-        trace = trace + _scalar(cc, G.N, *key) * count
+    group_sum = group_sum_terms(G)
+    trace = Cyclotomic.zero(_field_order(cc, G.N))
+    for perm in group_sum.by_perm:
+        entries = group_sum._entries(cc, perm)
+        rows, keys = _slice_images(perm, degree, G.N)
+        for col, (row, key) in enumerate(zip(rows, keys)):
+            if row == col:
+                value = entries[key]
+                if value is not None:
+                    trace = trace + value
     return trace
 
 

@@ -131,7 +131,7 @@ def _even_m_cells(cfg: VerifyConfig, check: str):
 
 def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    scanned = {}
+    thick: dict = {}  # (m, n) -> enumerate_thick(m, n), shared by the cells of every p
     for m, p, n in _even_m_cells(cfg, "counterpart-grid"):
         G = make_gmpn(m, p, n)
         mu = mu_group(G)  # raises if the det-filter set disagrees
@@ -153,7 +153,9 @@ def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
                 "per-degree " + "".join("1" if f else "0" for f in report.per_degree),
             )
         )
-        matches = unique_equivalent_thick(G, D)
+        if (m, n) not in thick:
+            thick[m, n] = enumerate_thick(m, n)
+        matches = unique_equivalent_thick(G, D, thick[m, n])
         unique = len(matches) == 1 and matches[0] == mu
         out.append(
             CheckResult(

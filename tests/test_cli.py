@@ -171,22 +171,26 @@ def test_nonpositive_arguments_are_usage_errors(capsys, argv, message):
     assert "Traceback" not in err
 
 
-def test_mu_and_iso_do_not_load_numpy():
-    # numpy is imported only by the F_q and exponent-array kernels, so the
-    # queries that never reach them start without it
+def test_no_command_loads_numpy():
+    # numpy is imported only by linalg's F_q certificate, which no command
+    # reaches, so every query starts and runs without it: the operator and
+    # invariant queries and a small verify-all as much as mu and iso
     code = (
         "import contextlib, io, sys\n"
         "from mystica import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['mu', '--m', '4', '--p', '2', '--n', '3']),\n"
-        "             cli.main(['iso', '--m', '4', '--p', '2', '--n', '3'])]\n"
+        "             cli.main(['iso', '--m', '4', '--p', '2', '--n', '3']),\n"
+        "             cli.main(['equiv', '--m', '4', '--p', '2', '--n', '3']),\n"
+        "             cli.main(['invariants', '--m', '4', '--p', '2', '--n', '3']),\n"
+        "             cli.main(['verify-all', '--max-m', '2', '--max-n', '2'])]\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0] False\n"
+    assert done.stdout == "[0, 0, 0, 0, 0] False\n"
 
 
 def test_degree_zero_is_honoured(capsys):

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
 import pytest
 
 from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar
 from mystica.groups import make_gmpn, make_w
+from mystica.linalg import SparseMatrix
 from mystica.monomial import MonomialElement, adjacent_swap, identity, perm_apply, torus_gen
 from mystica.qpoly import (
     QMatrix,
@@ -330,13 +330,13 @@ def _assert_same_entries(got: dict, want: dict):
 def test_slice_action_kernel_matches_definition():
     # the kernel behind act_c and operator_matrix against the definition,
     # entry by entry and field order by field order.  The weight sets mix
-    # integers (one tally per permutation, up to 2^31 - 1; -2^70 is too large
-    # for its int64 counts), non-integers (a tally each), plain int and
+    # integers small and large (2^31 - 1 and -2^70 scale the root tallies),
+    # non-integers (each multiplies its tally's value), plain int and
     # Fraction coefficients, an integer written in Q(zeta_12), and
     # whole-group sums sharing one coefficient.
-    # c = 2 and c = -1 are rational c other than 1; c = 10^7 takes the
-    # numerators past int64; the ambient N = 3 is odd, so -1 is not a power
-    # of zeta_N there.
+    # c = 2 and c = -1 are rational c other than 1; c = 10^7 gives numerators
+    # of more than 64 bits; the ambient N = 3 is odd, so -1 is not a power of
+    # zeta_N there.
     rng = random.Random(61)
     cs = [0, 1, 2, -1, 10**7, cyc_make(4, 1), Cyclotomic.rational(Fraction(1, 2)) + cyc_make(4, 1) * Fraction(1, 2)]
     coeffs = [Cyclotomic.rational(v) for v in (1, -2, 3, Fraction(1, 2))] + [cyc_make(4, 1)]
@@ -434,7 +434,7 @@ def test_group_sum_grouping_is_kept_and_matches_uncached_grouping():
         assert list(group_sum.by_perm) == list(fresh)
         for perm, (exps, values) in fresh.items():
             cached_exps, cached_values = group_sum.by_perm[perm]
-            assert np.array_equal(cached_exps, exps) and cached_values == values
+            assert cached_exps == exps and cached_values == values
         for c in (0, 1, cyc_make(4, 1)):
             for degree in range(4):
                 assert operator_matrix(group_sum, c, degree) == operator_matrix(terms, c, degree)
@@ -456,3 +456,58 @@ def test_class_sums_are_kept_and_add_up_to_the_group_sum():
                     for (r, col), v in operator_matrix(cls, c, degree).entries.items():
                         total.add(r, col, v)
                 assert total == whole, (c, degree)
+
+
+def test_group_sum_entry_memo_and_period_match_element_by_element_sums():
+    # a group sum keeps its entries per (c, permutation, key) across degrees
+    # and calls, and sums the torus exponents of each coefficient over the
+    # cosets of their period group: both against the sum of the operators of
+    # its elements one at a time, at degrees out of order and alternating c
+    # on the same object, so that a stale or c-crossed entry shows
+    from mystica.qpoly import _GroupSum, class_sum_terms, group_sum_terms
+
+    rng = random.Random(73)
+    cs = (0, 1, cyc_make(4, 1))
+    one = Cyclotomic.one()
+    shared = Cyclotomic.rational(-3)
+    periods = set()  # (|U|, |E|) of every coefficient's exponents in the subset sums
+    for G in (make_gmpn(4, 1, 3), make_w(4, 1, 3), make_gmpn(3, 1, 2)):
+        single = {}
+
+        def reference(terms, ci, d):
+            dim = len(slice_monomials(G.n, d))
+            total = SparseMatrix(dim, dim)
+            for g, coeff in terms:
+                if (g, ci, d) not in single:
+                    single[g, ci, d] = operator_matrix(g, cs[ci], d).entries
+                for (r, col), v in single[g, ci, d].items():
+                    total.add(r, col, coeff * v)
+            return total.entries
+
+        whole = [(g, one) for g in G.elements]
+        classes = [[(G.elements[i], one) for i in sorted(cls)] for cls in G.indexed().conjugacy_classes()]
+        # a random quarter of G has a trivial period somewhere; the union of
+        # the t_1-cosets of a sample is periodic under t_1, and only partly
+        # periodic under the torus
+        quarter = [(g, shared) for g in rng.sample(G.elements, G.order // 4)]
+        cosets = dict.fromkeys(torus_gen(G.n, G.N, 1, j) * h for h in rng.sample(G.elements, 12) for j in range(G.N))
+        subsets = [_GroupSum(terms, G.n, G.N) for terms in (quarter, [(g, shared) for g in cosets])]
+        sums = [(group_sum_terms(G), whole)] + list(zip(class_sum_terms(G), classes))
+        sums += list(zip(subsets, (quarter, [(g, shared) for g in cosets])))
+        for d in (5, 2, 5, 0):
+            for ci, c in enumerate(cs):
+                for group_sum, terms in sums:
+                    _assert_same_entries(operator_matrix(group_sum, c, d).entries, reference(terms, ci, d))
+                trace = sum((v for (r, col), v in reference(whole, ci, d).items() if r == col), Cyclotomic.zero())
+                assert slice_trace(G, c, d) == trace, (G, c, d)
+        for perm, (exps, _) in group_sum_terms(G).by_perm.items():
+            ((_, _, size, reps),) = group_sum_terms(G)._parts[perm]
+            assert (size, len(reps)) == (len(exps), 1)
+        for subset in subsets:
+            for perm, (exps, _) in subset.by_perm.items():
+                ((_, _, size, reps),) = subset._parts[perm]
+                assert size * len(reps) == len(exps)
+                periods.add((size, len(exps)))
+        assert all(size % G.N == 0 for perm in subsets[1].by_perm for _, _, size, _ in subsets[1]._parts[perm])
+    assert any(size == 1 < count for size, count in periods)
+    assert any(1 < size < count for size, count in periods)
