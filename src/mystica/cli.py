@@ -17,13 +17,7 @@ import sys
 from .classify import ISO_CAP, isomorphic
 from .cyclo import parse_scalar
 from .groups import CapExceededError, enumerate_thick, group_size_cap, make_gmpn, make_w
-from .mystic import (
-    default_truncation_degree,
-    group_ring_iso_check,
-    mu_group,
-    mystic_equiv_check,
-    unique_equivalent_thick,
-)
+from .mystic import default_truncation_degree, mu_group, mystic_equiv_check
 from .qpoly import (
     QMatrix,
     commute_check,
@@ -166,13 +160,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    cfg = VerifyConfig(
-        max_m=args.max_m,
-        max_n=args.max_n,
-        degree=args.degree,
-        instances=args.instances,
-    )
-    results = run_all(cfg)
+    results = run_all(VerifyConfig(max_m=args.max_m, max_n=args.max_n, degree=args.degree))
     results.sort(key=lambda r: (r.check, json.dumps(r.params, sort_keys=True)))
     failures = [r for r in results if not r.passed]
     if args.format == "json":
@@ -246,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=defaults.max_m)
     p.add_argument("--max-n", type=int, default=defaults.max_n)
     p.add_argument("--degree", type=int, default=defaults.degree)
-    p.add_argument("--instances", type=int, default=defaults.instances)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify_all)
 
@@ -258,7 +245,7 @@ def _validate(args) -> str | None:
         group_size_cap()
     except ValueError as exc:
         return str(exc)
-    for name in ("m", "p", "cprime", "n", "cap", "max_m", "max_n", "instances"):
+    for name in ("m", "p", "cprime", "n", "cap", "max_m", "max_n"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             return f"{name} must be a positive integer"

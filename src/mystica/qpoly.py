@@ -79,6 +79,7 @@ class QMatrix:
             for j in range(n):
                 if self.entries[i][j] * self.entries[j][i] != 1:
                     raise ValueError("q_ij q_ji = 1 violated")
+        self._minus_one = all(self.entries[i][j] == (1 if i == j else -1) for i in range(n) for j in range(n))
 
     @staticmethod
     def sign_matrix(n: int, sign: int) -> "QMatrix":
@@ -95,11 +96,7 @@ class QMatrix:
         return QMatrix.sign_matrix(n, 1)
 
     def is_minus_one(self) -> bool:
-        return all(
-            self.entries[i][j] == (1 if i == j else -1)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self._minus_one
 
 
 def qform_bracket(q: QMatrix, k: tuple[int, ...], kprime: tuple[int, ...]) -> Cyclotomic:

@@ -10,14 +10,13 @@ can be narrowed through the config.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from math import factorial
 
 from .cyclo import Cyclotomic, cyc_make
 from .groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
 from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w
-from .monomial import MonomialElement, central_scalar, perm_apply
+from .monomial import MonomialElement, adjacent_swap, central_scalar, perm_apply, torus_gen
 from .mystic import (
     default_truncation_degree,
     faithfulness_saturation_degree,
@@ -72,10 +71,6 @@ GRIDS = {
 # criterion 7 pairs a thick subgroup with those of higher rank up to this level
 CROSS_RANK_MAX_M = 2
 
-# every identity suite draws from random.Random(SEED)
-SEED = 20140404
-
-
 @dataclass
 class VerifyConfig:
     """Bounds for the verification run: max_m and max_n narrow every
@@ -84,7 +79,6 @@ class VerifyConfig:
     max_m: int = 6
     max_n: int = 4
     degree: int | None = None  # overrides the per-cell truncation degree
-    instances: int = 10_000
 
     def bounds(self, check: str) -> tuple[int, int]:
         """(max_m, max_n) of the check's grid, narrowed by the config."""
@@ -420,173 +414,189 @@ def check_operator_independence(cfg: VerifyConfig) -> list[CheckResult]:
     return out
 
 
-# -- 10: randomized identity suites ------------------------------------------
+# -- 10: identity suites, each proved on a finite domain ---------------------
+#
+# A suite is a list of blocks (predicate, factors): the cases of a block are
+# the product of its factor sequences, and its predicate holds on a case
+# when the identity does.  check_identity_suites runs every case.  phi_w^(c)(k)
+# and the q = -1 bracket depend on k only through its parities, so exponent
+# vectors in {0,1}^n prove the two cocycle identities for every k.
 
 
-def _random_perm(rng, n):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return tuple(perm)
+def _perms(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.permutations(range(n)))
 
 
-def suite_cocycle_composition(rng, instances: int) -> int:
-    failures = 0
-    cs = [0, 1, cyc_make(4, 1), cyc_make(3, 1)]
-    for _ in range(instances):
-        n = rng.choice((2, 3, 4))
-        c = rng.choice(cs)
-        w = _random_perm(rng, n)
-        wp = _random_perm(rng, n)
-        k = tuple(rng.randrange(6) for _ in range(n))
-        ww = tuple(wp[w[i]] for i in range(n))
-        lhs = phi_w_eval(c, ww, k)
-        rhs = phi_w_eval(c, wp, perm_apply(w, k)) * phi_w_eval(c, w, k)
-        if lhs != rhs:
-            failures += 1
-    return failures
+def _vectors(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product(range(size), repeat=n))
 
 
-def suite_twisted_multiplicativity(rng, instances: int) -> int:
-    failures = 0
-    for _ in range(instances):
-        n = rng.choice((2, 3, 4))
-        q = QMatrix.minus_one(n)
-        w = _random_perm(rng, n)
-        k = tuple(rng.randrange(5) for _ in range(n))
-        kp = tuple(rng.randrange(5) for _ in range(n))
-        ksum = tuple(a + b for a, b in zip(k, kp))
-        lhs = qform_bracket(q, k, kp) * phi_w_eval(1, w, ksum)
-        rhs = (
-            qform_bracket(q, perm_apply(w, k), perm_apply(w, kp))
-            * phi_w_eval(1, w, k)
-            * phi_w_eval(1, w, kp)
-        )
-        if lhs != rhs:
-            failures += 1
-    return failures
+def _cocycle_composes(c, w, wp, k) -> bool:
+    """phi_(w'w)(k) = phi_w'(w(k)) phi_w(k)."""
+    ww = tuple(wp[i] for i in w)
+    return phi_w_eval(c, ww, k) == phi_w_eval(c, wp, perm_apply(w, k)) * phi_w_eval(c, w, k)
 
 
-def suite_q_element_identities(rng, instances: int) -> int:
-    failures = 0
-    N = 12
-    cs = [Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1)]
-    perm_pool = {n: list(itertools.permutations(range(n))) for n in (2, 3)}
-    for _ in range(instances):
-        n = rng.choice((2, 3))
-        c = rng.choice(cs)
-        w = rng.choice(perm_pool[n])
-        wp = rng.choice(perm_pool[n])
-        qw = q_w_element(c, w, n, N)
-        if qw * q_w_element(c.inverse(), w, n, N) != GroupAlgebraElement.one(n, N):
-            failures += 1
-        winv = tuple(sorted(range(n), key=lambda i: w[i]))
-        ww = tuple(wp[w[i]] for i in range(n))
-        if q_w_element(c, ww, n, N) != perm_act(winv, q_w_element(c, wp, n, N)) * qw:
-            failures += 1
-    return failures
+def _cocycle_composition():
+    cs = (0, 1, cyc_make(4, 1), cyc_make(3, 1))
+    return [(_cocycle_composes, (cs, _perms(n), _perms(n), _vectors(n, 2))) for n in (2, 3, 4)]
 
 
-def suite_twist_map(rng, instances: int) -> int:
-    failures = 0
+def _twisted_multiplicative(q, w, k, kp) -> bool:
+    """<k, k'> phi_w(k + k') = <w(k), w(k')> phi_w(k) phi_w(k') at q = -1, c = 1."""
+    ksum = tuple(a + b for a, b in zip(k, kp))
+    lhs = qform_bracket(q, k, kp) * phi_w_eval(1, w, ksum)
+    rhs = qform_bracket(q, perm_apply(w, k), perm_apply(w, kp)) * phi_w_eval(1, w, k) * phi_w_eval(1, w, kp)
+    return lhs == rhs
+
+
+def _twisted_multiplicativity():
+    return [
+        (_twisted_multiplicative, ((QMatrix.minus_one(n),), _perms(n), _vectors(n, 2), _vectors(n, 2)))
+        for n in (2, 3, 4)
+    ]
+
+
+def _q_element_identities_hold(c, w, wp) -> bool:
+    """Q_w^(c) Q_w^(1/c) = 1 and Q_(w'w)^(c) = w^-1(Q_w'^(c)) Q_w^(c), at N = 12."""
+    n, N = len(w), 12
+    qw = q_w_element(c, w, n, N)
+    if qw * q_w_element(c.inverse(), w, n, N) != GroupAlgebraElement.one(n, N):
+        return False
+    winv = tuple(sorted(range(n), key=w.__getitem__))
+    ww = tuple(wp[i] for i in w)
+    return q_w_element(c, ww, n, N) == perm_act(winv, q_w_element(c, wp, n, N)) * qw
+
+
+def _q_element_identities():
+    cs = (Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1))
+    return [(_q_element_identities_hold, (cs, _perms(n), _perms(n))) for n in (2, 3)]
+
+
+def _j_c_multiplicative(c, a, b) -> bool:
+    """J_c(ab) = J_c(a) J_c(b)."""
+    return j_c(c, a * b) == j_c(c, a) * j_c(c, b)
+
+
+def _j_c_intertwines(c, a, degree: int) -> bool:
+    """rho_0(J_c(a)) = rho_c(a) on the degree slice."""
+    return operator_matrix(j_c(c, a), 0, degree) == operator_matrix(a, c, degree)
+
+
+def _twist_map():
+    """J_c is linear and the product bilinear, so the basis of the group
+    algebra of the n = 2, N = 4 monomial group proves both identities there."""
     n, N = 2, 4
-    perms = list(itertools.permutations(range(n)))
-    c = cyc_make(4, 1)
-    for _ in range(instances):
-        a = GroupAlgebraElement(
-            n, N, {MonomialElement(n, N, rng.choice(perms), (rng.randrange(N), rng.randrange(N))): rng.randint(-2, 2) for _ in range(2)}
-        )
-        b = GroupAlgebraElement(
-            n, N, {MonomialElement(n, N, rng.choice(perms), (rng.randrange(N), rng.randrange(N))): rng.randint(-2, 2) for _ in range(2)}
-        )
-        if j_c(c, a * b) != j_c(c, a) * j_c(c, b):
-            failures += 1
-            continue
-        d = rng.randrange(4)
-        if operator_matrix(j_c(c, a), 0, d) != operator_matrix(a, c, d):
-            failures += 1
-    return failures
+    basis = tuple(
+        GroupAlgebraElement.from_element(MonomialElement(n, N, w, t)) for w in _perms(n) for t in _vectors(n, N)
+    )
+    cs = (cyc_make(4, 1),)
+    return [(_j_c_multiplicative, (cs, basis, basis)), (_j_c_intertwines, (cs, basis, range(4)))]
 
 
-def suite_long_cycle_law(rng, instances: int) -> int:
-    failures = 0
-    cells = [(2, 2), (3, 2), (4, 2), (3, 4)]
-    for _ in range(instances):
-        n, N = rng.choice(cells)
-        order = list(range(1, n))
-        rng.shuffle(order)
-        perm = [0] * n
-        cur = 0
-        for nxt in order:
-            perm[cur] = nxt
-            cur = nxt
-        perm[cur] = 0
-        cyc = MonomialElement(n, N, tuple(perm), (0,) * n)
-        exps = tuple(rng.randrange(N) for _ in range(n))
-        t = MonomialElement(n, N, tuple(range(n)), exps)
-        if (t * cyc) ** n != central_scalar(n, N, sum(exps)):
-            failures += 1
-    return failures
+def _long_cycles(n: int) -> tuple[tuple[int, ...], ...]:
+    """The (n-1)! permutations that are a single n-cycle: each i goes to the
+    entry after it in the cycle (0, ..., 0)."""
+    cycles = ((0, *rest, 0) for rest in itertools.permutations(range(1, n)))
+    return tuple(tuple(cycle[cycle.index(i) + 1] for i in range(n)) for cycle in cycles)
 
 
-def suite_odd_level_nonclosure(rng, instances: int) -> int:
-    failures = 0
-    for _ in range(instances):
-        m = rng.choice((1, 3, 5))
-        p = rng.choice(_divisors(m))
-        n = rng.choice((2, 3))
-        N = 4 * m
-        q = QMatrix.minus_one(n)
-        polys = fundamental_invariants(m, p, n)
-        f = polys[0]
-        g = polys[-1]
-        gens = [MonomialElement(n, N, _swap_perm(n, i), (0,) * n) for i in range(n - 1)]
-        step = N // m
-        twist = [0] * n
-        twist[0] = step
-        twist[1] = (-step) % N
-        gens.append(MonomialElement(n, N, tuple(range(n)), tuple(twist)))
-        det_gen = [0] * n
-        det_gen[0] = (p * step) % N
-        gens.append(MonomialElement(n, N, tuple(range(n)), tuple(det_gen)))
-        if any(act_c(0, gen, f) != f or act_c(0, gen, g) != g for gen in gens):
-            failures += 1
-            continue
-        h = qmul(q, f, g)
-        if all(act_c(0, gen, h) == h for gen in gens):
-            failures += 1
-    return failures
+def _long_cycle_law_holds(N: int, cycle, exps) -> bool:
+    """(t s)^n is the scalar zeta_N^(sum of t's exponents) for an n-cycle s."""
+    n = len(cycle)
+    t = MonomialElement(n, N, tuple(range(n)), exps)
+    return (t * MonomialElement(n, N, cycle, (0,) * n)) ** n == central_scalar(n, N, sum(exps))
 
 
-def _swap_perm(n: int, i: int) -> tuple[int, ...]:
-    perm = list(range(n))
-    perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return tuple(perm)
+def _long_cycle_law():
+    cells = ((2, 2), (3, 2), (4, 2), (3, 4))  # (n, N)
+    return [(_long_cycle_law_holds, ((N,), _long_cycles(n), _vectors(n, N))) for n, N in cells]
+
+
+def _odd_level_nonclosed(m: int, p: int, n: int) -> bool:
+    """At odd level m the generators of G(m,p,n) fix the first and the last
+    fundamental invariant f, g, but not their q = -1 product."""
+    N, step = 4 * m, 4  # step = N / m
+    polys = fundamental_invariants(m, p, n)
+    f, g = polys[0], polys[-1]
+    gens = [adjacent_swap(n, N, i) for i in range(1, n)]
+    gens.append(torus_gen(n, N, 1, step) * torus_gen(n, N, 2, -step))
+    gens.append(torus_gen(n, N, 1, p * step))
+    if any(act_c(0, gen, f) != f or act_c(0, gen, g) != g for gen in gens):
+        return False
+    h = qmul(QMatrix.minus_one(n), f, g)
+    return not all(act_c(0, gen, h) == h for gen in gens)
+
+
+def _odd_level_nonclosure():
+    return [(_odd_level_nonclosed, ((m,), _divisors(m), (2, 3))) for m in (1, 3, 5)]
 
 
 IDENTITY_SUITES = (
-    ("cocycle-composition", suite_cocycle_composition),
-    ("twisted-multiplicativity", suite_twisted_multiplicativity),
-    ("q-element-identities", suite_q_element_identities),
-    ("twist-map", suite_twist_map),
-    ("long-cycle-law", suite_long_cycle_law),
-    ("odd-level-nonclosure", suite_odd_level_nonclosure),
+    ("cocycle-composition", _cocycle_composition),
+    ("twisted-multiplicativity", _twisted_multiplicativity),
+    ("q-element-identities", _q_element_identities),
+    ("twist-map", _twist_map),
+    ("long-cycle-law", _long_cycle_law),
+    ("odd-level-nonclosure", _odd_level_nonclosure),
 )
 
 
 def check_identity_suites(cfg: VerifyConfig) -> list[CheckResult]:
+    """Every case of every suite's domain; the grid bounds do not apply."""
     out = []
     for name, suite in IDENTITY_SUITES:
-        rng = random.Random(SEED)
-        failures = suite(rng, cfg.instances)
+        cases = failures = 0
+        for predicate, factors in suite():
+            for case in itertools.product(*factors):
+                cases += 1
+                failures += not predicate(*case)
         out.append(
             CheckResult(
                 "identity-suites",
-                {"suite": name, "instances": cfg.instances},
+                {"suite": name, "verified_cases": cases},
                 failures == 0,
                 f"{failures} failures",
             )
         )
     return out
+
+
+def _sample(suite, rng, instances: int) -> int:
+    """Failures among `instances` cases drawn from the suite's domain, each a
+    block and then one entry of each of its factors."""
+    failures = 0
+    for _ in range(instances):
+        predicate, factors = rng.choice(suite)
+        failures += not predicate(*(rng.choice(f) for f in factors))
+    return failures
+
+
+# samplers of the domains above, the benchmark's identity-suites workload
+
+
+def suite_cocycle_composition(rng, instances: int) -> int:
+    return _sample(_cocycle_composition(), rng, instances)
+
+
+def suite_twisted_multiplicativity(rng, instances: int) -> int:
+    return _sample(_twisted_multiplicativity(), rng, instances)
+
+
+def suite_q_element_identities(rng, instances: int) -> int:
+    return _sample(_q_element_identities(), rng, instances)
+
+
+def suite_twist_map(rng, instances: int) -> int:
+    return _sample(_twist_map(), rng, instances)
+
+
+def suite_long_cycle_law(rng, instances: int) -> int:
+    return _sample(_long_cycle_law(), rng, instances)
+
+
+def suite_odd_level_nonclosure(rng, instances: int) -> int:
+    return _sample(_odd_level_nonclosure(), rng, instances)
 
 
 ALL_CHECKS = (

@@ -131,7 +131,7 @@ def test_cap_env_override(capsys, monkeypatch):
 def test_verify_all_quick_grid(capsys):
     code, out, _ = run(
         capsys,
-        "verify-all", "--max-m", "2", "--max-n", "2", "--instances", "50",
+        "verify-all", "--max-m", "2", "--max-n", "2",
     )
     assert code == 0
     assert "failures: 0" in out
@@ -141,7 +141,7 @@ def test_verify_all_quick_grid(capsys):
 def test_verify_all_json_schema(capsys):
     code, out, _ = run(
         capsys,
-        "verify-all", "--max-m", "2", "--max-n", "2", "--instances", "20", "--format", "json",
+        "verify-all", "--max-m", "2", "--max-n", "2", "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -159,7 +159,7 @@ def test_verify_all_json_schema(capsys):
         (("equiv", "--m", "2", "--p", "2", "--n", "2", "--degree", "-1"), "degree must be a nonnegative integer"),
         (("verify-all", "--max-m", "0"), "max_m must be a positive integer"),
         (("verify-all", "--max-n", "0"), "max_n must be a positive integer"),
-        (("verify-all", "--instances", "0"), "instances must be a positive integer"),
+        (("verify-all", "--degree", "-1"), "degree must be a nonnegative integer"),
         (("verify-all", "--max-n", "-2", "--format", "json"), "max_n must be a positive integer"),
     ],
 )
@@ -168,6 +168,14 @@ def test_nonpositive_arguments_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_verify_all_has_no_instances_option(capsys):
+    code, out, err = run(capsys, "verify-all", "--instances", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --instances 5" in err
     assert "Traceback" not in err
 
 
@@ -208,7 +216,7 @@ def test_degree_zero_is_honoured(capsys):
     # uniqueness scan fails honestly: a verification failure, not a crash
     code, out, err = run(
         capsys,
-        "verify-all", "--max-m", "2", "--max-n", "2", "--instances", "20", "--degree", "0", "--format", "json",
+        "verify-all", "--max-m", "2", "--max-n", "2", "--degree", "0", "--format", "json",
     )
     assert code == 1 and "Traceback" not in err
     data = json.loads(out)

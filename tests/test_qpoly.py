@@ -99,6 +99,23 @@ def test_phi_antisymmetry_and_inverse():
             assert phi_eval(cval, 1, 0, k) == b
 
 
+def test_cocycle_and_sign_bracket_depend_on_parities_only():
+    # the lemma that makes the exponent vectors in {0,1}^n of criterion 10's
+    # cocycle suites a proof for every k: reducing k mod 2 changes neither
+    # phi_w^(c)(k) nor the q = -1 bracket <k, k'>
+    for n in (2, 3, 4):
+        q = QMatrix.minus_one(n)
+        vectors = list(itertools.product(range(4), repeat=n))
+        parity = {k: tuple(x % 2 for x in k) for k in vectors}
+        for w in itertools.permutations(range(n)):
+            for c in (0, 1, cyc_make(4, 1), cyc_make(3, 1)):
+                for k in vectors:
+                    assert phi_w_eval(c, w, k) == phi_w_eval(c, w, parity[k]), (c, w, k)
+        for k in vectors:
+            for kp in vectors:
+                assert qform_bracket(q, k, kp) == qform_bracket(q, parity[k], parity[kp]), (k, kp)
+
+
 def test_cocycle_composition_law():
     # phi_{w'w}(k) = phi_{w'}(w(k)) phi_w(k)
     from mystica.monomial import perm_apply

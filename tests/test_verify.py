@@ -1,5 +1,10 @@
 """Tests for the verification grid runner at small bounds."""
 
+import itertools
+import random
+
+from mystica import verify
+from mystica.cyclo import cyc_make
 from mystica.groups import make_gmpn, make_w
 from mystica.verify import (
     IDENTITY_SUITES,
@@ -14,7 +19,7 @@ from mystica.verify import (
     run_all,
 )
 
-SMALL = VerifyConfig(max_m=2, max_n=2, instances=60)
+SMALL = VerifyConfig(max_m=2, max_n=2)
 
 
 def test_predicted_family_counts():
@@ -43,22 +48,68 @@ def test_parity_and_singular_small():
 
 
 def test_thick_enumeration_green_below_level_four():
-    cfg = VerifyConfig(max_m=3, max_n=3, instances=10)
+    cfg = VerifyConfig(max_m=3, max_n=3)
     assert all(r.passed for r in check_thick_enumeration(cfg))
 
 
 def test_thick_enumeration_red_at_level_four():
-    cfg = VerifyConfig(max_m=4, max_n=2, instances=10)
+    cfg = VerifyConfig(max_m=4, max_n=2)
     results = check_thick_enumeration(cfg)
     bad = [r for r in results if not r.passed]
     assert [r.params for r in bad] == [{"m": 4, "n": 2}]
     assert "extra" in bad[0].detail
 
 
+# the number of cases of each suite's domain
+SUITE_CASES = {
+    "cocycle-composition": 4 * (2 * 2 * 4 + 6 * 6 * 8 + 24 * 24 * 16),  # c, w, w', k in {0,1}^n
+    "twisted-multiplicativity": 2 * 4 * 4 + 6 * 8 * 8 + 24 * 16 * 16,  # w, k, k' in {0,1}^n
+    "q-element-identities": 3 * (2 * 2 + 6 * 6),  # c, w, w' at n = 2, 3
+    "twist-map": 32 * 32 + 32 * 4,  # basis pairs, then basis elements x degrees 0..3
+    "long-cycle-law": 1 * 4 + 2 * 8 + 6 * 16 + 2 * 64,  # n-cycles x exponents, (n, N) in 4 cells
+    "odd-level-nonclosure": 2 + 2 * 2 + 2 * 2,  # (m, p, n), m in 1, 3, 5 and n in 2, 3
+}
+
+
 def test_identity_suites_zero_failures_small():
-    results = check_identity_suites(VerifyConfig(instances=150))
-    assert {r.params["suite"] for r in results} == {name for name, _ in IDENTITY_SUITES}
-    assert all(r.passed for r in results)
+    results = check_identity_suites(SMALL)
+    assert [r.params["suite"] for r in results] == [name for name, _ in IDENTITY_SUITES]
+    assert {r.params["suite"]: r.params["verified_cases"] for r in results} == SUITE_CASES
+    assert all(r.passed and r.detail == "0 failures" for r in results)
+
+
+def test_identity_suite_samplers_find_no_failure():
+    # the benchmark's identity-suites workload calls these by name
+    for name, _ in IDENTITY_SUITES:
+        sampler = getattr(verify, "suite_" + name.replace("-", "_"))
+        for seed in range(3):
+            assert sampler(random.Random(seed), 50) == 0, (name, seed)
+
+
+def test_a_broken_identity_turns_exactly_its_suite_red(monkeypatch):
+    # flip the sign of phi_w^(c)(k) on one input: c = zeta3, w the 3-cycle
+    # (1, 2, 0), k = (1, 0, 0); only cocycle-composition evaluates phi at
+    # c = zeta3, and it fails on the cases where an odd number of its three
+    # evaluations hit that input
+    zeta3, cycle, k0 = cyc_make(3, 1), (1, 2, 0), (1, 0, 0)
+    original = verify.phi_w_eval
+
+    def broken(c, perm, k):
+        value = original(c, perm, k)
+        return -value if (c, perm, k) == (zeta3, cycle, k0) else value
+
+    monkeypatch.setattr(verify, "phi_w_eval", broken)
+    want = 0
+    for w, wp in itertools.product(itertools.permutations(range(3)), repeat=2):
+        for k in itertools.product(range(2), repeat=3):
+            ww = tuple(wp[i] for i in w)
+            hits = [(ww, k), (wp, verify.perm_apply(w, k)), (w, k)].count((cycle, k0))
+            want += hits % 2
+    assert want > 0
+    results = {r.params["suite"]: r for r in check_identity_suites(SMALL)}
+    assert {name for name, r in results.items() if not r.passed} == {"cocycle-composition"}
+    assert results["cocycle-composition"].detail == f"{want} failures"
+    assert all(r.detail == "0 failures" for name, r in results.items() if name != "cocycle-composition")
 
 
 def test_run_all_small_grid_green():
