@@ -516,7 +516,7 @@ def _long_cycle_law():
 def _odd_level_nonclosed(m: int, p: int, n: int) -> bool:
     """At odd level m the generators of G(m,p,n) fix the first and the last
     fundamental invariant f, g, but not their q = -1 product."""
-    N, step = 4 * m, 4  # step = N / m
+    N, step = 4 * m, 4  # zeta_N^step = zeta_m
     polys = fundamental_invariants(m, p, n)
     f, g = polys[0], polys[-1]
     gens = [adjacent_swap(n, N, i) for i in range(1, n)]
