@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import CapExceededError, FiniteMonomialGroup, common_ambient, make_gmpn, structure_probes
-from .monomial import central_scalar
-from .mystic import mu_group
+from .groups import CapExceededError, FiniteMonomialGroup, common_ambient, structure_probes
 
 ISO_CAP = 500
 
@@ -174,42 +172,3 @@ def regular_singular(G: FiniteMonomialGroup) -> RegularityReport:
             break
     status = "singular" if witness is not None else "regular"
     return RegularityReport(G.tag.label, status, torus_order, witness)
-
-
-# -- the power obstruction distinguishing a group from its counterpart ---
-
-
-@dataclass(frozen=True)
-class PowerObstructionReport:
-    params: tuple[int, int, int]
-    exponent: int
-    central_in_counterpart_powers: bool
-    central_involutions_of_group_in_powers: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.central_in_counterpart_powers and not self.central_involutions_of_group_in_powers
-
-
-def z_power_obstruction(m: int, p: int, n: int) -> PowerObstructionReport:
-    """For even n and odd m/p: the scalar involution is an (n*|C'|)-th power
-    in the counterpart group but no central involution of the original group
-    is such a power."""
-    G = make_gmpn(m, p, n)
-    mu = mu_group(G)
-    exponent = n * (m // p)
-    z = central_scalar(n, G.N, G.N // 2)
-    mu_powers = {g**exponent for g in mu.elements}
-    g_powers = {g**exponent for g in G.elements}
-    probes = structure_probes(G)
-    bad = tuple(
-        g.to_text()
-        for g in probes.center.elements
-        if g.element_order() == 2 and g in g_powers
-    )
-    return PowerObstructionReport(
-        params=(m, p, n),
-        exponent=exponent,
-        central_in_counterpart_powers=z in mu_powers,
-        central_involutions_of_group_in_powers=bad,
-    )

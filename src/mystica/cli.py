@@ -185,10 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_params(p, need_p=True):
+    def add_group_params(p):
         p.add_argument("--m", type=int, required=True, help="order of the root subgroup")
-        if need_p:
-            p.add_argument("--p", type=int, default=1, help="index divisor, p | m")
+        p.add_argument("--p", type=int, default=1, help="index divisor, p | m")
         p.add_argument("--n", type=int, required=True, help="rank")
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -14,7 +14,6 @@ between workers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -279,18 +278,6 @@ class Cyclotomic:
             k >>= 1
         return result
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^(N-1)."""
-        n = self.order
-        deg, rows = _ctx(n)
-        out = [0] * deg
-        for j, x in enumerate(self.nums):
-            if x:
-                for t, r in enumerate(rows[(-j) % n]):
-                    if r:
-                        out[t] += x * r
-        return _make(n, out, self.den)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -362,46 +349,6 @@ def _euclid_inverse(a: Cyclotomic) -> Cyclotomic:
 def cyc_make(order: int, exponent: int) -> Cyclotomic:
     """The root of unity zeta_order^exponent as a canonical field element."""
     return Cyclotomic.root(order, exponent)
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """A root of unity stored as (order, exponent), kept in primitive form."""
-
-    order: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        e = self.exponent % self.order
-        g = gcd(e, self.order)
-        if g != 1 or e == 0:
-            n = self.order // g if e else 1
-            object.__setattr__(self, "order", n)
-            object.__setattr__(self, "exponent", (e // g) % n if e else 0)
-        else:
-            object.__setattr__(self, "exponent", e)
-
-    @staticmethod
-    def one() -> "RootOfUnity":
-        return RootOfUnity(1, 0)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        m = lcm(self.order, other.order)
-        return RootOfUnity(m, self.exponent * (m // self.order) + other.exponent * (m // other.order))
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.order, self.exponent * k)
-
-    def to_cyclotomic(self) -> Cyclotomic:
-        return Cyclotomic.root(self.order, self.exponent)
-
-    def is_one(self) -> bool:
-        return self.order == 1
 
 
 def in_gaussian_half_ring(a: Cyclotomic) -> bool:

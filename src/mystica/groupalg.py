@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic, _make, scalar_to_text
 from .groups import FiniteMonomialGroup
-from .monomial import MonomialElement, identity, perm_apply
+from .monomial import MonomialElement, identity, inversions, perm_apply
 
 _QUARTER = Fraction(1, 4)
 
@@ -200,10 +200,8 @@ def q_w_element(c, perm: tuple[int, ...], n: int, N: int) -> GroupAlgebraElement
 def _q_w(order: int, nums: tuple, den: int, perm: tuple[int, ...], n: int, N: int) -> GroupAlgebraElement:
     c = _make(order, nums, den)
     out = GroupAlgebraElement.one(n, N)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                out = out * q_ij_element(c, i, j, n, N)
+    for i, j in inversions(perm):
+        out = out * q_ij_element(c, i, j, n, N)
     return out
 
 

@@ -47,7 +47,7 @@ class CapExceededError(RuntimeError):
 class GroupTag:
     """Provenance of a constructed group, used for labels and JSON."""
 
-    kind: str  # "G", "W", "generated", "explicit", "ambient"
+    kind: str  # "G", "W", "generated", "explicit"
     params: tuple = ()
 
     @property

@@ -57,13 +57,6 @@ class SparseMatrix:
             out[c][r] = v
         return out
 
-    def to_dense(self) -> list[list[Cyclotomic]]:
-        zero = Cyclotomic.zero()
-        return [
-            [self.entries.get((r, c), zero) for c in range(self.ncols)]
-            for r in range(self.nrows)
-        ]
-
 
 def _reduce_row(row: dict, pivots: dict) -> dict:
     """Fully reduce a row against reduced-echelon pivot rows."""

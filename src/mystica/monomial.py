@@ -8,10 +8,10 @@ other normal form w*t uses w*t = (w(t))*w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclo import Cyclotomic, RootOfUnity
+from .cyclo import Cyclotomic
 
 
 class MonomialElement:
@@ -106,21 +106,17 @@ class MonomialElement:
 
     # -- characters and actions -------------------------------------------
 
-    def det(self) -> "DetValue":
-        sign = 1
-        w = self.perm
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if w[i] > w[j]:
-                    sign = -sign
-        return DetValue(sign, RootOfUnity(self.N, sum(self.exps)))
+    def det(self) -> Cyclotomic:
+        """det(t*w) = sign(w) * zeta_N^(sum of the exponents of t)."""
+        value = Cyclotomic.root(self.N, sum(self.exps))
+        return value if perm_sign(self.perm) == 1 else -value
 
-    def act_on_basis(self, i: int) -> tuple[RootOfUnity, int]:
+    def act_on_basis(self, i: int) -> tuple[Cyclotomic, int]:
         """Image of the basis vector x_i (one-based): (scalar, index of target)."""
         if not 1 <= i <= self.n:
             raise IndexError(f"basis index {i} out of range 1..{self.n}")
         j = self.perm[i - 1]
-        return RootOfUnity(self.N, self.exps[j]), j + 1
+        return Cyclotomic.root(self.N, self.exps[j]), j + 1
 
     def is_torus(self) -> bool:
         return all(self.perm[i] == i for i in range(self.n))
@@ -144,15 +140,6 @@ class MonomialElement:
             "perm": [p + 1 for p in self.perm],
             "exp": list(self.exps),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "MonomialElement":
-        return MonomialElement(
-            data["n"],
-            data["N"],
-            tuple(p - 1 for p in data["perm"]),
-            tuple(data["exp"]),
-        )
 
     def to_text(self) -> str:
         torus = " ".join(f"t{i + 1}^{e}" for i, e in enumerate(self.exps))
@@ -194,24 +181,6 @@ def cycle_text(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-@dataclass(frozen=True)
-class DetValue:
-    """Value of the determinant character, split as sign times torus part."""
-
-    sign: int
-    torus: RootOfUnity
-
-    def __mul__(self, other: "DetValue") -> "DetValue":
-        return DetValue(self.sign * other.sign, self.torus * other.torus)
-
-    def to_cyclotomic(self) -> Cyclotomic:
-        value = self.torus.to_cyclotomic()
-        return value if self.sign == 1 else -value
-
-    def is_one(self) -> bool:
-        return self.sign == 1 and self.torus.is_one()
-
-
 def identity(n: int, N: int) -> MonomialElement:
     return MonomialElement.identity(n, N)
 
@@ -233,19 +202,9 @@ def torus_gen(n: int, N: int, j: int, exponent: int) -> MonomialElement:
     return MonomialElement(n, N, tuple(range(n)), tuple(exps))
 
 
-def central_scalar(n: int, N: int, eps) -> MonomialElement:
-    """The scalar matrix with every diagonal entry eps.
-
-    eps may be a RootOfUnity of order dividing N or an integer exponent of
-    zeta_N.
-    """
-    if isinstance(eps, RootOfUnity):
-        if N % eps.order != 0:
-            raise ValueError(f"root of order {eps.order} does not live in mu_{N}")
-        exponent = eps.exponent * (N // eps.order)
-    else:
-        exponent = int(eps)
-    return MonomialElement(n, N, tuple(range(n)), ((exponent % N),) * n)
+def central_scalar(n: int, N: int, exponent: int) -> MonomialElement:
+    """The scalar matrix with every diagonal entry zeta_N^exponent."""
+    return MonomialElement(n, N, tuple(range(n)), (exponent % N,) * n)
 
 
 def perm_apply(perm: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,10 +215,12 @@ def perm_apply(perm: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def inversions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j with perm[i] > perm[j], in lexicographic order."""
+    n = len(perm)
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+
+
 def perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return -1 if len(inversions(perm)) % 2 else 1

@@ -22,7 +22,7 @@ from operator import mul
 from .cyclo import Cyclotomic, _make
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix, sparse_rank
-from .monomial import MonomialElement, perm_apply
+from .monomial import MonomialElement, inversions, perm_apply
 
 _ONE = Cyclotomic.one()
 
@@ -82,18 +82,8 @@ class QMatrix:
         self._minus_one = all(self.entries[i][j] == (1 if i == j else -1) for i in range(n) for j in range(n))
 
     @staticmethod
-    def sign_matrix(n: int, sign: int) -> "QMatrix":
-        value = Cyclotomic.rational(sign)
-        one = Cyclotomic.one()
-        return QMatrix(n, [[one if i == j else value for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def minus_one(n: int) -> "QMatrix":
-        return QMatrix.sign_matrix(n, -1)
-
-    @staticmethod
-    def plus_one(n: int) -> "QMatrix":
-        return QMatrix.sign_matrix(n, 1)
+        return QMatrix(n, [[1 if i == j else -1 for j in range(n)] for i in range(n)])
 
     def is_minus_one(self) -> bool:
         return self._minus_one
@@ -137,13 +127,6 @@ class QPolynomial:
     @staticmethod
     def monomial(k, coeff=1) -> "QPolynomial":
         return QPolynomial(len(k), {tuple(k): coeff})
-
-    @staticmethod
-    def variable(i: int, n: int, power: int = 1) -> "QPolynomial":
-        """x_i^power with one-based index i."""
-        k = [0] * n
-        k[i - 1] = power
-        return QPolynomial(n, {tuple(k): 1})
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         out = dict(self.terms)
@@ -266,14 +249,6 @@ def _scalar(cc, N: int, sign: int, cexp: int, root_exp: int) -> Cyclotomic:
     return -out if sign else out
 
 
-@lru_cache(maxsize=None)
-def _inversions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    n = len(perm)
-    return tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-    )
-
-
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
@@ -285,7 +260,7 @@ def _slice_images(perm: tuple[int, ...], degree: int, N: int):
     with permutation w at that column."""
     basis = slice_monomials(len(perm), degree)
     pos = {k: idx for idx, k in enumerate(basis)}
-    pairs = _inversions(perm)
+    pairs = inversions(perm)
     rows, keys = [], []
     for k in basis:
         image = perm_apply(perm, k)
@@ -359,7 +334,7 @@ def phi_eval(c, i: int, j: int, k) -> Cyclotomic:
 
 def phi_w_eval(c, perm: tuple[int, ...], k) -> Cyclotomic:
     """Product of phi_ij^(c)(k) over the inversions of the permutation."""
-    return _scalar(_coerce_c(c), 1, *_cocycle(_inversions(tuple(perm)), k), 0)
+    return _scalar(_coerce_c(c), 1, *_cocycle(inversions(tuple(perm)), k), 0)
 
 
 def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
@@ -367,7 +342,7 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     if f.n != g.n:
         raise ValueError("rank mismatch")
     cc = _coerce_c(c)
-    pairs = _inversions(g.perm)
+    pairs = inversions(g.perm)
     out: dict = {}
     for k, coeff in f.terms.items():
         image = perm_apply(g.perm, k)

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from mystica.classify import fingerprint, isomorphic, regular_singular, z_power_obstruction
+from mystica.classify import fingerprint, isomorphic, regular_singular
 from mystica.groups import CapExceededError, enumerate_thick, make_gmpn, make_w
 from mystica.mystic import mu_group
 from mystica.verify import (
@@ -102,26 +102,6 @@ def test_singular_witnesses_verify_element_by_element():
         assert all(a * b == b * a for a in S for b in S)
         assert all(g * x * g.inverse() in S for g in G for x in S)
         assert S != torus and len(S) >= len(torus)
-
-
-def test_power_obstruction_examples():
-    rep = z_power_obstruction(2, 2, 2)
-    assert rep.passed
-    assert rep.exponent == 2
-    rep = z_power_obstruction(2, 2, 4)
-    assert rep.passed
-
-
-def test_power_obstruction_mechanism_fails_for_singular_pair():
-    # at (4,4,2) both the group and its counterpart are singular (dihedral
-    # and quaternion of order eight); the scalar involution is a square on
-    # BOTH sides, so the power obstruction cannot separate them, yet they
-    # are still non-isomorphic
-    rep = z_power_obstruction(4, 4, 2)
-    assert rep.central_in_counterpart_powers
-    assert rep.central_involutions_of_group_in_powers  # mechanism breaks
-    G = make_gmpn(4, 4, 2)
-    assert not isomorphic(G, mu_group(G))
 
 
 def test_not_iso_grid_matches_parity_everywhere():

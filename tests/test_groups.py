@@ -156,7 +156,7 @@ def test_level_four_extra_thick_subgroup_verified_directly(n):
     # det t lands in {1,-1} on even permutations and in {i,-i} on odd ones
     for a in S:
         dt = sum(a.exps) % 4
-        if a.det().sign == 1:
+        if perm_sign(a.perm) == 1:
             assert dt in (0, 2)
         else:
             assert dt in (1, 3)
@@ -294,6 +294,18 @@ def test_family_elements_match_sorted_set_construction(m, n):
             assert G.elements == _reference_family(n, N, m, lambda perm, f: sum(f) % p == 0)
             W = make_w(m, p, n, N=N)
             assert W.elements == _reference_family(n, N, m, _w_filter(m, p))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("n", [2, 3])
+def test_make_w_is_the_det_power_kernel(m, n):
+    # the definition W(m,d,n) = {g in G(m,1,n) : det(g)^d = 1}, read off the
+    # determinant itself rather than the residue formula make_w shares with
+    # _w_filter
+    ambient = make_gmpn(m, 1, n)
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        kernel = frozenset(g for g in ambient if g.det() ** d == 1)
+        assert make_w(m, d, n).element_set() == kernel, (m, d, n)
 
 
 def _indexed_pairs(G, pairs):

@@ -1,21 +1,24 @@
-"""The names perfbench/tracer.py wraps by name must exist in mystica.
+"""The names perfbench calls by name must exist in mystica.
 
 The layer tracer behind `perfbench/run.py --trace 1` wraps a few private
-callables by name (EXTRA) and attaches counter hooks to others (HOOKS).  A
-rename or deletion of one of them in src breaks the traced benchmark run;
-this test fails first.
+callables by name (EXTRA) and attaches counter hooks to others (HOOKS), and
+the group-structure and identity-suites workloads call `mystica.verify`
+functions by name.  A rename or deletion of one of them in src breaks the
+benchmark; these tests fail first.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -30,7 +33,7 @@ def _resolve(dotted: str):
 
 
 def test_tracer_wraps_every_named_callable():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     names = [f"{layer}.{name}" for layer, names in tracer.EXTRA.items() for name in names]
     names += list(tracer.HOOKS)
     originals = {name: _resolve(name) for name in names}
@@ -44,3 +47,12 @@ def test_tracer_wraps_every_named_callable():
         tr.uninstall()
     for name in names:
         assert _resolve(name) is originals[name], name
+
+
+def test_workloads_name_existing_verify_functions():
+    workloads = _load("workloads")
+    names = [fn for _, fn in workloads.IDENTITY_SUITES]
+    names += [fn for _, fn, _, _ in workloads.GROUP_STRUCTURE_CHECKS]
+    verify = importlib.import_module("mystica.verify")
+    missing = [name for name in names if not callable(getattr(verify, name, None))]
+    assert not missing
