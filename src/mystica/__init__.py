@@ -1,111 +1,69 @@
 """Exact computational algebra for monomial reflection groups and their
-det-twisted counterparts."""
+det-twisted counterparts.
 
-from .cyclo import (
-    Cyclotomic,
-    cyc_make,
-    in_gaussian_half_ring,
-    parse_scalar,
-    scalar_to_text,
-)
-from .monomial import (
-    MonomialElement,
-    adjacent_swap,
-    central_scalar,
-    identity,
-    torus_gen,
-)
-from .groups import (
-    CapExceededError,
-    FiniteMonomialGroup,
-    GroupTag,
-    TorusSubgroup,
-    closure_generate,
-    enumerate_thick,
-    is_thick,
-    make_gmpn,
-    make_w,
-    structure_probes,
-    torus_part,
-)
-from .qpoly import (
-    QMatrix,
-    QPolynomial,
-    act_c,
-    commute_check,
-    fundamental_invariants,
-    hilbert_free,
-    invariant_dimension,
-    operator_matrix,
-    phi_eval,
-    phi_w_eval,
-    qform_bracket,
-    qmul,
-)
-from .groupalg import GroupAlgebraElement, e_group, ga_mul, j_c, psi_eval, q_w_element
-from .mystic import (
-    EquivalenceReport,
-    faithfulness_rank,
-    group_ring_iso_check,
-    mu_group,
-    mystic_equiv_check,
-    unique_equivalent_thick,
-)
-from .classify import (
-    Fingerprint,
-    fingerprint,
-    isomorphic,
-    regular_singular,
-)
+Public names resolve lazily: ``import mystica`` loads no submodule, and the
+first use of a name imports its home module, so a caller pays only for the
+modules it uses.
+"""
 
-__all__ = [
-    "CapExceededError",
-    "Cyclotomic",
-    "EquivalenceReport",
-    "Fingerprint",
-    "FiniteMonomialGroup",
-    "GroupAlgebraElement",
-    "GroupTag",
-    "MonomialElement",
-    "QMatrix",
-    "QPolynomial",
-    "TorusSubgroup",
-    "act_c",
-    "adjacent_swap",
-    "central_scalar",
-    "closure_generate",
-    "commute_check",
-    "cyc_make",
-    "e_group",
-    "enumerate_thick",
-    "faithfulness_rank",
-    "fingerprint",
-    "fundamental_invariants",
-    "ga_mul",
-    "group_ring_iso_check",
-    "hilbert_free",
-    "identity",
-    "in_gaussian_half_ring",
-    "invariant_dimension",
-    "is_thick",
-    "isomorphic",
-    "j_c",
-    "make_gmpn",
-    "make_w",
-    "mu_group",
-    "mystic_equiv_check",
-    "operator_matrix",
-    "parse_scalar",
-    "phi_eval",
-    "phi_w_eval",
-    "psi_eval",
-    "q_w_element",
-    "qform_bracket",
-    "qmul",
-    "regular_singular",
-    "scalar_to_text",
-    "structure_probes",
-    "torus_gen",
-    "torus_part",
-    "unique_equivalent_thick",
-]
+import importlib
+
+# home module -> the public names it exports
+_EXPORTS = {
+    "cyclo": ("Cyclotomic", "cyc_make", "in_gaussian_half_ring", "parse_scalar", "scalar_to_text"),
+    "monomial": ("MonomialElement", "adjacent_swap", "central_scalar", "identity", "torus_gen"),
+    "groups": (
+        "CapExceededError",
+        "FiniteMonomialGroup",
+        "GroupTag",
+        "TorusSubgroup",
+        "closure_generate",
+        "enumerate_thick",
+        "is_thick",
+        "make_gmpn",
+        "make_w",
+        "mu_group",
+        "structure_probes",
+        "torus_part",
+    ),
+    "qpoly": (
+        "QMatrix",
+        "QPolynomial",
+        "act_c",
+        "commute_check",
+        "fundamental_invariants",
+        "hilbert_free",
+        "invariant_dimension",
+        "operator_matrix",
+        "phi_eval",
+        "phi_w_eval",
+        "qform_bracket",
+        "qmul",
+    ),
+    "groupalg": ("GroupAlgebraElement", "e_group", "ga_mul", "j_c", "psi_eval", "q_w_element"),
+    "mystic": (
+        "EquivalenceReport",
+        "faithfulness_rank",
+        "group_ring_iso_check",
+        "mystic_equiv_check",
+        "unique_equivalent_thick",
+    ),
+    "classify": ("Fingerprint", "fingerprint", "isomorphic", "regular_singular"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -9,15 +9,14 @@ sound and complete for the desk-scale orders it is run at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import CapExceededError, FiniteMonomialGroup, common_ambient, structure_probes
 
 ISO_CAP = 500
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Cheap isomorphism invariants; equal fingerprints are necessary but not
     sufficient for isomorphism."""
 
@@ -147,8 +146,7 @@ def isomorphic(G: FiniteMonomialGroup, H: FiniteMonomialGroup, cap: int = ISO_CA
 # -- regular / singular -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     group: str
     status: str  # "regular" or "singular"
     torus_order: int

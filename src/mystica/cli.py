@@ -14,19 +14,11 @@ import argparse
 import json
 import sys
 
-from .classify import ISO_CAP, isomorphic
 from .cyclo import parse_scalar
-from .groups import CapExceededError, enumerate_thick, group_size_cap, make_gmpn, make_w
-from .mystic import default_truncation_degree, mu_group, mystic_equiv_check
-from .qpoly import (
-    QMatrix,
-    commute_check,
-    fundamental_invariants,
-    hilbert_free,
-    invariant_degrees,
-    invariant_dimension,
-)
-from .verify import VerifyConfig, run_all
+from .groups import CapExceededError, enumerate_thick, group_size_cap, make_gmpn, make_w, mu_group
+
+# Each command imports the rest of what it runs inside its body, so a query
+# loads and compiles only the modules it uses.
 
 
 def _emit(lines) -> None:
@@ -49,6 +41,8 @@ def _group_lines(G) -> list[str]:
 
 
 def _degree(args) -> int:
+    from .qpoly import default_truncation_degree
+
     if args.degree is None:
         return default_truncation_degree(args.m, args.p, args.n)
     return args.degree
@@ -92,6 +86,8 @@ def cmd_mu(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .mystic import mystic_equiv_check
+
     G = make_gmpn(args.m, args.p, args.n)
     mu = mu_group(G)
     D = _degree(args)
@@ -109,6 +105,15 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .qpoly import (
+        QMatrix,
+        commute_check,
+        fundamental_invariants,
+        hilbert_free,
+        invariant_degrees,
+        invariant_dimension,
+    )
+
     G = make_gmpn(args.m, args.p, args.n)
     D = _degree(args)
     polys = fundamental_invariants(args.m, args.p, args.n)
@@ -148,6 +153,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    from .classify import ISO_CAP, isomorphic
+
     G = make_gmpn(args.m, args.p, args.n)
     mu = mu_group(G)
     answer = isomorphic(G, mu, ISO_CAP if args.cap is None else args.cap)
@@ -159,8 +166,18 @@ def cmd_iso(args) -> int:
     return 0
 
 
+def _verify_config(args) -> "VerifyConfig":
+    """The verify-all bounds: each option left unset keeps VerifyConfig's default."""
+    from .verify import VerifyConfig
+
+    given = {name: getattr(args, name) for name in VerifyConfig._fields}
+    return VerifyConfig(**{name: value for name, value in given.items() if value is not None})
+
+
 def cmd_verify_all(args) -> int:
-    results = run_all(VerifyConfig(max_m=args.max_m, max_n=args.max_n, degree=args.degree))
+    from .verify import run_all
+
+    results = run_all(_verify_config(args))
     results.sort(key=lambda r: (r.check, json.dumps(r.params, sort_keys=True)))
     failures = [r for r in results if not r.passed]
     if args.format == "json":
@@ -228,11 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_iso)
 
-    defaults = VerifyConfig()
     p = sub.add_parser("verify-all", help="run the full verification grid")
-    p.add_argument("--max-m", type=int, default=defaults.max_m)
-    p.add_argument("--max-n", type=int, default=defaults.max_n)
-    p.add_argument("--degree", type=int, default=defaults.degree)
+    p.add_argument("--max-m", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--degree", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify_all)
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from .monomial import MonomialElement, _trusted, identity, perm_sign
 
@@ -43,8 +43,7 @@ class CapExceededError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupTag:
+class GroupTag(NamedTuple):
     """Provenance of a constructed group, used for labels and JSON."""
 
     kind: str  # "G", "W", "generated", "explicit"
@@ -222,6 +221,39 @@ def make_w(m: int, d: int, n: int, *, N: int | None = None) -> FiniteMonomialGro
     return group
 
 
+def mu_group(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
+    """The counterpart group {w t_1^(det w) t : w in S_n, t in T} of a
+    torus-filtered group with even m; equals the det-filtered group with the
+    same torus."""
+    if G.tag.kind != "G":
+        raise ValueError("mu is defined on groups built as G(m,p,n)")
+    m, p, n = G.tag.params
+    if m % 2 != 0:
+        raise ValueError(
+            "no counterpart group exists for odd m: the invariants are not closed "
+            "under the sign-twisted product, so no group acting by twisted "
+            "automorphisms has them as its invariants"
+        )
+    N = G.N
+    torus = G.torus_elements()
+    perms = sorted({g.perm for g in G.elements})
+    elems = []
+    for w in perms:
+        w_elem = MonomialElement(n, N, w, (0,) * n)
+        det_exps = [0] * n
+        if perm_sign(w) == -1:
+            det_exps[0] = N // 2
+        twist = MonomialElement(n, N, tuple(range(n)), tuple(det_exps))
+        for t in torus:
+            elems.append(w_elem * twist * t)
+    out = FiniteMonomialGroup(n, N, elems, GroupTag("W", (m, m // p, n)))
+    expected = make_w(m, m // p, n, N=N)
+    if out != expected:
+        raise AssertionError("counterpart construction disagrees with the det filter")
+    assert out.order == G.order
+    return out
+
+
 def closure_generate(
     ambient: tuple[int, int],
     gens,
@@ -276,8 +308,7 @@ def is_thick(G: FiniteMonomialGroup, ambient_m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TorusSubgroup:
+class TorusSubgroup(NamedTuple):
     """The intersection of a group with the diagonal torus."""
 
     elements: tuple[MonomialElement, ...]
@@ -605,8 +636,7 @@ def identify_tag(G: FiniteMonomialGroup, m: int) -> GroupTag:
     return GroupTag("generated")
 
 
-@dataclass(frozen=True)
-class StructureProbes:
+class StructureProbes(NamedTuple):
     """Exact structural invariants computed by enumeration."""
 
     order: int
@@ -615,8 +645,8 @@ class StructureProbes:
     abelianization: tuple[int, ...]  # invariant factors, ascending divisor chain
     class_sizes: tuple[int, ...]
     order_histogram: tuple[tuple[int, int], ...]  # (element order, count)
-    center: FiniteMonomialGroup = field(compare=False, repr=False)
-    derived: FiniteMonomialGroup = field(compare=False, repr=False)
+    center: FiniteMonomialGroup
+    derived: FiniteMonomialGroup
 
 
 def structure_probes(G: FiniteMonomialGroup) -> StructureProbes:

@@ -16,7 +16,6 @@ The converse direction is not used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, lcm
 
 from .cyclo import Cyclotomic
@@ -25,13 +24,15 @@ from .cyclo import Cyclotomic
 # no command loads it.
 
 
-@dataclass
 class SparseMatrix:
     """A sparse matrix with exact entries; zero entries are never stored."""
 
-    nrows: int
-    ncols: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> Cyclotomic
+    __slots__ = ("nrows", "ncols", "entries")
+
+    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = {} if entries is None else entries  # (row, col) -> Cyclotomic
 
     def add(self, row: int, col: int, value: Cyclotomic) -> None:
         key = (row, col)

@@ -16,56 +16,16 @@ the slow reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import cyc_make, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, j_c
-from .groups import FiniteMonomialGroup, GroupTag, common_ambient, enumerate_thick, make_w
+from .groups import FiniteMonomialGroup, common_ambient, enumerate_thick, mu_group
 from .linalg import _insert_pivot, sparse_rank
-from .monomial import MonomialElement, perm_sign
 from .qpoly import class_sum_terms, group_sum_terms, operator_matrix
 
 
-def default_truncation_degree(m: int, p: int, n: int) -> int:
-    """Large enough to see every fundamental generator degree once."""
-    return max(2 * m, n * m // p, 8)
-
-
-def mu_group(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
-    """The counterpart group {w t_1^(det w) t : w in S_n, t in T} of a
-    torus-filtered group with even m; equals the det-filtered group with the
-    same torus."""
-    if G.tag.kind != "G":
-        raise ValueError("mu is defined on groups built as G(m,p,n)")
-    m, p, n = G.tag.params
-    if m % 2 != 0:
-        raise ValueError(
-            "no counterpart group exists for odd m: the invariants are not closed "
-            "under the sign-twisted product, so no group acting by twisted "
-            "automorphisms has them as its invariants"
-        )
-    N = G.N
-    torus = G.torus_elements()
-    perms = sorted({g.perm for g in G.elements})
-    elems = []
-    for w in perms:
-        w_elem = MonomialElement(n, N, w, (0,) * n)
-        det_exps = [0] * n
-        if perm_sign(w) == -1:
-            det_exps[0] = N // 2
-        twist = MonomialElement(n, N, tuple(range(n)), tuple(det_exps))
-        for t in torus:
-            elems.append(w_elem * twist * t)
-    out = FiniteMonomialGroup(n, N, elems, GroupTag("W", (m, m // p, n)))
-    expected = make_w(m, m // p, n, N=N)
-    if out != expected:
-        raise AssertionError("counterpart construction disagrees with the det filter")
-    assert out.order == G.order
-    return out
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     left: str
     right: str
     degree: int
@@ -130,8 +90,7 @@ def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int, thick=None) -> 
     return matches
 
 
-@dataclass(frozen=True)
-class GroupRingIsoReport:
+class GroupRingIsoReport(NamedTuple):
     group: str
     counterpart: str
     order: int

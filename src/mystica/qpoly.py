@@ -555,6 +555,11 @@ def invariant_degrees(m: int, p: int, n: int) -> list[int]:
     return [k * m for k in range(1, n)] + [n * (m // p)]
 
 
+def default_truncation_degree(m: int, p: int, n: int) -> int:
+    """Large enough to see every fundamental generator degree once."""
+    return max(2 * m, n * m // p, 8)
+
+
 def fundamental_invariants(m: int, p: int, n: int) -> list[QPolynomial]:
     """Power sums in x_i^m plus the product of all variables to the power m/p."""
     if m % p != 0:

@@ -10,18 +10,16 @@ can be narrowed through the config.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .cyclo import Cyclotomic, cyc_make
 from .groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
-from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w
+from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w, mu_group
 from .monomial import MonomialElement, adjacent_swap, central_scalar, perm_apply, torus_gen
 from .mystic import (
-    default_truncation_degree,
     faithfulness_saturation_degree,
     group_ring_iso_check,
-    mu_group,
     mystic_equiv_check,
     unique_equivalent_thick,
 )
@@ -30,6 +28,7 @@ from .qpoly import (
     QMatrix,
     act_c,
     commute_check,
+    default_truncation_degree,
     fundamental_invariants,
     hilbert_free,
     invariant_degrees,
@@ -41,8 +40,7 @@ from .qpoly import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     params: dict
     passed: bool
@@ -71,8 +69,7 @@ GRIDS = {
 # criterion 7 pairs a thick subgroup with those of higher rank up to this level
 CROSS_RANK_MAX_M = 2
 
-@dataclass
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     """Bounds for the verification run: max_m and max_n narrow every
     check's grid in GRIDS."""
 

@@ -6,8 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from mystica.classify import fingerprint, isomorphic, regular_singular
-from mystica.groups import CapExceededError, enumerate_thick, make_gmpn, make_w
-from mystica.mystic import mu_group
+from mystica.groups import CapExceededError, enumerate_thick, make_gmpn, make_w, mu_group
 from mystica.verify import (
     CheckResult,
     VerifyConfig,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mystica import cli
 from mystica.cli import main
+from mystica.verify import VerifyConfig
 
 
 def run(capsys, *argv):
@@ -179,26 +180,63 @@ def test_verify_all_has_no_instances_option(capsys):
     assert "Traceback" not in err
 
 
-def test_no_command_loads_numpy():
-    # numpy is imported only by linalg's F_q certificate, which no command
-    # reaches, so every query starts and runs without it: the operator and
-    # invariant queries and a small verify-all as much as mu and iso
+# the modules every query loads: the package, the CLI and the group layer
+BASE_FOOTPRINT = {"mystica", "mystica.cli", "mystica.cyclo", "mystica.monomial", "mystica.groups"}
+
+
+def _fresh_main(*argv):
+    """Run cli.main(argv) in a fresh interpreter; return its exit code, the
+    mystica modules loaded, and whether numpy and dataclasses were loaded."""
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from mystica import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['mu', '--m', '4', '--p', '2', '--n', '3']),\n"
-        "             cli.main(['iso', '--m', '4', '--p', '2', '--n', '3']),\n"
-        "             cli.main(['equiv', '--m', '4', '--p', '2', '--n', '3']),\n"
-        "             cli.main(['invariants', '--m', '4', '--p', '2', '--n', '3']),\n"
-        "             cli.main(['verify-all', '--max-m', '2', '--max-n', '2'])]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "mystica = sorted(m for m in sys.modules if m.partition('.')[0] == 'mystica')\n"
+        "print(json.dumps([code, mystica, 'numpy' in sys.modules, 'dataclasses' in sys.modules]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 0, 0, 0] False\n"
+    exit_code, modules, numpy, dataclasses = json.loads(done.stdout)
+    return exit_code, set(modules), numpy, dataclasses
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (("mu", "--m", "4", "--p", "1", "--n", "3"), set()),
+        (("iso", "--m", "4", "--p", "2", "--n", "3"), {"mystica.classify"}),
+        (("invariants", "--m", "4", "--p", "2", "--n", "3"), {"mystica.linalg", "mystica.qpoly"}),
+        (
+            ("equiv", "--m", "4", "--p", "2", "--n", "3"),
+            {"mystica.linalg", "mystica.qpoly", "mystica.groupalg", "mystica.mystic"},
+        ),
+        (
+            ("verify-all", "--max-m", "2", "--max-n", "2"),
+            {f"mystica.{name}" for name in ("linalg", "qpoly", "groupalg", "mystic", "classify", "verify")},
+        ),
+    ],
+    ids=["mu", "iso", "invariants", "equiv", "verify-all"],
+)
+def test_each_command_loads_only_its_modules(argv, extra):
+    # numpy is imported only by linalg's F_q certificate, which no command
+    # reaches, and no module uses dataclasses
+    assert _fresh_main(*argv) == (0, BASE_FOOTPRINT | extra, False, False)
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        ((), VerifyConfig()),
+        (("--max-m", "2", "--max-n", "2", "--degree", "0"), VerifyConfig(2, 2, 0)),
+        (("--max-n", "3"), VerifyConfig(max_n=3)),
+    ],
+)
+def test_verify_all_options_default_to_verify_config(flags, config):
+    args = cli.build_parser().parse_args(["verify-all", *flags])
+    assert cli._verify_config(args) == config
 
 
 def test_degree_zero_is_honoured(capsys):

@@ -10,6 +10,7 @@ import pytest
 from mystica.groups import (
     CapExceededError,
     FiniteMonomialGroup,
+    GroupTag,
     IndexedGroup,
     ambient_order,
     closure_generate,
@@ -257,6 +258,15 @@ def test_group_json_forms():
     data = trivial.to_json()
     assert data["kind"] == "explicit"
     assert data["elements"] == [identity(2, 4).to_json()]
+
+
+def test_group_tag_is_a_value():
+    assert GroupTag("G", (2, 2, 2)) == make_gmpn(2, 2, 2).tag
+    assert GroupTag("G", (2, 2, 2)) != GroupTag("W", (2, 2, 2))
+    assert GroupTag("generated") == GroupTag("generated", ())
+    labels = {GroupTag("G", (2, 2, 2)): "G", GroupTag("W", (2, 2, 2)): "W"}
+    assert labels[make_w(2, 2, 2).tag] == "W" and len(labels) == 2
+    assert [GroupTag("W", (4, 2, 3)).label, GroupTag("generated").label] == ["W(4,2,3)", "generated"]
 
 
 # -- the indexed core against element-level references ---------------------------

@@ -140,6 +140,10 @@ def test_sparse_matrix_equality_and_dense():
     a.add(1, 0, cyc_make(4, 1))
     assert a != b
     assert a.entries == {(1, 0): cyc_make(4, 1)}
+    a.add(1, 0, cyc_make(4, 1))
+    assert a == SparseMatrix(2, 2, {(1, 0): cyc_make(4, 1) * R(2)})
+    assert SparseMatrix(2, 2) != SparseMatrix(2, 3)
+    assert SparseMatrix(2, 2).entries is not SparseMatrix(2, 2).entries
 
 
 def test_certificate_prime_is_prime_with_an_element_of_exact_order():

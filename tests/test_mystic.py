@@ -5,17 +5,16 @@ import pytest
 
 from mystica.cyclo import cyc_make, parse_scalar
 from mystica.groupalg import GroupAlgebraElement, e_group, j_c
-from mystica.groups import closure_generate, make_gmpn, make_w
+from mystica.groups import closure_generate, make_gmpn, make_w, mu_group
 from mystica.mystic import (
     EquivalenceReport,
-    default_truncation_degree,
     faithfulness_rank,
     faithfulness_saturation_degree,
     group_ring_iso_check,
-    mu_group,
     mystic_equiv_check,
     unique_equivalent_thick,
 )
+from mystica.qpoly import default_truncation_degree
 from mystica.verify import VerifyConfig, independence_groups
 
 

@@ -8,6 +8,7 @@ from mystica.cyclo import cyc_make
 from mystica.groups import make_gmpn, make_w
 from mystica.verify import (
     IDENTITY_SUITES,
+    CheckResult,
     VerifyConfig,
     check_counterpart_equivalence,
     check_identity_suites,
@@ -110,6 +111,13 @@ def test_a_broken_identity_turns_exactly_its_suite_red(monkeypatch):
     assert {name for name, r in results.items() if not r.passed} == {"cocycle-composition"}
     assert results["cocycle-composition"].detail == f"{want} failures"
     assert all(r.detail == "0 failures" for name, r in results.items() if name != "cocycle-composition")
+
+
+def test_check_result_json_form():
+    passed = CheckResult("orders-grid", {"m": 2}, True)
+    assert passed.to_json() == {"check": "orders-grid", "params": {"m": 2}, "pass": True}
+    failed = CheckResult("singular-list", {"n": 3}, False, "witness")
+    assert failed.to_json() == {"check": "singular-list", "params": {"n": 3}, "pass": False, "detail": "witness"}
 
 
 def test_run_all_small_grid_green():
