@@ -11,7 +11,7 @@ import importlib
 # home module -> the public names it exports
 _EXPORTS = {
     "cyclo": ("Cyclotomic", "cyc_make", "in_gaussian_half_ring", "parse_scalar", "scalar_to_text"),
-    "monomial": ("MonomialElement", "adjacent_swap", "central_scalar", "identity", "torus_gen"),
+    "monomial": ("MonomialElement", "adjacent_swap", "central_scalar", "torus_gen"),
     "groups": (
         "CapExceededError",
         "FiniteMonomialGroup",

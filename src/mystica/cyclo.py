@@ -7,14 +7,16 @@ gcd(den, *nums) = 1 and zero stored as (0, ..., 0)/1 (the nf_elem layout of
 ANTIC; Hart, "ANTIC: Algebraic Number Theory in C", 2015).  The form is
 canonical, so equality at one order is a tuple comparison; elements at
 different orders are compared after lifting both to the least common multiple
-order.  Everything is immutable and pure, so values can be shared freely
-between workers.
+order.  Everything is immutable and pure.
+
+This is the only form in which the package holds a rational number.  A
+rational operand, an int or any number with integer numerator and denominator
+attributes, is read through those two attributes and never stored as given.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -118,33 +120,18 @@ def _make(order: int, nums, den: int = 1) -> "Cyclotomic":
     return out
 
 
-def _fraction_parts(value) -> tuple[int, int]:
-    """(numerator, denominator > 0) of a rational value in lowest terms."""
-    if type(value) is int:
-        return value, 1
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator, value.denominator
+def _rational_parts(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a rational number in lowest terms."""
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"not a rational value: {value!r}") from None
 
 
 class Cyclotomic:
     """An exact element of Q(zeta_N), canonical in the power basis mod Phi_N."""
 
     __slots__ = ("order", "nums", "den")
-
-    def __init__(self, order: int, coeffs):
-        # Trusted constructor: rational coordinates, already reduced, length phi(order).
-        fracs = [Fraction(c) for c in coeffs]
-        den = lcm(*(f.denominator for f in fracs))
-        self.order = order
-        self.nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
-        self.den = den
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coordinates, for text and tests."""
-        den = self.den
-        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- constructors -------------------------------------------------
 
@@ -160,7 +147,7 @@ class Cyclotomic:
     @staticmethod
     def rational(value, order: int = 1) -> "Cyclotomic":
         deg, _ = _ctx(order)
-        num, den = _fraction_parts(value)
+        num, den = _rational_parts(value)
         return _make(order, (num,) + (0,) * (deg - 1), den)
 
     @staticmethod
@@ -227,7 +214,7 @@ class Cyclotomic:
 
     def __mul__(self, other) -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
-            num, den = _fraction_parts(other)
+            num, den = _rational_parts(other)
             return _make(self.order, [x * num for x in self.nums], self.den * den)
         a, b = (self, other) if self.order == other.order else self._pair(self, other)
         an, bn = a.nums, b.nums
@@ -286,17 +273,13 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.nums[0], self.den)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            num, den = _fraction_parts(other)
-            return self.den == den and self.nums[0] == num and self.is_rational()
         if not isinstance(other, Cyclotomic):
-            return NotImplemented
+            try:
+                num, den = _rational_parts(other)
+            except TypeError:
+                return NotImplemented
+            return self.den == den and self.nums[0] == num and self.is_rational()
         a, b = (self, other) if self.order == other.order else self._pair(self, other)
         return a.nums == b.nums and a.den == b.den
 
@@ -355,17 +338,18 @@ def in_gaussian_half_ring(a: Cyclotomic) -> bool:
     """Membership test for Z[i, 1/2]: an element of Q(i) = u + v*i whose
     denominators in lowest terms are powers of two."""
     m = lcm(a.order, 4)
-    coords = a.lift(m).coeffs
+    lifted = a.lift(m)
+    nums = lifted.nums
     ivec = Cyclotomic.root(m, m // 4).nums
-    # Solve a = u*1 + v*i by coordinates; basis vector of 1 is e_0.
+    # Solve a = u*1 + v*i by coordinates (the basis vector of 1 is e_0), with
+    # u and v scaled by s = den * ivec[pos] to the integers su and sv.
     pos = next(j for j in range(1, len(ivec)) if ivec[j] != 0)
-    v = coords[pos] / ivec[pos]
-    u = coords[0] - v * ivec[0]
-    for j, c in enumerate(coords):
-        expect = v * ivec[j] + (u if j == 0 else 0)
-        if c != expect:
-            return False
-    return all(q.denominator & (q.denominator - 1) == 0 for q in (u, v))
+    p, sv = ivec[pos], nums[pos]
+    if any(x * p != sv * y for x, y in zip(nums[1:], ivec[1:])):
+        return False
+    su = nums[0] * p - sv * ivec[0]
+    s = abs(lifted.den * p)
+    return all((s // gcd(x, s)).bit_count() == 1 for x in (su, sv))
 
 
 # -- text literals ----------------------------------------------------
@@ -396,10 +380,11 @@ def _tokenize(text: str) -> list:
         if m.group("zeta"):
             out.append(("zeta", int(m.group("zn")), int(m.group("zk") or 1)))
         elif m.group("rat"):
-            try:
-                out.append(("rat", Fraction(m.group("rat"))))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in scalar literal {m.group('rat')!r}") from None
+            num, _, den = m.group("rat").partition("/")
+            den = int(den or 1)
+            if not den:
+                raise ValueError(f"zero denominator in scalar literal {m.group('rat')!r}")
+            out.append(("rat", int(num), den))
         else:
             out.append((m.group("op"),))
         pos = m.end()
@@ -439,7 +424,7 @@ class _Parser:
     def factor(self) -> Cyclotomic:
         tok = self.next()
         if tok[0] == "rat":
-            return Cyclotomic.rational(tok[1])
+            return _make(1, (tok[1],), tok[2])
         if tok[0] == "zeta":
             return Cyclotomic.root(tok[1], tok[2])
         if tok[0] == "-":
@@ -465,12 +450,14 @@ def parse_scalar(text: str) -> Cyclotomic:
 def scalar_to_text(a: Cyclotomic) -> str:
     """Canonical text form, parseable by parse_scalar."""
     parts = []
-    for j, c in enumerate(a.coeffs):
-        if c == 0:
+    for j, x in enumerate(a.nums):
+        if x == 0:
             continue
+        g = gcd(x, a.den)
+        c = f"{x // g}/{a.den // g}" if a.den != g else str(x // g)
         if j == 0:
-            parts.append(str(c))
-        elif c == 1:
+            parts.append(c)
+        elif c == "1":
             parts.append(f"zeta{a.order}^{j}")
         else:
             parts.append(f"{c}*zeta{a.order}^{j}")

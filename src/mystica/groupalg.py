@@ -13,14 +13,13 @@ built on top.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, _make, scalar_to_text
 from .groups import FiniteMonomialGroup
-from .monomial import MonomialElement, identity, inversions, perm_apply
+from .monomial import MonomialElement, inversions, perm_apply
 
-_QUARTER = Fraction(1, 4)
+_QUARTER = _make(1, (1,), 4)
 
 
 class GroupAlgebraElement:
@@ -49,7 +48,7 @@ class GroupAlgebraElement:
 
     @staticmethod
     def one(n: int, N: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(n, N, {identity(n, N): 1})
+        return GroupAlgebraElement(n, N, {MonomialElement.identity(n, N): 1})
 
     @staticmethod
     def from_element(g: MonomialElement, coeff=1) -> "GroupAlgebraElement":
@@ -182,7 +181,7 @@ def _q_ij(order: int, nums: tuple, den: int, i: int, j: int, n: int, N: int) -> 
         n,
         N,
         {
-            identity(n, N): plus,
+            MonomialElement.identity(n, N): plus,
             ti * tj: -plus,
             ti: (cinv - c + 2) * _QUARTER,
             tj: (c - cinv + 2) * _QUARTER,

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from .monomial import MonomialElement, _trusted, identity, perm_sign
+from .monomial import MonomialElement, _trusted, perm_sign
 
 DEFAULT_CAP = 50_000
 
@@ -123,7 +123,7 @@ class FiniteMonomialGroup:
         return f"<{self.tag.label} order {self.order} in mu_{self.N}^{self.n}:S_{self.n}>"
 
     def identity(self) -> MonomialElement:
-        return identity(self.n, self.N)
+        return MonomialElement.identity(self.n, self.N)
 
     def element_set(self) -> frozenset:
         return self._eset
@@ -266,7 +266,7 @@ def closure_generate(
     for g in gens:
         if (g.n, g.N) != (n, N):
             raise ValueError("generator outside the stated ambient")
-    e = identity(n, N)
+    e = MonomialElement.identity(n, N)
     seen = {e}
     frontier = [e]
     gens_full = gens + [g.inverse() for g in gens]

@@ -181,10 +181,6 @@ def cycle_text(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def identity(n: int, N: int) -> MonomialElement:
-    return MonomialElement.identity(n, N)
-
-
 def adjacent_swap(n: int, N: int, i: int) -> MonomialElement:
     """The permutation matrix swapping basis vectors i and i+1 (one-based)."""
     if not 1 <= i <= n - 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclo import cyc_make, in_gaussian_half_ring
+from .cyclo import Cyclotomic, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, j_c
 from .groups import FiniteMonomialGroup, common_ambient, enumerate_thick, mu_group
 from .linalg import _insert_pivot, sparse_rank
@@ -123,7 +123,7 @@ def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:
     mu = mu_group(G)
     if G.N % 4 != 0:
         raise ValueError("ambient torus order must contain i")
-    c = cyc_make(4, 1).lift(G.N) if G.N != 4 else cyc_make(4, 1)
+    c = Cyclotomic.root(G.N, G.N // 4)
     cinv = c.inverse()
 
     images, support_ok, ring_ok = _twist_images(c, G, mu)

@@ -14,7 +14,6 @@ distinguished value 0 selects the untwisted action (cocycle identically 1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 from operator import mul
@@ -32,14 +31,12 @@ def _coerce_c(c):
     a rational c is kept at field order 1."""
     if c is None:
         return None
-    if isinstance(c, (int, Fraction)):
-        if c == 0:
-            return None
-        return Cyclotomic.rational(c)
+    if not isinstance(c, Cyclotomic):  # a rational number
+        return None if c == 0 else Cyclotomic.rational(c)
     if c.is_zero():
         return None
     if c.is_rational() and c.order != 1:
-        return Cyclotomic.rational(c.rational_value())
+        return _make(1, c.nums[:1], c.den)
     return c
 
 
@@ -237,16 +234,26 @@ def _cocycle(pairs, k) -> tuple[int, int]:
     return sign % 2, cexp
 
 
-def _scalar(cc, N: int, sign: int, cexp: int, root_exp: int) -> Cyclotomic:
-    """(-1)^sign * zeta_N^root_exp * c^cexp in Q(zeta_L), L = lcm(N, ord c).
-    The untwisted action (cc None) has no cocycle and stays in Q(zeta_N)."""
-    field_order = _field_order(cc, N)
-    out = Cyclotomic.root(field_order, root_exp * (field_order // N))
-    if cc is None:
-        return out
-    if cexp:
-        out = out * cc**cexp
-    return -out if sign else out
+def _c_key(cc):
+    """The hashable key (order, nums, den) of c, None for the untwisted action."""
+    return None if cc is None else (cc.order, cc.nums, cc.den)
+
+
+@lru_cache(maxsize=1024)
+def _twist_row(N: int, c_key, sign: int, cexp: int):
+    """(values, nums, den): values[a] = (-1)^sign c^cexp zeta_N^a, 0 <= a < N,
+    in Q(zeta_L), L = lcm(N, ord c), for c = _make(*c_key), and nums[a] its
+    numerators over the common denominator den.  The untwisted action
+    (c_key None) has no cocycle: its values are the roots zeta_N^a."""
+    if c_key is None:
+        values = tuple(Cyclotomic.root(N, a) for a in range(N))
+    else:
+        cc = _make(*c_key)
+        field_order = _field_order(cc, N)
+        scale = -(cc**cexp) if sign else cc**cexp
+        values = tuple(Cyclotomic.root(field_order, a * (field_order // N)) * scale for a in range(N))
+    den = lcm(*(v.den for v in values))
+    return values, tuple(tuple(x * (den // v.den) for x in v.nums) for v in values), den
 
 
 def _dot(u, v) -> int:
@@ -267,17 +274,6 @@ def _slice_images(perm: tuple[int, ...], degree: int, N: int):
         rows.append(pos[image])
         keys.append((tuple(x % N for x in image), *_cocycle(pairs, k)))
     return tuple(rows), tuple(keys)
-
-
-@lru_cache(maxsize=1024)
-def _factor_row(N: int, c_key, sign: int, cexp: int):
-    """(nums, den): nums[a] holds the numerators of (-1)^sign c^cexp zeta_N^a,
-    0 <= a < N, in Q(zeta_L) over the common denominator den, for
-    c = _make(*c_key), or for the untwisted action when c_key is None."""
-    cc = None if c_key is None else _make(*c_key)
-    values = [_scalar(cc, N, sign, cexp, a) for a in range(N)]
-    den = lcm(*(v.den for v in values))
-    return tuple(tuple(x * (den // v.den) for x in v.nums) for v in values), den
 
 
 def _by_perm(terms, n: int, N: int) -> dict:
@@ -329,24 +325,25 @@ def _period(counts: dict, N: int):
 
 def phi_eval(c, i: int, j: int, k) -> Cyclotomic:
     """phi_ij^(c)(k) = (-1)^(k_i k_j) c^(parity(k_i) - parity(k_j)); indices zero-based."""
-    return _scalar(_coerce_c(c), 1, *_cocycle(((i, j),), k), 0)
+    return _twist_row(1, _c_key(_coerce_c(c)), *_cocycle(((i, j),), k))[0][0]
 
 
 def phi_w_eval(c, perm: tuple[int, ...], k) -> Cyclotomic:
     """Product of phi_ij^(c)(k) over the inversions of the permutation."""
-    return _scalar(_coerce_c(c), 1, *_cocycle(inversions(tuple(perm)), k), 0)
+    return _twist_row(1, _c_key(_coerce_c(c)), *_cocycle(inversions(tuple(perm)), k))[0][0]
 
 
 def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     """The twisted action of a monomial matrix on a polynomial."""
     if f.n != g.n:
         raise ValueError("rank mismatch")
-    cc = _coerce_c(c)
+    c_key = _c_key(_coerce_c(c))
     pairs = inversions(g.perm)
     out: dict = {}
     for k, coeff in f.terms.items():
         image = perm_apply(g.perm, k)
-        out[image] = coeff * _scalar(cc, g.N, *_cocycle(pairs, k), _dot(g.exps, image))
+        values = _twist_row(g.N, c_key, *_cocycle(pairs, k))[0]
+        out[image] = coeff * values[_dot(g.exps, image) % g.N]
     return QPolynomial(f.n, out)
 
 
@@ -389,7 +386,7 @@ class _GroupSum:
         self._tables: dict = {}  # (c key, perm) -> _Entries
 
     def _entries(self, cc, perm) -> _Entries:
-        c_key = None if cc is None else (cc.order, cc.nums, cc.den)
+        c_key = _c_key(cc)
         table = self._tables.get((c_key, perm))
         if table is None:
             field_order = _field_order(cc, self.N)
@@ -410,7 +407,7 @@ def _entry(N: int, c_key, field_order: int, plan, key):
     exponents <rho, w(k)> of the coset representatives are tallied with
     their weights and mapped through (-1)^s c^b into Q(zeta_L)."""
     image, sign, cexp = key
-    nums, den = _factor_row(N, c_key, sign, cexp)
+    _, nums, den = _twist_row(N, c_key, sign, cexp)
     total = None
     for coeff, cden, gens, reps in plan:
         if any(_dot(image, u) % N for u in gens):
@@ -503,33 +500,17 @@ class DimensionMismatchError(RuntimeError):
     """The two invariant-dimension computations disagreed."""
 
 
-def slice_trace(G: FiniteMonomialGroup, c, degree: int) -> Cyclotomic:
-    """Trace of the group sum's operator on the degree slice: the sum of the
-    group sum's entries at the columns each permutation fixes."""
-    cc = _coerce_c(c)
-    group_sum = group_sum_terms(G)
-    trace = Cyclotomic.zero(_field_order(cc, G.N))
-    for perm in group_sum.by_perm:
-        entries = group_sum._entries(cc, perm)
-        rows, keys = _slice_images(perm, degree, G.N)
-        for col, (row, key) in enumerate(zip(rows, keys)):
-            if row == col:
-                value = entries[key]
-                if value is not None:
-                    trace = trace + value
-    return trace
-
-
 def invariant_dimension(G: FiniteMonomialGroup, c, degree: int) -> int:
     """Dimension of the fixed space of the degree slice, computed both as the
-    rank of the symmetrizer matrix and as the trace average; the two must
-    agree exactly."""
+    rank of the symmetrizer matrix and as the trace average, the trace read
+    off the same matrix's diagonal; the two must agree exactly."""
     matrix = operator_matrix(group_sum_terms(G), c, degree)
     rank = sparse_rank(matrix.columns())
-    average = slice_trace(G, c, degree) / G.order
-    if not average.is_rational() or average.rational_value().denominator != 1:
+    trace = sum((v for (row, col), v in matrix.entries.items() if row == col), Cyclotomic.zero())
+    average = trace / G.order
+    if not average.is_rational() or average.den != 1:
         raise DimensionMismatchError(f"trace average {average!r} is not an integer")
-    traced = int(average.rational_value())
+    traced = average.nums[0]
     if traced != rank:
         raise DimensionMismatchError(
             f"symmetrizer rank {rank} != trace average {traced} for {G!r} at degree {degree}"

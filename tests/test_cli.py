@@ -186,21 +186,22 @@ BASE_FOOTPRINT = {"mystica", "mystica.cli", "mystica.cyclo", "mystica.monomial",
 
 def _fresh_main(*argv):
     """Run cli.main(argv) in a fresh interpreter; return its exit code, the
-    mystica modules loaded, and whether numpy and dataclasses were loaded."""
+    mystica modules loaded, and whether numpy, dataclasses and fractions were
+    loaded."""
     code = (
         "import contextlib, io, json, sys\n"
         "from mystica import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({list(argv)!r})\n"
         "mystica = sorted(m for m in sys.modules if m.partition('.')[0] == 'mystica')\n"
-        "print(json.dumps([code, mystica, 'numpy' in sys.modules, 'dataclasses' in sys.modules]))\n"
+        "print(json.dumps([code, mystica, *(name in sys.modules for name in ('numpy', 'dataclasses', 'fractions'))]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    exit_code, modules, numpy, dataclasses = json.loads(done.stdout)
-    return exit_code, set(modules), numpy, dataclasses
+    exit_code, modules, numpy, dataclasses, fractions = json.loads(done.stdout)
+    return exit_code, set(modules), numpy, dataclasses, fractions
 
 
 @pytest.mark.parametrize(
@@ -222,8 +223,9 @@ def _fresh_main(*argv):
 )
 def test_each_command_loads_only_its_modules(argv, extra):
     # numpy is imported only by linalg's F_q certificate, which no command
-    # reaches, and no module uses dataclasses
-    assert _fresh_main(*argv) == (0, BASE_FOOTPRINT | extra, False, False)
+    # reaches, no module uses dataclasses, and cyclo keeps its rationals as
+    # integers, so no command loads fractions
+    assert _fresh_main(*argv) == (0, BASE_FOOTPRINT | extra, False, False, False)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mystica.cyclo import (
     Cyclotomic,
     _euclid_inverse,
+    _make,
     cyc_make,
     cyclotomic_polynomial,
     in_gaussian_half_ring,
@@ -20,6 +21,18 @@ from mystica.cyclo import (
 )
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
+
+
+def _from_coords(order, coords):
+    """The element with the given rational coordinates in the reduced power basis."""
+    fracs = [Fraction(c) for c in coords]
+    den = lcm(*(f.denominator for f in fracs))
+    return _make(order, [f.numerator * (den // f.denominator) for f in fracs], den)
+
+
+def _coords(a):
+    """The rational coordinates of an element in the reduced power basis."""
+    return tuple(Fraction(x, a.den) for x in a.nums)
 
 
 def test_cyclotomic_polynomials_small():
@@ -75,7 +88,7 @@ def test_order_lift_normalisation():
     prod = cyc_make(8, 1) * cyc_make(8, 1)
     assert prod == cyc_make(4, 1)
     assert prod.order == 8
-    assert cyc_make(4, 1).lift(8).coeffs == prod.coeffs
+    assert _coords(cyc_make(4, 1).lift(8)) == _coords(prod)
 
 
 def test_division_and_division_by_zero():
@@ -88,8 +101,7 @@ def test_division_and_division_by_zero():
 
 def _random_element(rng, order):
     deg = len(cyclotomic_polynomial(order)) - 1
-    coeffs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(deg))
-    return Cyclotomic(order, coeffs)
+    return _from_coords(order, (Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(deg)))
 
 
 def test_field_axioms_random_triples():
@@ -111,7 +123,7 @@ def test_canonical_difference_is_all_zero():
     for order in ORDERS:
         for _ in range(20):
             a = _random_element(rng, order)
-            assert all(c == 0 for c in (a - a).coeffs)
+            assert all(c == 0 for c in _coords(a - a))
 
 
 def test_order_lift_coherence_of_products():
@@ -182,7 +194,7 @@ _X = sympy.Symbol("x")
 
 
 def _reference(a: Cyclotomic) -> sympy.Poly:
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in a.coeffs]
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in _coords(a)]
     return sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
 
 
@@ -221,7 +233,7 @@ def _assert_canonical(a: Cyclotomic) -> None:
 def _elements(order: int):
     deg = len(cyclotomic_polynomial(order)) - 1
     coord = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-    return st.lists(coord, min_size=deg, max_size=deg).map(lambda cs: Cyclotomic(order, tuple(cs)))
+    return st.lists(coord, min_size=deg, max_size=deg).map(lambda cs: _from_coords(order, cs))
 
 
 @st.composite
@@ -269,8 +281,8 @@ def test_zero_is_stored_as_zero_over_one():
         for zero in (Cyclotomic.zero(order), a - a, a * 0, Cyclotomic.rational(Fraction(0, 5), order)):
             assert zero.nums == (0,) * len(zero.nums) and zero.den == 1
             assert zero == 0 and scalar_to_text(zero) == "0"
-    assert Cyclotomic(4, (Fraction(2, 6), Fraction(-4, 6))).nums == (1, -2)
-    assert Cyclotomic(4, (Fraction(2, 6), Fraction(-4, 6))).den == 3
+    assert _make(4, (2, -4), 6).nums == (1, -2)
+    assert _make(4, (2, -4), 6).den == 3
 
 
 def test_root_of_unity_inverse_negates_the_exponent():
@@ -296,3 +308,78 @@ def test_general_inverse_of_non_roots():
             assert a * inverse == 1
             assert inverse * a == 1
             _assert_canonical(inverse)
+
+
+# -- differential test against a Fraction oracle -----------------------
+#
+# The package holds rationals only as integer numerators over one
+# denominator.  These oracles redo the text form and the Z[i, 1/2] test on
+# Fraction coordinates, a reference independent of that integer code.
+
+
+def _oracle_text(a: Cyclotomic) -> str:
+    parts = []
+    for j, c in enumerate(_coords(a)):
+        if c == 0:
+            continue
+        if j == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"zeta{a.order}^{j}")
+        else:
+            parts.append(f"{c}*zeta{a.order}^{j}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _oracle_gaussian_half_ring(a: Cyclotomic) -> bool:
+    m = lcm(a.order, 4)
+    coords = _coords(a.lift(m))
+    ivec = Cyclotomic.root(m, m // 4).nums
+    pos = next(j for j in range(1, len(ivec)) if ivec[j] != 0)
+    v = coords[pos] / ivec[pos]
+    u = coords[0] - v * ivec[0]
+    if any(c != v * ivec[j] + (u if j == 0 else 0) for j, c in enumerate(coords)):
+        return False
+    return all(q.denominator & (q.denominator - 1) == 0 for q in (u, v))
+
+
+def test_integer_text_literals_and_gaussian_test_match_fraction_oracle():
+    rng = random.Random(1312)
+    seen = {True: 0, False: 0}
+    for order in (1, 2, 3, 4, 6, 8, 12, 24):
+        deg = len(cyclotomic_polynomial(order)) - 1
+        for _ in range(40):
+            den = rng.randint(1, 16)
+            a = _from_coords(order, [Fraction(rng.randint(-9, 9), den) for _ in range(deg)])
+            # every other element in Q(i) at its order, so both verdicts occur
+            if order % 4 == 0 and rng.random() < 0.5:
+                i = Cyclotomic.root(order, order // 4)
+                a = Cyclotomic.rational(Fraction(rng.randint(-9, 9), den), order) + Fraction(rng.randint(-9, 9), den) * i
+            text = scalar_to_text(a)
+            assert text == _oracle_text(a)
+            assert parse_scalar(text) == a
+            verdict = in_gaussian_half_ring(a)
+            assert verdict is _oracle_gaussian_half_ring(a), text
+            seen[verdict] += 1
+    assert seen[True] and seen[False]
+    for literal, value in (("-3/6", Fraction(-1, 2)), ("0/5", Fraction(0)), ("7", Fraction(7)), ("12/8", Fraction(3, 2))):
+        parsed = parse_scalar(literal)
+        assert parsed == value and (parsed.nums, parsed.den) == ((value.numerator,), value.denominator)
+        assert scalar_to_text(parsed) == str(value)
+    parsed = parse_scalar("2/4*zeta8^3")
+    assert (parsed.order, parsed.nums, parsed.den) == (8, (0, 0, 0, 1), 2)
+    assert scalar_to_text(parsed) == _oracle_text(parsed) == "1/2*zeta8^3"
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("1/0")
+
+
+def test_rational_operands_are_ints_or_fractions_only():
+    a = cyc_make(12, 5)
+    assert a * Fraction(2, 4) == a * Cyclotomic.rational(Fraction(1, 2))
+    assert Cyclotomic.rational(Fraction(-6, 4)) == Fraction(-3, 2)
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            Cyclotomic.rational(bad)
+        with pytest.raises(TypeError):
+            a * bad
+        assert (a == bad) is False

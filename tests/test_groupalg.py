@@ -23,7 +23,7 @@ from mystica.groupalg import (
     q_w_element,
 )
 from mystica.groups import make_gmpn, make_w, closure_generate
-from mystica.monomial import MonomialElement, adjacent_swap, identity, torus_gen
+from mystica.monomial import MonomialElement, adjacent_swap, torus_gen
 from mystica.qpoly import operator_matrix, phi_eval, phi_w_eval
 
 C_VALUES = [Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1), cyc_make(12, 5)]
@@ -55,7 +55,7 @@ def test_q12_at_one_explicit_coefficients():
         2,
         4,
         {
-            identity(2, 4): Fraction(1, 2),
+            MonomialElement.identity(2, 4): Fraction(1, 2),
             tau1 * tau2: Fraction(-1, 2),
             tau1: Fraction(1, 2),
             tau2: Fraction(1, 2),
@@ -79,7 +79,7 @@ def test_e_group_examples():
     assert e_group(trivial) == GroupAlgebraElement.one(2, 4)
     S2 = make_gmpn(1, 1, 2).lift(4)
     s1 = adjacent_swap(2, 4, 1)
-    assert e_group(S2) == GroupAlgebraElement(2, 4, {identity(2, 4): 1, s1: 1})
+    assert e_group(S2) == GroupAlgebraElement(2, 4, {MonomialElement.identity(2, 4): 1, s1: 1})
     G = make_gmpn(2, 2, 2)
     eG = e_group(G)
     assert len(eG.terms) == 4

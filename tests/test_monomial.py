@@ -12,7 +12,6 @@ from mystica.monomial import (
     MonomialElement,
     adjacent_swap,
     central_scalar,
-    identity,
     perm_apply,
     torus_gen,
 )
@@ -34,7 +33,7 @@ def test_semidirect_relation_swap_then_scale():
 
 
 def test_identity_is_neutral():
-    e = identity(3, 2)
+    e = MonomialElement.identity(3, 2)
     a = adjacent_swap(3, 2, 1) * torus_gen(3, 2, 3, 1)
     assert e * a == a
     assert a * e == a
@@ -49,19 +48,19 @@ def test_square_of_twisted_swap():
 
 
 def test_inverse_examples():
-    e = identity(2, 4)
+    e = MonomialElement.identity(2, 4)
     assert e.inverse() == e
     t = torus_gen(2, 4, 1, 1)
     assert t.inverse() == torus_gen(2, 4, 1, 3)
     sigma = adjacent_swap(2, 2, 1) * torus_gen(2, 2, 1, 1)
     expected = adjacent_swap(2, 2, 1) * torus_gen(2, 2, 2, 1)
     assert sigma.inverse() == expected
-    assert sigma * sigma.inverse() == identity(2, 2)
+    assert sigma * sigma.inverse() == MonomialElement.identity(2, 2)
 
 
 def test_det_examples():
     assert adjacent_swap(3, 2, 1).det() == -1
-    assert identity(3, 2).det() == 1
+    assert MonomialElement.identity(3, 2).det() == 1
     a = torus_gen(2, 6, 1, 1) * torus_gen(2, 6, 2, 2)
     assert a.det() == -1
     assert (torus_gen(2, 4, 1, 1) * adjacent_swap(2, 4, 1)).det() == -Cyclotomic.root(4, 1)
@@ -71,7 +70,7 @@ def test_act_on_basis_examples():
     s1 = adjacent_swap(2, 4, 1)
     scalar, target = s1.act_on_basis(1)
     assert (scalar, target) == (1, 2)
-    e = identity(3, 4)
+    e = MonomialElement.identity(3, 4)
     for k in range(1, 4):
         scalar, target = e.act_on_basis(k)
         assert scalar == 1 and target == k
@@ -84,10 +83,10 @@ def test_act_on_basis_examples():
 
 
 def test_central_scalar():
-    assert central_scalar(2, 2, 0) == identity(2, 2)
+    assert central_scalar(2, 2, 0) == MonomialElement.identity(2, 2)
     z = central_scalar(2, 2, 1)
     assert z == MonomialElement(2, 2, (0, 1), (1, 1))
-    assert z * z == identity(2, 2)
+    assert z * z == MonomialElement.identity(2, 2)
     for a in all_elements(2, 2):
         assert a * z == z * a
 
@@ -95,7 +94,7 @@ def test_central_scalar():
 @pytest.mark.parametrize("n,N", [(2, 2), (3, 2), (2, 4)])
 def test_group_axioms_on_full_element_set(n, N):
     elems = list(all_elements(n, N))
-    e = identity(n, N)
+    e = MonomialElement.identity(n, N)
     inverses = {}
     for a in elems:
         inv = a.inverse()
@@ -170,7 +169,7 @@ def test_json_round_trip_and_schema():
 def test_text_form():
     a = torus_gen(2, 4, 1, 1) * adjacent_swap(2, 4, 1)
     assert a.to_text() == "t1^1 t2^0 * (1 2)"
-    assert identity(2, 4).to_text() == "t1^0 t2^0 * ()"
+    assert MonomialElement.identity(2, 4).to_text() == "t1^0 t2^0 * ()"
 
 
 def test_perm_apply_convention():
@@ -181,14 +180,14 @@ def test_perm_apply_convention():
 
 def test_ambient_mismatch_rejected():
     with pytest.raises(ValueError):
-        identity(2, 2) * identity(2, 4)
+        MonomialElement.identity(2, 2) * MonomialElement.identity(2, 4)
     with pytest.raises(ValueError):
-        identity(2, 2) * identity(3, 2)
+        MonomialElement.identity(2, 2) * MonomialElement.identity(3, 2)
 
 
 def _order_by_repeated_products(a):
     """The reference element order: multiply until the identity comes back."""
-    out, order, ident = a, 1, identity(a.n, a.N)
+    out, order, ident = a, 1, MonomialElement.identity(a.n, a.N)
     while out != ident:
         out = out * a
         order += 1
