@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--c",
         default="1",
         help="action parameter for the counterpart side, as a scalar literal "
-        "(default 1, the sign-twisted action; 0 selects the untwisted action)",
+        "(default 1, the sign-twisted action; 0 selects the untwisted action); "
+        "a negative literal takes the = form, --c=-3/6",
     )
     p.set_defaults(fn=cmd_equiv)
 

@@ -59,9 +59,6 @@ class GroupAlgebraElement:
     def items(self):
         return self.terms.items()
 
-    def support(self) -> frozenset:
-        return frozenset(self.terms)
-
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
         out = dict(self.terms)
@@ -73,17 +70,6 @@ class GroupAlgebraElement:
             else:
                 out[g] = total
         return GroupAlgebraElement(self.n, self.N, out)
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.n, self.N, {g: -v for g, v in self.terms.items()})
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "GroupAlgebraElement":
-        if not isinstance(coeff, Cyclotomic):
-            coeff = Cyclotomic.rational(coeff)
-        return GroupAlgebraElement(self.n, self.N, {g: v * coeff for g, v in self.terms.items()})
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         """Bilinear convolution through the group law."""
@@ -113,9 +99,6 @@ class GroupAlgebraElement:
             and self.terms.keys() == other.terms.keys()
             and all(v == other.terms[g] for g, v in self.terms.items())
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_torus_supported(self) -> bool:
         return all(g.is_torus() for g in self.terms)

@@ -6,7 +6,9 @@ full group sums coincide; the artifact decides this on all degree slices up
 to a truncation degree D, which every report records.  The correspondence mu
 maps the torus-filtered family to the det-filtered family; the group-ring
 check verifies that the coefficient-twisting map carries one integral group
-ring onto the other inside Z[i, 1/2].
+ring onto the other inside Z[i, 1/2].  Since J_c(t*w) = t*w*Q_w^(c) with
+Q_w^(c) in the commutative torus algebra, it decides this once per
+permutation w from the n! elements Q_w^(c), not once per group element.
 
 The operators of the group elements on the slices of degree at most d become
 linearly independent once d is large enough; the smallest such d is found
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclo import Cyclotomic, in_gaussian_half_ring
-from .groupalg import GroupAlgebraElement, j_c
+from .groupalg import GroupAlgebraElement, q_w_element
 from .groups import FiniteMonomialGroup, common_ambient, enumerate_thick, mu_group
 from .linalg import _insert_pivot, sparse_rank
 from .qpoly import class_sum_terms, group_sum_terms, operator_matrix
@@ -115,25 +117,27 @@ def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:
     """Verify that the i-twist carries the integral group ring of G onto that
     of the counterpart group inside Z[i, 1/2].
 
-    The coefficient matrix of the twist (rows indexed by G, columns by the
-    counterpart) and the coefficient matrix of the inverse twist are both
-    computed; invertibility over the fraction field is certified by checking
-    that the two matrix products are the identity, row by row.
+    J_c(t*w) = t*w*Q_w^(c) with Q_w^(c) in the torus algebra, so each field
+    is read per permutation w: the support of J_c(g) is g times that of
+    Q_w^(c), its coefficients are those of Q_w^(c), and, the torus algebra
+    being commutative, J_{1/c}(J_c(t*w)) = t*w*Q_w^(c)*Q_w^(1/c).  The twists
+    are inverse change-of-basis matrices exactly when Q_w^(c)*Q_w^(1/c) = 1
+    for every w: criterion 10's q-element identity, at the cell's N (4 or 12).
     """
     mu = mu_group(G)
     if G.N % 4 != 0:
         raise ValueError("ambient torus order must contain i")
     c = Cyclotomic.root(G.N, G.N // 4)
-    cinv = c.inverse()
 
-    images, support_ok, ring_ok = _twist_images(c, G, mu)
-    inverse_images, inv_support_ok, inv_ring_ok = _twist_images(cinv, mu, G)
+    factors, support_ok, ring_ok = _twist_factors(c, G, mu)
+    inverse_factors, inv_support_ok, inv_ring_ok = _twist_factors(c.inverse(), mu, G)
+    # with both supports contained, G and mu have the same permutations
+    one = GroupAlgebraElement.one(G.n, G.N)
     invertible = (
         len(G) == len(mu)
         and support_ok
         and inv_support_ok
-        and _composes_to_identity(images, inverse_images)
-        and _composes_to_identity(inverse_images, images)
+        and all(q * inverse_factors[w] == one for w, q in factors.items())
     )
 
     return GroupRingIsoReport(
@@ -148,24 +152,15 @@ def group_ring_iso_check(G: FiniteMonomialGroup) -> GroupRingIsoReport:
     )
 
 
-def _twist_images(c, source: FiniteMonomialGroup, target: FiniteMonomialGroup):
-    """(g -> j_c(g) for g in source, whether every image is supported in
-    target, whether every image coefficient lies in Z[i, 1/2])."""
-    images = {g: j_c(c, GroupAlgebraElement.from_element(g)) for g in source.elements}
-    support_ok = all(img.support() <= target.element_set() for img in images.values())
-    ring_ok = all(in_gaussian_half_ring(v) for img in images.values() for v in img.terms.values())
-    return images, support_ok, ring_ok
-
-
-def _composes_to_identity(images: dict, back: dict) -> bool:
-    """Whether following each g -> images[g] by h -> back[h] gives g back."""
-    for g, img in images.items():
-        acc = GroupAlgebraElement.zero(g.n, g.N)
-        for h, coeff in img.items():
-            acc = acc + back[h].scale(coeff)
-        if acc != GroupAlgebraElement.from_element(g):
-            return False
-    return True
+def _twist_factors(c, source: FiniteMonomialGroup, target: FiniteMonomialGroup):
+    """(w -> Q_w^(c) for each permutation w of source, whether g*s lies in
+    target for every g of source and s in the support of Q_w(g)^(c), whether
+    every coefficient of those Q_w^(c) lies in Z[i, 1/2])."""
+    factors = {w: q_w_element(c, w, source.n, source.N) for w in {g.perm for g in source.elements}}
+    targets = target.element_set()
+    support_ok = all(g * s in targets for g in source.elements for s in factors[g.perm].terms)
+    ring_ok = all(in_gaussian_half_ring(v) for q in factors.values() for v in q.terms.values())
+    return factors, support_ok, ring_ok
 
 
 def faithfulness_rank(G: FiniteMonomialGroup, c, degree: int) -> int:

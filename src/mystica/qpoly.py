@@ -117,45 +117,12 @@ class QPolynomial:
                 clean[tuple(k)] = v
         self.terms = clean
 
-    @staticmethod
-    def zero(n: int) -> "QPolynomial":
-        return QPolynomial(n)
-
-    @staticmethod
-    def monomial(k, coeff=1) -> "QPolynomial":
-        return QPolynomial(len(k), {tuple(k): coeff})
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            total = v if cur is None else cur + v
-            if total.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = total
-        return QPolynomial(self.n, out)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def scale(self, coeff) -> "QPolynomial":
-        if not isinstance(coeff, Cyclotomic):
-            coeff = Cyclotomic.rational(coeff)
-        return QPolynomial(self.n, {k: v * coeff for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPolynomial):
             return NotImplemented
         return self.n == other.n and self.terms.keys() == other.terms.keys() and all(
             v == other.terms[k] for k, v in self.terms.items()
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def to_text(self) -> str:
         from .cyclo import scalar_to_text
@@ -176,14 +143,6 @@ class QPolynomial:
             else:
                 parts.append(f"({ctxt})*{vars_txt}")
         return " + ".join(parts)
-
-    def to_json(self) -> list:
-        from .cyclo import scalar_to_text
-
-        return [
-            {"exp": list(k), "coeff": scalar_to_text(self.terms[k])}
-            for k in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True)
-        ]
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.to_text()!r})"

@@ -75,6 +75,15 @@ def test_equiv_with_scalar_literal(capsys):
     code, out, _ = run(capsys, "equiv", "--m", "2", "--p", "2", "--n", "2", "--c", "0")
     assert code == 1
     assert "VERDICT: not equivalent" in out
+    # a negative literal takes the = form; spaced, argparse reads it as an option
+    for literal in ("-3/6", "-zeta4"):
+        code, out, err = run(capsys, "equiv", "--m", "4", "--p", "2", "--n", "2", f"--c={literal}")
+        assert code == 0, (literal, err)
+        assert out.strip().endswith("VERDICT: equivalent"), literal
+    code, out, err = run(capsys, "equiv", "--m", "4", "--p", "2", "--n", "2", "--c", "-3/6")
+    assert code == 2
+    assert "argument --c: expected one argument" in err
+    assert "Traceback" not in out + err
 
 
 def test_invariants_command(capsys):

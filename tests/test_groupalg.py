@@ -89,12 +89,12 @@ def test_e_group_examples():
 def test_convolution_examples():
     S2 = make_gmpn(1, 1, 2).lift(4)
     e = e_group(S2)
-    assert ga_mul(e, e) == e.scale(2)
+    assert ga_mul(e, e) == GroupAlgebraElement(2, 4, {g: 2 for g in e.terms})
     s1 = adjacent_swap(2, 4, 1)
     one = GroupAlgebraElement.one(2, 4)
     a = one + GroupAlgebraElement.from_element(s1)
-    b = one - GroupAlgebraElement.from_element(s1)
-    assert ga_mul(a, b).is_zero()
+    b = one + GroupAlgebraElement.from_element(s1, -1)
+    assert ga_mul(a, b) == GroupAlgebraElement(2, 4)
 
 
 def test_q_inverse_law_via_convolution():
@@ -134,14 +134,13 @@ def test_psi_is_multiplicative_and_separates_q_elements():
         gb = GroupAlgebraElement.from_element(b)
         k = tuple(rng.randrange(6) for _ in range(2))
         assert psi_eval(ga * gb, k) == psi_eval(ga, k) * psi_eval(gb, k)
-    # injectivity on the span of the tested Q-elements: distinct values on
-    # some parity vector
+    # the tested Q-elements are pairwise distinct under psi: psi is linear, so
+    # psi(q_i - q_j) is nonzero on some parity vector
     qs = [q_w_element(c, (1, 0), 2, N) for c in C_VALUES]
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
-            diff = qs[i] - qs[j]
             assert any(
-                not psi_eval(diff, k).is_zero() for k in [(0, 0), (1, 0), (0, 1), (1, 1)]
+                psi_eval(qs[i], k) != psi_eval(qs[j], k) for k in [(0, 0), (1, 0), (0, 1), (1, 1)]
             )
 
 
@@ -227,7 +226,7 @@ def test_j_at_i_of_swap_matches_twisted_operator():
     image = j_c(c, GroupAlgebraElement.from_element(s1))
     tau1 = torus_gen(2, 4, 1, 2)
     tau2 = torus_gen(2, 4, 2, 2)
-    assert image.support() == frozenset({s1 * tau1, s1 * tau2})
+    assert frozenset(image.terms) == frozenset({s1 * tau1, s1 * tau2})
     for d in range(3):
         assert operator_matrix(image, 0, d) == operator_matrix(s1, c, d)
 

@@ -1,13 +1,17 @@
 """Tests for the det-twist correspondence, operator equivalence, the group
 ring change of basis and faithfulness ranks."""
 
+from fractions import Fraction
+
 import pytest
 
-from mystica.cyclo import cyc_make, parse_scalar
-from mystica.groupalg import GroupAlgebraElement, e_group, j_c
+from mystica.cyclo import Cyclotomic, cyc_make, in_gaussian_half_ring, parse_scalar
+from mystica.groupalg import GroupAlgebraElement, e_group, j_c, q_w_element
 from mystica.groups import closure_generate, make_gmpn, make_w, mu_group
+from mystica.monomial import MonomialElement, torus_gen
 from mystica.mystic import (
     EquivalenceReport,
+    GroupRingIsoReport,
     faithfulness_rank,
     faithfulness_saturation_degree,
     group_ring_iso_check,
@@ -15,7 +19,7 @@ from mystica.mystic import (
     unique_equivalent_thick,
 )
 from mystica.qpoly import default_truncation_degree
-from mystica.verify import VerifyConfig, independence_groups
+from mystica.verify import VerifyConfig, _even_m_cells, independence_groups
 
 
 def test_mu_of_smallest_even_group_is_cyclic_four():
@@ -108,7 +112,7 @@ def test_group_ring_iso_check_klein_four():
     image = j_c(cyc_make(4, 1), GroupAlgebraElement.from_element(s1))
     tau1 = torus_gen(2, 4, 1, 2)
     tau2 = torus_gen(2, 4, 2, 2)
-    assert image.support() == frozenset({s1 * tau1, s1 * tau2})
+    assert frozenset(image.terms) == frozenset({s1 * tau1, s1 * tau2})
     assert image.terms[s1 * tau1] == parse_scalar("1/2 + -1/2*zeta4^1")
     assert image.terms[s1 * tau2] == parse_scalar("1/2 + 1/2*zeta4^1")
 
@@ -125,6 +129,98 @@ def test_group_ring_iso_check_depth_two():
     report = group_ring_iso_check(make_gmpn(4, 1, 2))
     assert report.passed
     assert report.order == 32
+
+
+# -- the group-ring check against its element-by-element reference -----------
+
+GROUP_RING_CELLS = list(_even_m_cells(VerifyConfig(), "group-ring-change-of-basis"))
+
+
+def _reference_group_ring_iso_check(G):
+    """The element-by-element check: J_c of every element of G and of mu(G),
+    and the two twists composed on every basis element."""
+    mu = mu_group(G)
+    c = Cyclotomic.root(G.N, G.N // 4)
+
+    def twist(c, source, target):
+        images = {g: j_c(c, GroupAlgebraElement.from_element(g)) for g in source.elements}
+        support = all(frozenset(img.terms) <= target.element_set() for img in images.values())
+        ring = all(in_gaussian_half_ring(v) for img in images.values() for v in img.terms.values())
+        return images, support, ring
+
+    def composes(images, back):
+        # following each g -> images[g] by h -> back[h] gives g back
+        for g, img in images.items():
+            acc = GroupAlgebraElement(g.n, g.N)
+            for h, coeff in img.items():
+                acc = acc + GroupAlgebraElement(g.n, g.N, {k: v * coeff for k, v in back[h].items()})
+            if acc != GroupAlgebraElement.from_element(g):
+                return False
+        return True
+
+    images, support, ring = twist(c, G, mu)
+    inverse_images, inv_support, inv_ring = twist(c.inverse(), mu, G)
+    invertible = (
+        len(G) == len(mu)
+        and support
+        and inv_support
+        and composes(images, inverse_images)
+        and composes(inverse_images, images)
+    )
+    return GroupRingIsoReport(G.tag.label, mu.tag.label, G.order, support, ring, inv_support, inv_ring, invertible)
+
+
+def test_group_ring_iso_check_matches_reference_on_grid():
+    assert len(GROUP_RING_CELLS) == 18
+    for m, p, n in GROUP_RING_CELLS:
+        G = make_gmpn(m, p, n)
+        report = group_ring_iso_check(G)
+        assert report == _reference_group_ring_iso_check(G), (m, p, n)
+        assert report.passed, (m, p, n)
+
+
+_BREAKS = {
+    "plus-one": lambda q, n, N: q + GroupAlgebraElement.one(n, N),
+    "third": lambda q, n, N: q * GroupAlgebraElement(n, N, {MonomialElement.identity(n, N): Fraction(1, 3)}),
+    "zeta-term": lambda q, n, N: q + GroupAlgebraElement.from_element(torus_gen(n, N, 1, 1)),
+}
+
+# break -> {cell: the report fields that fail there}; Q + 1 also breaks the
+# supports where mu(G) differs from G, so only its invertibility cells are pinned
+_BROKEN_FIELDS = {
+    "plus-one": {
+        (2, 1, 2): {"change_of_basis_invertible"},
+        (4, 2, 3): {"change_of_basis_invertible"},
+    },
+    "third": dict.fromkeys(
+        [(2, 1, 2), (4, 2, 3), (2, 2, 3)],
+        {"coefficients_in_ring", "inverse_coefficients_in_ring", "change_of_basis_invertible"},
+    ),
+    "zeta-term": dict.fromkeys(
+        [(2, 1, 2), (4, 2, 3), (2, 2, 3)],
+        {"support_contained", "inverse_support_contained", "change_of_basis_invertible"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BREAKS))
+def test_group_ring_iso_check_fails_with_reference_on_a_broken_q_w(monkeypatch, name):
+    # break Q_w^(c) of the transposition (1 2) for every c, in the name j_c
+    # reads and in the name the per-permutation check reads
+    def broken(c, perm, n, N):
+        q = q_w_element(c, perm, n, N)
+        return _BREAKS[name](q, n, N) if tuple(perm) == (1, 0) + tuple(range(2, n)) else q
+
+    monkeypatch.setattr("mystica.groupalg.q_w_element", broken)
+    monkeypatch.setattr("mystica.mystic.q_w_element", broken)
+    for m, p, n in [(2, 1, 2), (4, 2, 3), (2, 2, 3)]:
+        G = make_gmpn(m, p, n)
+        report = group_ring_iso_check(G)
+        assert report == _reference_group_ring_iso_check(G), (m, p, n)
+        assert not report.passed, (m, p, n)
+        if (m, p, n) in _BROKEN_FIELDS[name]:
+            failed = {field for field in GroupRingIsoReport._fields[3:] if not getattr(report, field)}
+            assert failed == _BROKEN_FIELDS[name][m, p, n], (m, p, n)
 
 
 def test_faithfulness_rank_examples():
