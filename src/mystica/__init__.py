@@ -23,7 +23,6 @@ _EXPORTS = {
         "make_gmpn",
         "make_w",
         "mu_group",
-        "structure_probes",
         "torus_part",
     ),
     "qpoly": (

@@ -9,9 +9,10 @@ sound and complete for the desk-scale orders it is run at.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
-from .groups import CapExceededError, FiniteMonomialGroup, common_ambient, structure_probes
+from .groups import CapExceededError, FiniteMonomialGroup, IndexedGroup, common_ambient, group_size_cap
 
 ISO_CAP = 500
 
@@ -30,9 +31,15 @@ class Fingerprint(NamedTuple):
 
 
 def fingerprint(G: FiniteMonomialGroup) -> Fingerprint:
-    probes = structure_probes(G)
+    cap = group_size_cap()
+    if G.order > cap:
+        raise CapExceededError(f"group of order {G.order} exceeds cap {cap}")
     ig = G.indexed()
     classes = ig.conjugacy_classes()
+    # [G,G] is the normal closure of the commutators of a generating set
+    gens = ig.generators()
+    commutators = {ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens}
+    derived = ig.materialize(ig.normal_closure({ig.class_of(x) for x in commutators}))
     power_data = []
     for cls in classes:
         rep = min(cls)
@@ -46,14 +53,47 @@ def fingerprint(G: FiniteMonomialGroup) -> Fingerprint:
             )
         )
     return Fingerprint(
-        order=probes.order,
-        order_histogram=probes.order_histogram,
-        center_order=probes.center_order,
-        abelianization=probes.abelianization,
-        class_sizes=probes.class_sizes,
-        derived_order=probes.derived_order,
+        order=G.order,
+        order_histogram=tuple(sorted(Counter(a.element_order() for a in G.elements).items())),
+        center_order=sum(1 for cls in classes if len(cls) == 1),
+        abelianization=_abelian_quotient_invariants(ig, derived),
+        class_sizes=tuple(sorted(len(cls) for cls in classes)),
+        derived_order=len(derived),
         class_power_data=tuple(sorted(power_data)),
     )
+
+
+def _abelian_quotient_invariants(ig: IndexedGroup, derived: set[int]) -> tuple[int, ...]:
+    """Invariant factors of G/[G,G] (an ascending divisor chain).  A cyclic
+    subgroup of largest order in a finite abelian group is a direct summand
+    (Rotman, An Introduction to the Theory of Groups, ch. 6), so the next
+    factor is the largest coset order modulo the part K split off so far."""
+    # cosets of the derived subgroup
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for i in range(len(ig.elems)):
+        if i in coset_of:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for d in derived:
+            coset_of[ig.mul(i, d)] = cid
+
+    def powers(a: int, K: set[int]) -> list[int]:
+        """The cosets a^0, a^1, ..., a^(k-1), for a^k the first power in K."""
+        out, x = [coset_of[ig.id_index]], reps[a]
+        while coset_of[x] not in K:
+            out.append(coset_of[x])
+            x = ig.mul(x, reps[a])
+        return out
+
+    K = {coset_of[ig.id_index]}
+    factors = []
+    while len(K) < len(reps):
+        cyclic = max((powers(a, K) for a in range(len(reps))), key=len)
+        factors.append(len(cyclic))
+        K = {coset_of[ig.mul(reps[k], reps[b])] for k in K for b in cyclic}
+    return tuple(sorted(factors))
 
 
 class _MultTable:

@@ -5,6 +5,10 @@ set equality, membership and normality tests exact and trivial.  The torus
 order of the ambient field is always lcm(m, 4) so that fourth roots of unity
 coexist with the m-th roots used by the group itself.
 
+The counterpart mu(G) of G(m,p,n) is built as the det filter W(m, m/p, n);
+criterion 2 of verify checks it against the paper's product form
+{w t_1^(det w) t}.
+
 The conjugacy-class machinery at the bottom of the module enumerates normal
 subgroups as join-closed unions of conjugacy classes.  That lattice is the
 single audited algorithm behind thick-subgroup enumeration and the
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import NamedTuple
@@ -222,9 +225,9 @@ def make_w(m: int, d: int, n: int, *, N: int | None = None) -> FiniteMonomialGro
 
 
 def mu_group(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
-    """The counterpart group {w t_1^(det w) t : w in S_n, t in T} of a
-    torus-filtered group with even m; equals the det-filtered group with the
-    same torus."""
+    """The counterpart of G(m,p,n) for even m: the det filter W(m, m/p, n),
+    which the paper writes as the products {w t_1^(det w) t : w in S_n, t in
+    T}; criterion 2 of verify builds that product form and compares."""
     if G.tag.kind != "G":
         raise ValueError("mu is defined on groups built as G(m,p,n)")
     m, p, n = G.tag.params
@@ -234,24 +237,7 @@ def mu_group(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
             "under the sign-twisted product, so no group acting by twisted "
             "automorphisms has them as its invariants"
         )
-    N = G.N
-    torus = G.torus_elements()
-    perms = sorted({g.perm for g in G.elements})
-    elems = []
-    for w in perms:
-        w_elem = MonomialElement(n, N, w, (0,) * n)
-        det_exps = [0] * n
-        if perm_sign(w) == -1:
-            det_exps[0] = N // 2
-        twist = MonomialElement(n, N, tuple(range(n)), tuple(det_exps))
-        for t in torus:
-            elems.append(w_elem * twist * t)
-    out = FiniteMonomialGroup(n, N, elems, GroupTag("W", (m, m // p, n)))
-    expected = make_w(m, m // p, n, N=N)
-    if out != expected:
-        raise AssertionError("counterpart construction disagrees with the det filter")
-    assert out.order == G.order
-    return out
+    return make_w(m, m // p, n, N=G.N)
 
 
 def closure_generate(
@@ -362,7 +348,7 @@ def torus_part(G: FiniteMonomialGroup) -> TorusSubgroup:
 
 
 # ---------------------------------------------------------------------------
-# Conjugacy classes, the class-join lattice and structure probes
+# Conjugacy classes and the class-join lattice
 # ---------------------------------------------------------------------------
 
 
@@ -416,40 +402,38 @@ class IndexedGroup:
 
     def generators(self) -> list[int]:
         """A small generating set found greedily: the first element not yet
-        generated joins the set, in index order."""
+        generated joins the set, in index order.  Each join grows the
+        breadth-first spanning tree, (x, y, right(g)) with x = y * g, from the
+        elements already reached."""
         if self._gens is not None:
             return self._gens
         gens: list[int] = []
-        covered = {self.id_index}
+        arrays: list[list[int]] = []
+        reached = [self.id_index]
+        seen = {self.id_index}
         for i in range(len(self.elems)):
-            if i in covered:
+            if i in seen:
                 continue
             gens.append(i)
-            self._tree = self._spanning_tree(gens)
-            covered = {self.id_index}.union(x for x, _, _ in self._tree)
-            if len(covered) == len(self.elems):
+            arrays.append(self.right(i))
+            # the old generators keep the reached subgroup, so only the new
+            # one leads out of it on the first step
+            frontier, step = list(reached), arrays[-1:]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    for times_g in step:
+                        x = times_g[y]
+                        if x not in seen:
+                            seen.add(x)
+                            self._tree.append((x, y, times_g))
+                            nxt.append(x)
+                reached.extend(nxt)
+                frontier, step = nxt, arrays
+            if len(seen) == len(self.elems):
                 break
         self._gens = gens
         return gens
-
-    def _spanning_tree(self, gens: list[int]) -> list[tuple[int, int, list[int]]]:
-        """(x, y, right(g)) with x = y * g for every element x other than the
-        identity of the subgroup the gens generate, in breadth-first order."""
-        arrays = [self.right(g) for g in gens]
-        seen = {self.id_index}
-        tree = []
-        frontier = [self.id_index]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for times_g in arrays:
-                    x = times_g[y]
-                    if x not in seen:
-                        seen.add(x)
-                        tree.append((x, y, times_g))
-                        nxt.append(x)
-            frontier = nxt
-        return tree
 
     # -- conjugacy classes -------------------------------------------------
 
@@ -634,75 +618,3 @@ def identify_tag(G: FiniteMonomialGroup, m: int) -> GroupTag:
             if G == make_w(m, d, n).lift(G.N):
                 return GroupTag("W", (m, d, n))
     return GroupTag("generated")
-
-
-class StructureProbes(NamedTuple):
-    """Exact structural invariants computed by enumeration."""
-
-    order: int
-    center_order: int
-    derived_order: int
-    abelianization: tuple[int, ...]  # invariant factors, ascending divisor chain
-    class_sizes: tuple[int, ...]
-    order_histogram: tuple[tuple[int, int], ...]  # (element order, count)
-    center: FiniteMonomialGroup
-    derived: FiniteMonomialGroup
-
-
-def structure_probes(G: FiniteMonomialGroup) -> StructureProbes:
-    cap = group_size_cap()
-    if G.order > cap:
-        raise CapExceededError(f"group of order {G.order} exceeds cap {cap}")
-    ig = G.indexed()
-    classes = ig.conjugacy_classes()
-    center = [i for cls in classes if len(cls) == 1 for i in cls]
-    # [G,G] is the normal closure of the commutators of a generating set
-    gens = ig.generators()
-    commutators = {ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens}
-    derived = ig.materialize(ig.normal_closure({ig.class_of(x) for x in commutators}))
-    ab_invariants = _abelian_quotient_invariants(ig, derived)
-    class_sizes = tuple(sorted(len(c) for c in classes))
-    hist = Counter(a.element_order() for a in G.elements)
-    return StructureProbes(
-        order=G.order,
-        center_order=len(center),
-        derived_order=len(derived),
-        abelianization=ab_invariants,
-        class_sizes=class_sizes,
-        order_histogram=tuple(sorted(hist.items())),
-        center=ig.subgroup_from_indices(center),
-        derived=ig.subgroup_from_indices(derived),
-    )
-
-
-def _abelian_quotient_invariants(ig: IndexedGroup, derived: set[int]) -> tuple[int, ...]:
-    """Invariant factors of G/[G,G] (an ascending divisor chain).  A cyclic
-    subgroup of largest order in a finite abelian group is a direct summand
-    (Rotman, An Introduction to the Theory of Groups, ch. 6), so the next
-    factor is the largest coset order modulo the part K split off so far."""
-    # cosets of the derived subgroup
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(len(ig.elems)):
-        if i in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for d in derived:
-            coset_of[ig.mul(i, d)] = cid
-
-    def powers(a: int, K: set[int]) -> list[int]:
-        """The cosets a^0, a^1, ..., a^(k-1), for a^k the first power in K."""
-        out, x = [coset_of[ig.id_index]], reps[a]
-        while coset_of[x] not in K:
-            out.append(coset_of[x])
-            x = ig.mul(x, reps[a])
-        return out
-
-    K = {coset_of[ig.id_index]}
-    factors = []
-    while len(K) < len(reps):
-        cyclic = max((powers(a, K) for a in range(len(reps))), key=len)
-        factors.append(len(cyclic))
-        K = {coset_of[ig.mul(reps[k], reps[b])] for k in K for b in cyclic}
-    return tuple(sorted(factors))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .cyclo import Cyclotomic, cyc_make
 from .groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
 from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w, mu_group
-from .monomial import MonomialElement, adjacent_swap, central_scalar, perm_apply, torus_gen
+from .monomial import MonomialElement, adjacent_swap, central_scalar, perm_apply, perm_sign, torus_gen
 from .mystic import (
     faithfulness_saturation_degree,
     group_ring_iso_check,
@@ -120,17 +120,30 @@ def _even_m_cells(cfg: VerifyConfig, check: str):
                 yield m, p, n
 
 
+def _counterpart_by_products(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
+    """The paper's counterpart {w t_1^(det w) t : w in S_n, t in T} of a
+    torus-filtered group, built from MonomialElement products."""
+    n, N = G.n, G.N
+    torus = G.torus_elements()
+    elems = []
+    for w in sorted({g.perm for g in G.elements}):
+        w_elem = MonomialElement(n, N, w, (0,) * n)
+        twist = MonomialElement(n, N, tuple(range(n)), (N // 2 if perm_sign(w) == -1 else 0,) + (0,) * (n - 1))
+        elems.extend(w_elem * twist * t for t in torus)
+    return FiniteMonomialGroup(n, N, elems)
+
+
 def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
     thick: dict = {}  # (m, n) -> enumerate_thick(m, n), shared by the cells of every p
     for m, p, n in _even_m_cells(cfg, "counterpart-grid"):
         G = make_gmpn(m, p, n)
-        mu = mu_group(G)  # raises if the det-filter set disagrees
+        mu = mu_group(G)
         out.append(
             CheckResult(
                 "counterpart-set",
                 {"m": m, "p": p, "n": n},
-                mu == make_w(m, m // p, n),
+                _counterpart_by_products(G) == mu,
                 f"|mu|={mu.order}",
             )
         )
@@ -323,33 +336,27 @@ def check_classification(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 EXPECTED_SINGULAR = (
-    "G(1,1,2)",
-    "G(1,1,3)",
-    "G(1,1,4)",
-    "G(2,1,2)",
-    "G(2,2,2)",
-    "W(2,1,2)",
+    GroupTag("G", (1, 1, 2)),
+    GroupTag("G", (1, 1, 3)),
+    GroupTag("G", (1, 1, 4)),
+    GroupTag("G", (2, 1, 2)),
+    GroupTag("G", (2, 2, 2)),
+    GroupTag("W", (2, 1, 2)),
 )
-
-
-def _tag_in_bounds(label: str, max_m: int, max_n: int) -> bool:
-    inner = label[label.index("(") + 1 : label.index(")")]
-    m, _, n = (int(x) for x in inner.split(","))
-    return m <= max_m and n <= max_n
 
 
 def check_singular_list(cfg: VerifyConfig) -> list[CheckResult]:
     max_m, max_n = cfg.bounds("singular-list")
-    reports = [regular_singular(T) for _, T in thick_atlas(max_m, max_n)]
-    reports = [r for r in reports if r.status == "singular"]
-    found = [r.group for r in reports]
+    reports = [(T.tag, regular_singular(T)) for _, T in thick_atlas(max_m, max_n)]
+    singular = [(tag, r) for tag, r in reports if r.status == "singular"]
+    found = {tag for tag, _ in singular}
     out = []
-    for name in EXPECTED_SINGULAR:
-        if not _tag_in_bounds(name, max_m, max_n):
-            continue
-        out.append(CheckResult("singular-list", {"group": name}, name in found, "expected singular"))
-    for r in reports:
-        if r.group not in EXPECTED_SINGULAR:
+    for tag in EXPECTED_SINGULAR:
+        m, _, n = tag.params
+        if m <= max_m and n <= max_n:
+            out.append(CheckResult("singular-list", {"group": tag.label}, tag in found, "expected singular"))
+    for tag, r in singular:
+        if tag not in EXPECTED_SINGULAR:
             out.append(
                 CheckResult(
                     "singular-list",

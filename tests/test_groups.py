@@ -18,9 +18,9 @@ from mystica.groups import (
     is_thick,
     make_gmpn,
     make_w,
-    structure_probes,
     torus_part,
 )
+from mystica.classify import fingerprint
 from mystica.monomial import MonomialElement, adjacent_swap, perm_sign, torus_gen
 
 
@@ -210,9 +210,9 @@ def test_abelianization_counts_kth_powers_in_the_derived_subgroup():
     # prod gcd(k, d_i); these counts over the k dividing |G/D| determine the
     # abelian group, and here they are taken from MonomialElement powers
     for G in _abelianization_reference_groups():
-        probes = structure_probes(G)
-        D = probes.derived.element_set()
-        factors = probes.abelianization
+        commutators = {a * b * a.inverse() * b.inverse() for a in G for b in G}
+        D = closure_generate((G.N, G.n), commutators).element_set()
+        factors = fingerprint(G).abelianization
         assert all(d > 1 for d in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:])), G
         index = G.order // len(D)
         assert prod(factors) == index, G
@@ -222,25 +222,25 @@ def test_abelianization_counts_kth_powers_in_the_derived_subgroup():
 
 
 def test_structure_probes_klein_four():
-    probes = structure_probes(make_gmpn(2, 2, 2))
-    assert probes.order_histogram == ((1, 1), (2, 3))
-    assert probes.center_order == 4
-    assert probes.derived_order == 1
-    assert probes.abelianization == (2, 2)
+    fp = fingerprint(make_gmpn(2, 2, 2))
+    assert fp.order_histogram == ((1, 1), (2, 3))
+    assert fp.center_order == 4
+    assert fp.derived_order == 1
+    assert fp.abelianization == (2, 2)
 
 
 def test_structure_probes_cyclic_four():
-    probes = structure_probes(make_w(2, 1, 2))
-    assert probes.order_histogram == ((1, 1), (2, 1), (4, 2))
-    assert probes.abelianization == (4,)
+    fp = fingerprint(make_w(2, 1, 2))
+    assert fp.order_histogram == ((1, 1), (2, 1), (4, 2))
+    assert fp.abelianization == (4,)
 
 
 def test_structure_probes_symmetric_three():
-    probes = structure_probes(make_gmpn(1, 1, 3))
-    assert probes.class_sizes == (1, 2, 3)
-    assert probes.center_order == 1
-    assert probes.derived_order == 3
-    assert probes.abelianization == (2,)
+    fp = fingerprint(make_gmpn(1, 1, 3))
+    assert fp.class_sizes == (1, 2, 3)
+    assert fp.center_order == 1
+    assert fp.derived_order == 3
+    assert fp.abelianization == (2,)
 
 
 def test_normal_subgroups_of_dihedral():
@@ -395,7 +395,6 @@ def test_one_indexed_view_per_group(monkeypatch):
     G = make_gmpn(2, 2, 3)
     classify.fingerprint(G)
     classify.regular_singular(G)
-    structure_probes(G)
     classify.isomorphic(G, make_gmpn(1, 1, 4))  # the same fingerprint, so it builds both tables
     assert G.indexed() is G.indexed()
     assert builds.count(G) == 1
@@ -408,8 +407,8 @@ def test_structure_probes_match_element_level_reference(G):
     # the centre as the singleton classes and [G,G] as the normal closure of
     # the generators' commutators, against all pairs of elements
     elems = G.elements
-    probes = structure_probes(G)
-    assert probes.center.element_set() == frozenset(z for z in elems if all(z * g == g * z for g in elems))
+    fp = fingerprint(G)
+    assert fp.center_order == sum(1 for z in elems if all(z * g == g * z for g in elems))
     commutators = {a * b * a.inverse() * b.inverse() for a in elems for b in elems}
-    assert probes.derived.element_set() == closure_generate((G.N, G.n), commutators).element_set()
-    assert probes.order_histogram == tuple(sorted(Counter(g.element_order() for g in elems).items()))
+    assert fp.derived_order == closure_generate((G.N, G.n), commutators).order
+    assert fp.order_histogram == tuple(sorted(Counter(g.element_order() for g in elems).items()))

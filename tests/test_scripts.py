@@ -24,6 +24,9 @@ def test_thick_atlas_report_runs_on_a_small_grid():
     assert proc.returncode == 0, proc.stderr
     for label in ("G(2,2,2)", "W(2,1,2)", "G(2,1,2)"):
         assert f"  {label} " in proc.stdout, label
+    # the fingerprint columns of the dihedral group of order 8
+    row = next(line for line in proc.stdout.splitlines() if line.startswith("  G(2,1,2) "))
+    assert "center   2  abelianization (2, 2)" in row
 
 
 def test_saturation_report_lists_its_groups():

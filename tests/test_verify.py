@@ -43,6 +43,17 @@ def test_counterpart_checks_small():
     assert all(r.passed for r in results)
 
 
+def test_counterpart_set_fails_without_the_det_twist(monkeypatch):
+    # every permutation reads as even inside verify, so the product form
+    # drops the twist t_1^(det w) and builds {w t} = G itself, which is the
+    # det filter W(2,2,2) at p = 1 but not W(2,1,2) at p = 2
+    monkeypatch.setattr(verify, "perm_sign", lambda perm: 1)
+    results = check_counterpart_equivalence(SMALL)
+    cells = {(r.params["m"], r.params["p"], r.params["n"]): r.passed for r in results if r.check == "counterpart-set"}
+    assert cells == {(2, 1, 2): True, (2, 2, 2): False}
+    assert all(r.passed for r in results if r.check != "counterpart-set")
+
+
 def test_parity_and_singular_small():
     assert all(r.passed for r in check_isomorphism_parity(SMALL))
     assert all(r.passed for r in check_singular_list(SMALL))
