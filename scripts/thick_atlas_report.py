@@ -10,7 +10,7 @@ the classification by eye.
 import argparse
 
 from mystica.classify import fingerprint, regular_singular
-from mystica.groups import enumerate_thick
+from mystica.groups import thick_family
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
     args = parser.parse_args()
     for m in range(1, args.max_m + 1):
         for n in range(2, args.max_n + 1):
-            found = enumerate_thick(m, n)
+            found = thick_family(m, n)
             print(f"== level m={m}, rank n={n}: {len(found)} thick subgroups")
             for G in found:
                 fp = fingerprint(G)

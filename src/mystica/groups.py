@@ -9,10 +9,10 @@ The counterpart mu(G) of G(m,p,n) is built as the det filter W(m, m/p, n);
 criterion 2 of verify checks it against the paper's product form
 {w t_1^(det w) t}.
 
-The conjugacy-class machinery at the bottom of the module enumerates normal
-subgroups as join-closed unions of conjugacy classes.  That lattice is the
-single audited algorithm behind thick-subgroup enumeration and the
-normal-abelian-subgroup scans used by the classification code.
+The thick subgroups of G(m,1,n) are built in closed form by a det-and-parity
+filter.  The conjugacy-class machinery at the bottom of the module enumerates
+normal subgroups as join-closed unions of conjugacy classes: the independent
+side of criterion 6, and the normal abelian subgroup scans of classify.
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ class FiniteMonomialGroup:
         # scaling the exponents keeps the sort order
         return FiniteMonomialGroup._sorted(self.n, N, tuple(a.lift(N) for a in self.elements), self.tag)
 
-    def retag(self, tag: GroupTag) -> "FiniteMonomialGroup":
-        return FiniteMonomialGroup._sorted(self.n, self.N, self.elements, tag)
-
     def to_json(self) -> dict:
         if self.tag.kind == "G":
             m, p, n = self.tag.params
@@ -175,11 +172,19 @@ def _torus_rows(m: int, n: int, N: int, residues: frozenset) -> tuple[tuple[int,
     )
 
 
-def _family(n: int, N: int, tag: GroupTag, torus_of) -> FiniteMonomialGroup:
-    """The group of the elements t*w, w in S_n and t in torus_of(w), emitted
-    in sort order: permutations in lexicographic order, then exponents."""
+def _family(m: int, p: int, odd, n: int, N: int | None, tag: GroupTag) -> FiniteMonomialGroup:
+    """The det-and-parity filter: the t*w, t in mu_m^n and w in S_n, with det
+    t in the index-p subgroup of mu_m for even w and det t = zeta_m^r, r in
+    odd, for odd w; emitted in sort order: permutations in lexicographic
+    order, then exponents."""
+    N = N or ambient_order(m)
+    if N % m != 0:
+        raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
+    even_rows, odd_rows = (_torus_rows(m, n, N, frozenset(r)) for r in (range(0, m, p), odd))
     elems = tuple(
-        _trusted(n, N, perm, exps) for perm in itertools.permutations(range(n)) for exps in torus_of(perm)
+        _trusted(n, N, perm, exps)
+        for perm in itertools.permutations(range(n))
+        for exps in (even_rows if perm_sign(perm) == 1 else odd_rows)
     )
     return FiniteMonomialGroup._sorted(n, N, elems, tag)
 
@@ -187,41 +192,50 @@ def _family(n: int, N: int, tag: GroupTag, torus_of) -> FiniteMonomialGroup:
 def make_gmpn(m: int, p: int, n: int, *, N: int | None = None) -> FiniteMonomialGroup:
     """The imprimitive reflection group: pairs t*w with det t in the index-p
     subgroup of the m-th roots of unity.  Order m^n n!/p."""
+    return make_thick(m, p, 0, n, N=N)
+
+
+def make_thick(m: int, p: int, j: int, n: int, *, N: int | None = None) -> FiniteMonomialGroup:
+    """T(m,p,j,n): pairs t*w with det t in zeta_m^(j [w odd]) mu_(m/p), a thick
+    subgroup of G(m,1,n) of order m^n n!/p when p | 2j.  It is G(m,p,n) when
+    p | j (or n = 1), W(m,m/p,n) when j = p/2 and m/p is odd, and outside both
+    families when j = p/2 and m/p is even."""
     if m < 1 or n < 1 or p < 1 or m % p != 0:
         raise ValueError(f"p={p} must divide m={m} and both must be positive")
-    N = N or ambient_order(m)
-    if N % m != 0:
-        raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
-    torus = _torus_rows(m, n, N, frozenset(range(0, m, p)))
-    group = _family(n, N, GroupTag("G", (m, p, n)), lambda perm: torus)
+    if 2 * j % p != 0:
+        raise ValueError(f"2j={2 * j} must be a multiple of p={p}")
+    tag = GroupTag("G", (m, p, n))
+    if j % p and n > 1:
+        tag = GroupTag("W", (m, m // p, n)) if (m // p) % 2 else GroupTag("generated")
+    group = _family(m, p, range(j % p, m, p), n, N, tag)
     assert group.order == m**n * factorial(n) // p
     return group
 
 
 def make_w(m: int, d: int, n: int, *, N: int | None = None) -> FiniteMonomialGroup:
     """The det-twisted family: pairs t*w with det(t*w) in the order-d subgroup
-    of the m-th roots of unity.  Order m^(n-1) d n!."""
+    of the m-th roots of unity.  Order m^(n-1) d n!, halved for odd m, n > 1."""
     if m < 1 or n < 1 or d < 1 or m % d != 0:
         raise ValueError(f"d={d} must divide m={m} and both must be positive")
-    N = N or ambient_order(m)
-    if N % m != 0:
-        raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
-    L = lcm(m, 2)  # det(t*w) lives in the L-th roots of unity
-
-    def torus(sign_term: int):
-        # det(t*w) = zeta_L^(sum(f) L/m + sign_term) must lie in the order-d subgroup
-        residues = frozenset(r for r in range(m) if (r * (L // m) + sign_term) % L % (L // d) == 0)
-        return _torus_rows(m, n, N, residues)
-
-    even, odd = torus(0), torus(L // 2)
-    group = _family(n, N, GroupTag("W", (m, d, n)), lambda perm: even if perm_sign(perm) == 1 else odd)
-    if m % 2 == 0:
-        expected = m ** (n - 1) * d * factorial(n)
-    else:
-        # odd permutations need det t in -C', which misses the m-th roots
-        expected = m ** (n - 1) * d * factorial(n) // (1 if n == 1 else 2)
-    assert group.order == expected
+    p = m // d
+    # odd w need det t in -mu_d: the classes of zeta_m^(m/2) mod mu_d, and
+    # none of the m-th roots when m is odd
+    group = _family(m, p, range(m // 2 % p, m, p) if m % 2 == 0 else (), n, N, GroupTag("W", (m, d, n)))
+    assert group.order == m ** (n - 1) * d * factorial(n) // (2 if m % 2 and n > 1 else 1)
     return group
+
+
+def thick_family(m: int, n: int) -> list[FiniteMonomialGroup]:
+    """All thick subgroups of G(m,1,n), T(m,p,j,n) for p | m and j in {0, p/2}
+    (docs/decisions.md, criterion 6), in enumerate_thick's order: by order,
+    then j = 0 first, as the first odd permutation's rows decide.  S_1 has
+    no odd permutation, so j = p/2 joins only when n >= 2."""
+    return [
+        make_thick(m, p, j, n)
+        for p in range(m, 0, -1)
+        if m % p == 0
+        for j in ((0, p // 2) if p % 2 == 0 and n >= 2 else (0,))
+    ]
 
 
 def mu_group(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
@@ -587,34 +601,18 @@ def _bits(mask: int):
 
 
 def enumerate_thick(m: int, n: int, cap: int | None = None) -> list[FiniteMonomialGroup]:
-    """All thick subgroups of G(m,1,n), found by brute-force enumeration of
-    normal subgroups as joins of conjugacy-class closures."""
+    """All thick subgroups of G(m,1,n), found by searching the ambient's
+    lattice of normal subgroups as joins of conjugacy-class closures, each
+    named by the member of thick_family with its element set."""
     cap = cap or group_size_cap()
     if m**n * factorial(n) > cap:
         raise CapExceededError(f"ambient order {m ** n * factorial(n)} exceeds cap {cap}")
-    amb = make_gmpn(m, 1, n)
-    ig = amb.indexed()
+    ig = make_gmpn(m, 1, n).indexed()
+    tags = {T.element_set(): T.tag for T in thick_family(m, n)}
     out = []
     for class_set in ig.normal_subgroup_class_sets():
         indices = ig.materialize(class_set)
-        perms = {ig.elems[i].perm for i in indices}
-        if len(perms) != factorial(n):
-            continue
-        group = ig.subgroup_from_indices(indices)
-        out.append(group.retag(identify_tag(group, m)))
-    out.sort(key=lambda g: (g.order, [a.sort_key() for a in g.elements]))
-    return out
-
-
-def identify_tag(G: FiniteMonomialGroup, m: int) -> GroupTag:
-    """Match a subgroup of G(m,1,n) against the standard families."""
-    n = G.n
-    for p in range(1, m + 1):
-        if m % p == 0 and G.order == m**n * factorial(n) // p:
-            if G == make_gmpn(m, p, n).lift(G.N):
-                return GroupTag("G", (m, p, n))
-    for d in range(1, m + 1):
-        if m % d == 0 and G.order == m ** (n - 1) * d * factorial(n):
-            if G == make_w(m, d, n).lift(G.N):
-                return GroupTag("W", (m, d, n))
-    return GroupTag("generated")
+        if len({ig.elems[i].perm for i in indices}) == factorial(n):
+            found = frozenset(ig.elems[i] for i in indices)
+            out.append(ig.subgroup_from_indices(indices, tags.get(found, GroupTag("generated"))))
+    return sorted(out, key=lambda G: (G.order, [a.sort_key() for a in G.elements]))

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .cyclo import Cyclotomic, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, q_w_element
-from .groups import FiniteMonomialGroup, common_ambient, enumerate_thick, mu_group
+from .groups import FiniteMonomialGroup, common_ambient, mu_group, thick_family
 from .linalg import _insert_pivot, sparse_rank
 from .qpoly import class_sum_terms, group_sum_terms, operator_matrix
 
@@ -70,9 +70,9 @@ def mystic_equiv_check(
 def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int, thick=None) -> list[FiniteMonomialGroup]:
     """All thick subgroups of G(m,1,n) whose twisted action is equivalent to
     the untwisted action of G; exactly one match is expected, the counterpart.
-    A caller scanning several G of one ambient passes enumerate_thick(m, n)
-    as thick, so that it is enumerated once and the group sums of its
-    members keep their entries across the scans."""
+    thick defaults to thick_family(m, n); a caller scanning several G of one
+    ambient passes that list, so that it is built once and the group sums of
+    its members keep their entries across the scans."""
     if G.tag.kind != "G":
         raise ValueError("the uniqueness scan starts from a G(m,p,n) group")
     m, _, n = G.tag.params
@@ -85,7 +85,7 @@ def unique_equivalent_thick(G: FiniteMonomialGroup, degree: int, thick=None) -> 
         return left_cache[d]
 
     matches = []
-    for T in enumerate_thick(m, n) if thick is None else thick:
+    for T in thick_family(m, n) if thick is None else thick:
         right = group_sum_terms(T.lift(G.N))
         if all(left(d) == operator_matrix(right, 1, d) for d in range(degree + 1)):
             matches.append(T)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .cyclo import Cyclotomic, cyc_make
 from .groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
-from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w, mu_group
+from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w, mu_group, thick_family
 from .monomial import MonomialElement, adjacent_swap, central_scalar, perm_apply, perm_sign, torus_gen
 from .mystic import (
     faithfulness_saturation_degree,
@@ -135,7 +135,7 @@ def _counterpart_by_products(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
 
 def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
-    thick: dict = {}  # (m, n) -> enumerate_thick(m, n), shared by the cells of every p
+    thick: dict = {}  # (m, n) -> thick_family(m, n), shared by the cells of every p
     for m, p, n in _even_m_cells(cfg, "counterpart-grid"):
         G = make_gmpn(m, p, n)
         mu = mu_group(G)
@@ -158,7 +158,7 @@ def check_counterpart_equivalence(cfg: VerifyConfig) -> list[CheckResult]:
             )
         )
         if (m, n) not in thick:
-            thick[m, n] = enumerate_thick(m, n)
+            thick[m, n] = thick_family(m, n)
         matches = unique_equivalent_thick(G, D, thick[m, n])
         unique = len(matches) == 1 and matches[0] == mu
         out.append(
@@ -298,16 +298,16 @@ def _pair_predicted_isomorphic(G: FiniteMonomialGroup, H: FiniteMonomialGroup) -
 def thick_atlas(max_m: int, max_n: int) -> list[tuple[int, FiniteMonomialGroup]]:
     """(m, T) for every thick subgroup T of G(m,1,n), m <= max_m and
     2 <= n <= max_n, sorted by (n, order, label).  Levels and ranks whose
-    ambient exceeds group_size_cap() are left out, as enumerate_thick would
-    refuse them.  No group occurs at two levels: the entries of a thick
-    subgroup of G(m,1,n) generate exactly mu_m."""
+    ambient G(m,1,n) exceeds group_size_cap() are left out.  No group occurs
+    at two levels: the entries of a thick subgroup of G(m,1,n) generate
+    exactly mu_m."""
     cap = group_size_cap()
     atlas = [
         (m, T)
         for m in range(1, max_m + 1)
         for n in range(2, max_n + 1)
         if m**n * factorial(n) <= cap
-        for T in enumerate_thick(m, n)
+        for T in thick_family(m, n)
     ]
     return sorted(atlas, key=lambda entry: (entry[1].n, entry[1].order, entry[1].tag.label))
 

@@ -108,6 +108,19 @@ def test_thick_command(capsys):
     assert "thick subgroups at level 2, rank 2: 3" in out
 
 
+def test_thick_command_at_rank_one(capsys):
+    # S_1 has no odd permutation, so the thick subgroups of G(4,1,1) are the
+    # three G(4,p,1) and no det-twisted group joins them
+    code, out, _ = run(capsys, "thick", "--m", "4", "--n", "1")
+    assert code == 0
+    assert out == (
+        "thick subgroups at level 4, rank 1: 3\n"
+        "  G(4,4,1)  order 1\n"
+        "  G(4,2,1)  order 2\n"
+        "  G(4,1,1)  order 4\n"
+    )
+
+
 def test_determinism_identical_bytes(capsys):
     _, first, _ = run(capsys, "thick", "--m", "4", "--n", "2", "--format", "json")
     _, second, _ = run(capsys, "thick", "--m", "4", "--n", "2", "--format", "json")

@@ -17,7 +17,9 @@ from mystica.groups import (
     enumerate_thick,
     is_thick,
     make_gmpn,
+    make_thick,
     make_w,
+    thick_family,
     torus_part,
 )
 from mystica.classify import fingerprint
@@ -132,6 +134,45 @@ def test_enumerate_thick_rank_three():
     found = enumerate_thick(2, 3)
     expected = {make_gmpn(2, 1, 3), make_gmpn(2, 2, 3), make_w(2, 1, 3)}
     assert set(found) == expected
+
+
+def _family_tag(G: FiniteMonomialGroup, m: int) -> GroupTag:
+    """The slow name of a subgroup of G(m,1,n): the first G(m,p,n), then the
+    first W(m,d,n), with its element set."""
+    n = G.n
+    for p in range(1, m + 1):
+        if m % p == 0 and G == make_gmpn(m, p, n):
+            return GroupTag("G", (m, p, n))
+    for d in range(1, m + 1):
+        if m % d == 0 and G == make_w(m, d, n):
+            return GroupTag("W", (m, d, n))
+    return GroupTag("generated")
+
+
+# the (m, n) cells of criteria 2, 6, 7 and 8, and rank one
+THICK_GRID_CELLS = [(m, n) for m in range(1, 7) for n in range(1, 4)] + [(m, 4) for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("m, n", THICK_GRID_CELLS)
+def test_thick_family_is_the_lattice_search(m, n):
+    # the closed form against the search of the ambient's normal-subgroup
+    # lattice: the same groups in the same order, each named as the family
+    # it equals
+    family = thick_family(m, n)
+    found = enumerate_thick(m, n)
+    assert family == found
+    assert [T.tag for T in family] == [T.tag for T in found] == [_family_tag(T, m) for T in family]
+
+
+def test_make_thick_at_rank_one_and_with_a_bad_twist():
+    # S_1 has no odd permutation: the twist changes nothing at n = 1
+    for m, p in [(4, 2), (4, 4), (6, 2)]:
+        T = make_thick(m, p, p // 2, 1)
+        assert T == make_gmpn(m, p, 1) and T.tag == GroupTag("G", (m, p, 1))
+    assert make_thick(4, 2, 1, 2).tag == GroupTag("generated")
+    assert make_thick(6, 2, 1, 2) == make_w(6, 3, 2)
+    with pytest.raises(ValueError, match="multiple of p"):
+        make_thick(4, 4, 1, 2)  # zeta_4 on the odd coset squares outside mu_1
 
 
 def test_every_enumerated_thick_subgroup_is_thick():

@@ -227,7 +227,6 @@ def test_faithfulness_rank_examples():
     G = make_gmpn(2, 2, 2)
     assert faithfulness_rank(G, 1, 2) == 4
     trivial = closure_generate((4, 2), [])
-    trivial = trivial.retag(trivial.tag)
     assert faithfulness_rank(trivial, 1, 0) == 1
     assert faithfulness_rank(make_gmpn(2, 1, 2), 1, 0) == 1
 

@@ -1,15 +1,20 @@
 """Tests for the verification grid runner at small bounds."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
-from mystica import verify
+import pytest
+
+from mystica import groups, verify
 from mystica.cyclo import cyc_make
-from mystica.groups import make_gmpn, make_w
+from mystica.groups import make_gmpn, make_w, thick_family
 from mystica.verify import (
     IDENTITY_SUITES,
     CheckResult,
     VerifyConfig,
+    check_classification,
     check_counterpart_equivalence,
     check_identity_suites,
     check_isomorphism_parity,
@@ -29,6 +34,42 @@ def test_predicted_family_counts():
     assert len(predicted_thick_family(3, 2)) == 2  # no W family for odd m
     assert make_w(2, 1, 2) in predicted_thick_family(2, 2)
     assert make_gmpn(2, 1, 2) in predicted_thick_family(2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_thick_family_exceeds_the_prediction_by_tau_of_m_over_4(n):
+    # criterion 6's corrected statement: the groups outside the predicted
+    # family are the T(m,p,p/2,n) with p and m/p both even, tau(m/4) of them
+    for m in range(1, 13):
+        family = thick_family(m, n)
+        predicted = predicted_thick_family(m, n)
+        tau = sum(1 for d in range(1, m // 4 + 1) if m % 4 == 0 and (m // 4) % d == 0)
+        assert len(set(family)) == len(family)
+        assert set(family) >= predicted, (m, n)
+        assert len(family) - len(predicted) == tau, (m, n)
+
+
+def test_criteria_2_7_8_do_not_search_the_normal_subgroup_lattice(monkeypatch):
+    checks = (check_counterpart_equivalence, check_classification, check_singular_list)
+    expected = [check(SMALL) for check in checks]
+
+    def refused(*args):
+        raise AssertionError("enumerate_thick called")
+
+    monkeypatch.setattr(groups, "enumerate_thick", refused)
+    monkeypatch.setattr(verify, "enumerate_thick", refused)
+    assert [check(SMALL) for check in checks] == expected
+
+
+def test_only_criterion_6_and_the_thick_command_call_enumerate_thick():
+    callers = set()
+    for path in Path(groups.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate_thick":
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"verify.check_thick_enumeration", "cli.cmd_thick"}
 
 
 def test_orders_check_small():
