@@ -39,7 +39,7 @@ def fingerprint(G: FiniteMonomialGroup) -> Fingerprint:
     # [G,G] is the normal closure of the commutators of a generating set
     gens = ig.generators()
     commutators = {ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens}
-    derived = ig.materialize(ig.normal_closure({ig.class_of(x) for x in commutators}))
+    derived = ig.normal_closure(commutators)
     power_data = []
     for cls in classes:
         rep = min(cls)
@@ -63,7 +63,7 @@ def fingerprint(G: FiniteMonomialGroup) -> Fingerprint:
     )
 
 
-def _abelian_quotient_invariants(ig: IndexedGroup, derived: set[int]) -> tuple[int, ...]:
+def _abelian_quotient_invariants(ig: IndexedGroup, derived: frozenset[int]) -> tuple[int, ...]:
     """Invariant factors of G/[G,G] (an ascending divisor chain).  A cyclic
     subgroup of largest order in a finite abelian group is a direct summand
     (Rotman, An Introduction to the Theory of Groups, ch. 6), so the next
@@ -198,14 +198,13 @@ def regular_singular(G: FiniteMonomialGroup) -> RegularityReport:
     compare their orders against the torus part; singular means some normal
     abelian subgroup other than the torus reaches the torus order."""
     ig = G.indexed()
-    torus_indices = {ig.index[t] for t in G.torus_elements()}
+    torus_indices = frozenset(ig.index[t] for t in G.torus_elements())
     torus_order = len(torus_indices)
     witness = None
-    for class_set in ig.normal_subgroup_class_sets():
-        indices = ig.materialize(class_set)
+    for indices in ig.normal_subgroups():
         if len(indices) < torus_order or indices == torus_indices:
             continue
-        if ig.is_abelian_class_set(class_set):
+        if ig.is_abelian(indices):
             witness = ig.subgroup_from_indices(indices)
             break
     status = "singular" if witness is not None else "regular"

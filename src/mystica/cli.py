@@ -64,7 +64,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_thick(args) -> int:
-    found = enumerate_thick(args.m, args.n, args.cap)
+    found = enumerate_thick(args.m, args.n)
     if args.format == "json":
         _emit_json([_group_payload(G) for G in found])
     else:
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thick", help="enumerate the thick subgroups of G(m,1,n)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_thick)
 

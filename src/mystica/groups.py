@@ -254,14 +254,11 @@ def mu_group(G: FiniteMonomialGroup) -> FiniteMonomialGroup:
     return make_w(m, m // p, n, N=G.N)
 
 
-def closure_generate(
-    ambient: tuple[int, int],
-    gens,
-    cap: int | None = None,
-) -> FiniteMonomialGroup:
-    """Smallest subgroup of mu_N^n : S_n containing the generators."""
+def closure_generate(ambient: tuple[int, int], gens) -> FiniteMonomialGroup:
+    """Smallest subgroup of mu_N^n : S_n containing the generators, of order
+    at most group_size_cap()."""
     N, n = ambient
-    cap = cap or group_size_cap()
+    cap = group_size_cap()
     gens = list(gens)
     for g in gens:
         if (g.n, g.N) != (n, N):
@@ -375,8 +372,9 @@ class IndexedGroup:
     class products follow from those arrays by associativity along a
     breadth-first spanning tree of the Cayley graph, as index lookups (Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, ch. 3-4).  No
-    dense Cayley table is kept.  Class sets of the lattice are bit masks
-    internally.
+    dense Cayley table is kept.  Normal subgroups are answered as sets of
+    element indices; the class-join lattice behind them works on bit masks
+    of class ids.
     """
 
     def __init__(self, G: FiniteMonomialGroup):
@@ -391,7 +389,6 @@ class IndexedGroup:
         self._classes: list[frozenset[int]] | None = None
         self._class_of: list[int] | None = None
         self._class_mult: list[list[int]] | None = None
-        self._commuting: list[int] | None = None
 
     def mul(self, i: int, j: int) -> int:
         return self.index[self.elems[i] * self.elems[j]]
@@ -496,7 +493,7 @@ class IndexedGroup:
         table = []
         for cls in classes:
             times_rep = self.left(min(cls))
-            table.append([_mask({class_of[times_rep[x]] for x in other}) for other in classes])
+            table.append([sum(1 << c for c in {class_of[times_rep[x]] for x in other}) for other in classes])
         self._class_mult = table
         return table
 
@@ -518,17 +515,23 @@ class IndexedGroup:
             mask |= frontier
         return mask
 
-    def normal_closure(self, class_set) -> frozenset[int]:
-        """The classes of the smallest normal subgroup containing the given
-        classes."""
-        mask = 1 << self.class_of(self.id_index)
-        for c in class_set:
-            mask = self._join(mask, c)
-        return frozenset(_bits(mask))
+    def _elements(self, mask: int) -> frozenset[int]:
+        """The elements of the classes in the mask."""
+        classes = self.conjugacy_classes()
+        return frozenset().union(*(classes[c] for c in _bits(mask)))
 
-    def normal_subgroup_class_sets(self) -> list[frozenset[int]]:
-        """All normal subgroups, each as a frozenset of class indices: the
-        joins of the normal closures of single classes."""
+    def normal_closure(self, indices) -> frozenset[int]:
+        """The elements of the smallest normal subgroup containing the given
+        elements."""
+        mask = 1 << self.class_of(self.id_index)
+        for c in {self.class_of(i) for i in indices}:
+            mask = self._join(mask, c)
+        return self._elements(mask)
+
+    def normal_subgroups(self) -> list[frozenset[int]]:
+        """All normal subgroups, each as a frozenset of element indices, by
+        order and then by sorted class ids: the joins of the normal closures
+        of single classes."""
         classes = self.conjugacy_classes()
         trivial = 1 << self._class_of[self.id_index]
         principals: dict[int, int] = {}  # normal closure of a class -> that class
@@ -545,51 +548,26 @@ class IndexedGroup:
                         known.add(joined)
                         nxt.append(joined)
             frontier = nxt
-        sets = [frozenset(_bits(mask)) for mask in known]
-        return sorted(sets, key=lambda s: (sum(len(classes[c]) for c in s), sorted(s)))
-
-    def materialize(self, class_set: frozenset[int]) -> set[int]:
-        classes = self.conjugacy_classes()
-        out: set[int] = set()
-        for c in class_set:
-            out |= classes[c]
-        return out
+        masks = sorted(known, key=lambda mask: (sum(len(classes[c]) for c in _bits(mask)), list(_bits(mask))))
+        return [self._elements(mask) for mask in masks]
 
     def subgroup_from_indices(self, indices, tag: GroupTag | None = None) -> FiniteMonomialGroup:
         G = self.group
         return FiniteMonomialGroup._sorted(G.n, G.N, tuple(self.elems[i] for i in sorted(indices)), tag)
 
-    def is_abelian_class_set(self, class_set) -> bool:
-        """Whether the union of the classes is abelian.  It is exactly when the
-        rep of each of its classes commutes with all of it: conjugating by g
-        carries that pair to (g rep g^-1, the same union)."""
-        if self._commuting is None:
-            self._commuting = self._commuting_classes()
-        mask = _mask(class_set)
-        return all(self._commuting[c] & mask == mask for c in class_set)
-
-    def _commuting_classes(self) -> list[int]:
-        """Per class i, the bit mask of the classes whose every element
-        commutes with the rep of class i; x * rep is found as the inverse of
-        rep^-1 * x^-1."""
+    def is_abelian(self, indices) -> bool:
+        """Whether the normal subgroup with these elements is abelian.  It is
+        exactly when the rep of each of its classes commutes with all of it:
+        conjugating by g carries that pair to (g rep g^-1, the same subgroup).
+        x * rep is found as the inverse of rep^-1 * x^-1."""
         inv = self.inv
         classes = self.conjugacy_classes()
-        out = []
-        for cls in classes:
-            rep = min(cls)
+        for c in {self._class_of[i] for i in indices}:
+            rep = min(classes[c])
             times_rep, times_rep_inv = self.left(rep), self.left(inv[rep])
-            out.append(
-                _mask(
-                    c
-                    for c, other in enumerate(classes)
-                    if all(times_rep[x] == inv[times_rep_inv[inv[x]]] for x in other)
-                )
-            )
-        return out
-
-
-def _mask(class_ids) -> int:
-    return sum(1 << c for c in class_ids)
+            if any(times_rep[x] != inv[times_rep_inv[inv[x]]] for x in indices):
+                return False
+        return True
 
 
 def _bits(mask: int):
@@ -600,18 +578,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def enumerate_thick(m: int, n: int, cap: int | None = None) -> list[FiniteMonomialGroup]:
+def enumerate_thick(m: int, n: int) -> list[FiniteMonomialGroup]:
     """All thick subgroups of G(m,1,n), found by searching the ambient's
     lattice of normal subgroups as joins of conjugacy-class closures, each
     named by the member of thick_family with its element set."""
-    cap = cap or group_size_cap()
+    cap = group_size_cap()
     if m**n * factorial(n) > cap:
         raise CapExceededError(f"ambient order {m ** n * factorial(n)} exceeds cap {cap}")
     ig = make_gmpn(m, 1, n).indexed()
     tags = {T.element_set(): T.tag for T in thick_family(m, n)}
     out = []
-    for class_set in ig.normal_subgroup_class_sets():
-        indices = ig.materialize(class_set)
+    for indices in ig.normal_subgroups():
         if len({ig.elems[i].perm for i in indices}) == factorial(n):
             found = frozenset(ig.elems[i] for i in indices)
             out.append(ig.subgroup_from_indices(indices, tags.get(found, GroupTag("generated"))))

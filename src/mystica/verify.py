@@ -379,15 +379,9 @@ def independence_groups(cfg: VerifyConfig) -> list[FiniteMonomialGroup]:
     max_m, max_n = cfg.bounds("operator-independence")
     for m in range(1, max_m + 1):
         for n in range(2, max_n + 1):
-            for p in _divisors(m):
-                G = make_gmpn(m, p, n)
-                if G.order <= ISO_CAP:
-                    out.append(G)
+            out.extend(make_gmpn(m, p, n) for p in _divisors(m))
             if m % 2 == 0:
-                for d in _divisors(m):
-                    W = make_w(m, d, n)
-                    if W.order <= ISO_CAP:
-                        out.append(W)
+                out.extend(make_w(m, d, n) for d in _divisors(m))
     for m, p, n in GRIDS["operator-independence"][2]:
         if m <= cfg.max_m and n <= cfg.max_n:
             out.append(make_gmpn(m, p, n))

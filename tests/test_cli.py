@@ -178,7 +178,7 @@ def test_verify_all_json_schema(capsys):
         (("group", "--m", "2", "--p", "0", "--n", "2"), "p must be a positive integer"),
         (("group", "--m", "2", "--cprime", "0", "--n", "2"), "cprime must be a positive integer"),
         (("iso", "--m", "2", "--p", "2", "--n", "2", "--cap", "0"), "cap must be a positive integer"),
-        (("thick", "--m", "2", "--n", "2", "--cap", "0"), "cap must be a positive integer"),
+        (("iso", "--m", "2", "--p", "1", "--n", "3", "--cap", "-1"), "cap must be a positive integer"),
         (("equiv", "--m", "2", "--p", "2", "--n", "2", "--degree", "-1"), "degree must be a nonnegative integer"),
         (("verify-all", "--max-m", "0"), "max_m must be a positive integer"),
         (("verify-all", "--max-n", "0"), "max_n must be a positive integer"),
@@ -191,6 +191,15 @@ def test_nonpositive_arguments_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_thick_has_no_cap_option(capsys):
+    # MYSTICA_CAP is the one group-size cap; --cap belongs to iso alone
+    code, out, err = run(capsys, "thick", "--m", "2", "--n", "2", "--cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --cap 5" in err
     assert "Traceback" not in err
 
 
@@ -328,7 +337,7 @@ def _argv(draw):
         argv += ["--p", str(draw(small))]
     if command in ("equiv", "invariants") and draw(st.booleans()):
         argv += ["--degree", str(draw(st.integers(min_value=-1, max_value=6)))]
-    if command in ("thick", "iso") and draw(st.booleans()):
+    if command == "iso" and draw(st.booleans()):
         argv += ["--cap", str(draw(st.integers(min_value=-1, max_value=600)))]
     if command == "group" and draw(st.booleans()):
         argv += ["--cprime", str(draw(small))]

@@ -47,9 +47,10 @@ def test_closure_of_twisted_swap_is_cyclic_of_order_four():
     assert G.element_set() == frozenset(powers)
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setenv("MYSTICA_CAP", "10")
     with pytest.raises(CapExceededError):
-        closure_generate((4, 3), [adjacent_swap(3, 4, 1), adjacent_swap(3, 4, 2), torus_gen(3, 4, 1, 1)], cap=10)
+        closure_generate((4, 3), [adjacent_swap(3, 4, 1), adjacent_swap(3, 4, 2), torus_gen(3, 4, 1, 1)])
 
 
 def test_gmpn_klein_four():
@@ -287,9 +288,7 @@ def test_structure_probes_symmetric_three():
 def test_normal_subgroups_of_dihedral():
     # G(2,1,2) is dihedral of order 8: 1, center, three order-4 subgroups, itself
     ig = IndexedGroup(make_gmpn(2, 1, 2))
-    normals = ig.normal_subgroup_class_sets()
-    orders = sorted(len(ig.materialize(s)) for s in normals)
-    assert orders == [1, 2, 4, 4, 4, 8]
+    assert [len(S) for S in ig.normal_subgroups()] == [1, 2, 4, 4, 4, 8]
 
 
 def test_group_json_forms():
@@ -401,17 +400,27 @@ def _reference_normal_subgroups(G):
 
 
 @pytest.mark.parametrize(
-    "G", [make_gmpn(2, 1, 3), make_gmpn(3, 1, 2), make_w(4, 1, 2), make_gmpn(4, 4, 2), make_gmpn(1, 1, 4)],
+    "G",
+    [
+        make_gmpn(2, 1, 3),
+        make_gmpn(3, 1, 2),
+        make_w(4, 1, 2),
+        make_gmpn(4, 4, 2),
+        make_gmpn(1, 1, 4),
+        make_thick(4, 2, 1, 2),
+        make_gmpn(3, 3, 3),
+    ],
     ids=lambda G: G.tag.label,
 )
 def test_class_lattice_matches_element_level_reference(G):
     classes, abelian = _reference_normal_subgroups(G)
     ig = G.indexed()
     assert {frozenset(ig.elems[i] for i in cls) for cls in ig.conjugacy_classes()} == classes
-    found = {}
-    for class_set in ig.normal_subgroup_class_sets():
-        elements = frozenset(ig.elems[i] for i in ig.materialize(class_set))
-        found[elements] = ig.is_abelian_class_set(class_set)
+    normals = ig.normal_subgroups()
+    order_then_classes = [(len(S), sorted({ig.class_of(i) for i in S})) for S in normals]
+    assert order_then_classes == sorted(order_then_classes)
+    found = {frozenset(ig.elems[i] for i in S): ig.is_abelian(S) for S in normals}
+    assert len(found) == len(normals)
     assert found == abelian
     # each class-product mask against the products themselves
     table = ig.class_mult()
@@ -451,5 +460,10 @@ def test_structure_probes_match_element_level_reference(G):
     fp = fingerprint(G)
     assert fp.center_order == sum(1 for z in elems if all(z * g == g * z for g in elems))
     commutators = {a * b * a.inverse() * b.inverse() for a in elems for b in elems}
-    assert fp.derived_order == closure_generate((G.N, G.n), commutators).order
+    derived = closure_generate((G.N, G.n), commutators).element_set()
+    assert fp.derived_order == len(derived)
+    ig = G.indexed()
+    gens = ig.generators()
+    found = ig.normal_closure({ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens})
+    assert frozenset(ig.elems[i] for i in found) == derived
     assert fp.order_histogram == tuple(sorted(Counter(g.element_order() for g in elems).items()))

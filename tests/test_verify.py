@@ -21,6 +21,7 @@ from mystica.verify import (
     check_orders,
     check_singular_list,
     check_thick_enumeration,
+    independence_groups,
     predicted_thick_family,
     run_all,
 )
@@ -70,6 +71,19 @@ def test_only_criterion_6_and_the_thick_command_call_enumerate_thick():
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate_thick":
                         callers.add(f"{path.stem}.{fn.name}")
     assert callers == {"verify.check_thick_enumeration", "cli.cmd_thick"}
+
+
+def test_independence_groups_on_the_full_grid():
+    # criterion 9's cells, G before W so that a group in both families keeps
+    # its G tag; perfbench's operator-rank workload reads this list
+    labels = [G.tag.label for G in independence_groups(VerifyConfig())]
+    assert labels == [
+        "G(1,1,2)", "G(1,1,3)",
+        "G(2,1,2)", "G(2,2,2)", "W(2,1,2)", "G(2,1,3)", "G(2,2,3)", "W(2,1,3)",
+        "G(3,1,2)", "G(3,3,2)", "G(3,1,3)", "G(3,3,3)",
+        "G(4,1,2)", "G(4,2,2)", "G(4,4,2)", "W(4,1,2)", "G(4,1,3)", "G(4,2,3)", "G(4,4,3)", "W(4,1,3)",
+        "G(1,1,4)",
+    ]  # fmt: skip
 
 
 def test_orders_check_small():
