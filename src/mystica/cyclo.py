@@ -120,6 +120,12 @@ def _make(order: int, nums, den: int = 1) -> "Cyclotomic":
     return out
 
 
+def _constant(order: int, num: int, den: int = 1) -> "Cyclotomic":
+    """The rational num/den written at the given order: (num, 0, ..., 0)/den."""
+    deg, _ = _ctx(order)
+    return _make(order, (num,) + (0,) * (deg - 1), den)
+
+
 def _rational_parts(value) -> tuple[int, int]:
     """(numerator, denominator > 0) of a rational number in lowest terms."""
     try:
@@ -146,9 +152,7 @@ class Cyclotomic:
 
     @staticmethod
     def rational(value, order: int = 1) -> "Cyclotomic":
-        deg, _ = _ctx(order)
-        num, den = _rational_parts(value)
-        return _make(order, (num,) + (0,) * (deg - 1), den)
+        return _constant(order, *_rational_parts(value))
 
     @staticmethod
     def root(order: int, exponent: int) -> "Cyclotomic":
@@ -177,10 +181,17 @@ class Cyclotomic:
 
     @staticmethod
     def _pair(a: "Cyclotomic", b) -> tuple["Cyclotomic", "Cyclotomic"]:
+        """a and b written at one order; a rational operand (an int, a
+        Fraction or an order-1 element) is written at the other's order
+        directly, without lift."""
         if not isinstance(b, Cyclotomic):
             b = Cyclotomic.rational(b, a.order)
         if a.order == b.order:
             return a, b
+        if b.order == 1:
+            return a, _constant(a.order, b.nums[0], b.den)
+        if a.order == 1:
+            return _constant(b.order, a.nums[0], a.den), b
         m = lcm(a.order, b.order)
         return a.lift(m), b.lift(m)
 
@@ -212,10 +223,17 @@ class Cyclotomic:
     def __rsub__(self, other) -> "Cyclotomic":
         return (-self) + other
 
+    def _scaled(self, num: int, den: int) -> "Cyclotomic":
+        """self * num/den, by scaling the numerators."""
+        return _make(self.order, [x * num for x in self.nums], self.den * den)
+
     def __mul__(self, other) -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
-            num, den = _rational_parts(other)
-            return _make(self.order, [x * num for x in self.nums], self.den * den)
+            return self._scaled(*_rational_parts(other))
+        if other.order == 1:
+            return self._scaled(other.nums[0], other.den)
+        if self.order == 1:
+            return other._scaled(self.nums[0], self.den)
         a, b = (self, other) if self.order == other.order else self._pair(self, other)
         an, bn = a.nums, b.nums
         deg = len(an)
@@ -273,14 +291,23 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
+    def _equals_rational(self, num: int, den: int) -> bool:
+        return self.den == den and self.nums[0] == num and self.is_rational()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyclotomic):
             try:
                 num, den = _rational_parts(other)
             except TypeError:
                 return NotImplemented
-            return self.den == den and self.nums[0] == num and self.is_rational()
-        a, b = (self, other) if self.order == other.order else self._pair(self, other)
+            return self._equals_rational(num, den)
+        if self.order == other.order:
+            return self.nums == other.nums and self.den == other.den
+        if other.order == 1:
+            return self._equals_rational(other.nums[0], other.den)
+        if self.order == 1:
+            return other._equals_rational(self.nums[0], self.den)
+        a, b = self._pair(self, other)
         return a.nums == b.nums and a.den == b.den
 
     def __bool__(self) -> bool:

@@ -1,9 +1,11 @@
 """Finite subgroups of mu_N^n : S_n.
 
-Groups are stored extensionally, as the full sorted element set, which makes
-set equality, membership and normality tests exact and trivial.  The torus
-order of the ambient field is always lcm(m, 4) so that fourth roots of unity
-coexist with the m-th roots used by the group itself.
+Groups are stored extensionally, as the sorted tuple of all their elements.
+The element set behind equality, hashing and membership tests is built from
+that tuple on first use and kept, so a caller that reads only the elements and
+the order never hashes them.  The torus order of the ambient field is always
+lcm(m, 4) so that fourth roots of unity coexist with the m-th roots used by
+the group itself.
 
 The counterpart mu(G) of G(m,p,n) is built as the det filter W(m, m/p, n);
 criterion 2 of verify checks it against the paper's product form
@@ -67,11 +69,11 @@ class FiniteMonomialGroup:
     """A finite set of monomial elements closed under the group law."""
 
     def __init__(self, n: int, N: int, elements, tag: GroupTag | None = None):
-        elems = sorted(set(elements), key=lambda a: a.sort_key())
-        for a in elems:
+        eset = frozenset(elements)
+        for a in eset:
             if (a.n, a.N) != (n, N):
                 raise ValueError("element outside the stated ambient")
-        self._fill(n, N, tuple(elems), tag)
+        self._fill(n, N, tuple(sorted(eset, key=lambda a: a.sort_key())), tag, eset)
 
     @classmethod
     def _sorted(cls, n: int, N: int, elements: tuple, tag: GroupTag | None = None) -> "FiniteMonomialGroup":
@@ -81,11 +83,11 @@ class FiniteMonomialGroup:
         group._fill(n, N, elements, tag)
         return group
 
-    def _fill(self, n: int, N: int, elements: tuple, tag: GroupTag | None) -> None:
+    def _fill(self, n: int, N: int, elements: tuple, tag: GroupTag | None, eset: frozenset | None = None) -> None:
         self.n = n
         self.N = N
         self.elements = elements
-        self._eset = frozenset(elements)
+        self._eset = eset  # built by element_set() when not given
         self.tag = tag or GroupTag("explicit")
         self._memo: dict = {}
 
@@ -110,17 +112,17 @@ class FiniteMonomialGroup:
         return iter(self.elements)
 
     def __contains__(self, a) -> bool:
-        return a in self._eset
+        return a in self.element_set()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteMonomialGroup)
             and (self.n, self.N) == (other.n, other.N)
-            and self._eset == other._eset
+            and self.element_set() == other.element_set()
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.N, self._eset))
+        return hash((self.n, self.N, self.element_set()))
 
     def __repr__(self) -> str:
         return f"<{self.tag.label} order {self.order} in mu_{self.N}^{self.n}:S_{self.n}>"
@@ -129,6 +131,9 @@ class FiniteMonomialGroup:
         return MonomialElement.identity(self.n, self.N)
 
     def element_set(self) -> frozenset:
+        """The elements as a frozenset, built on first use and kept."""
+        if self._eset is None:
+            self._eset = frozenset(self.elements)
         return self._eset
 
     def torus_elements(self) -> tuple[MonomialElement, ...]:
@@ -286,7 +291,7 @@ def is_thick(G: FiniteMonomialGroup, ambient_m: int) -> bool:
     projection to the symmetric group."""
     amb = make_gmpn(ambient_m, 1, G.n)
     Gl, ambl = common_ambient(G, amb)
-    if not Gl._eset <= ambl._eset:
+    if not Gl.element_set() <= ambl.element_set():
         raise ValueError(f"group is not contained in G({ambient_m},1,{G.n})")
     perms = {a.perm for a in Gl.elements}
     if len(perms) != factorial(G.n):

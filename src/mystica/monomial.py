@@ -28,7 +28,7 @@ class MonomialElement:
         self.N = N
         self.perm = tuple(perm)
         self.exps = tuple(e % N for e in exps)
-        self._hash = hash((n, N, self.perm, self.exps))
+        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -39,7 +39,6 @@ class MonomialElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialElement)
-            and self._hash == other._hash
             and self.n == other.n
             and self.N == other.N
             and self.perm == other.perm
@@ -47,6 +46,10 @@ class MonomialElement:
         )
 
     def __hash__(self) -> int:
+        """hash((n, N, perm, exps)), computed on first use and kept: most
+        elements are built, multiplied and read without ever being hashed."""
+        if self._hash is None:
+            self._hash = hash((self.n, self.N, self.perm, self.exps))
         return self._hash
 
     def sort_key(self):
@@ -158,7 +161,7 @@ def _trusted(n: int, N: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> Mo
     elem.N = N
     elem.perm = perm
     elem.exps = exps
-    elem._hash = hash((n, N, perm, exps))  # as in __init__
+    elem._hash = None  # hashed on first use, as after __init__
     return elem
 
 

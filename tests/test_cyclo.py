@@ -383,3 +383,39 @@ def test_rational_operands_are_ints_or_fractions_only():
         with pytest.raises(TypeError):
             a * bad
         assert (a == bad) is False
+
+
+@st.composite
+def _element_and_rational(draw):
+    order = draw(st.sampled_from([3, 4, 5, 12, 20]))
+    value = draw(st.fractions(min_value=-6, max_value=6, max_denominator=12))
+    kind = draw(st.sampled_from(["int", "Fraction", "Cyclotomic"]))
+    r = {"int": value.numerator, "Fraction": value, "Cyclotomic": Cyclotomic.rational(value)}[kind]
+    # a rational a as well, so that a == r is sometimes true
+    a = draw(st.one_of(_elements(order), st.just(Cyclotomic.rational(value, order))))
+    return a, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_element_and_rational())
+def test_rational_operands_match_the_lifted_operation(case):
+    # the fast path writes a rational operand at the other's order and scales
+    # by it; the reference lifts both operands to one order first
+    a, r = case
+    lifted = (r if isinstance(r, Cyclotomic) else Cyclotomic.rational(r)).lift(a.order)
+
+    def form(x):
+        return x.order, x.nums, x.den
+
+    for fast, slow in (
+        (a * r, a * lifted),
+        (r * a, lifted * a),
+        (a + r, a + lifted),
+        (r + a, lifted + a),
+        (a - r, a - lifted),
+        (r - a, lifted - a),
+    ):
+        _assert_canonical(fast)
+        assert form(fast) == form(slow)
+    same = form(a) == form(lifted)
+    assert (a == r) is same and (r == a) is same

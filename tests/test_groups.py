@@ -467,3 +467,67 @@ def test_structure_probes_match_element_level_reference(G):
     found = ig.normal_closure({ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens})
     assert frozenset(ig.elems[i] for i in found) == derived
     assert fp.order_histogram == tuple(sorted(Counter(g.element_order() for g in elems).items()))
+
+
+def test_element_hash_is_the_tuple_hash_however_the_element_is_made():
+    # elements hash on first use; the value is hash((n, N, perm, exps)) and an
+    # element built by the public constructor hashes as its computed twin
+    a = MonomialElement(3, 4, (1, 2, 0), (1, 0, 3))
+    b = MonomialElement(3, 4, (0, 2, 1), (2, 2, 0))
+    made = [a, b, a * b, b * a, a.inverse(), a**3, a**-2, a.lift(8)]
+    for G in (make_gmpn(4, 2, 2), make_w(4, 1, 2), make_thick(4, 2, 1, 2), closure_generate((4, 3), [a, b])):
+        made.extend(G.elements)
+    for x in made:
+        assert hash(x) == hash((x.n, x.N, x.perm, x.exps))
+        twin = MonomialElement(x.n, x.N, x.perm, x.exps)
+        assert twin == x and hash(twin) == hash(x)
+    assert a != b and a != a.lift(8)
+
+
+def _assert_lazy_set_is_eager_set(build, label):
+    # each of element_set(), in, == and hash runs first on a fresh group, so
+    # each builds the set itself
+    eager = frozenset(build().elements)
+    assert len(eager) == build().order, label
+    assert build().element_set() == eager, label
+    G = build()
+    outside = [a for a in make_gmpn(4, 1, G.n, N=G.N).elements if a not in eager]
+    assert all(a in G for a in eager) and not any(a in G for a in outside), label
+    G = build()
+    assert G == build() and G == FiniteMonomialGroup(G.n, G.N, eager), label
+    assert (build() == make_gmpn(4, 1, G.n, N=G.N)) == (not outside), label
+    assert hash(build()) == hash((G.n, G.N, eager)) == hash(FiniteMonomialGroup(G.n, G.N, eager)), label
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_element_set_is_built_lazily_as_the_eager_frozenset(n):
+    for m in (1, 2, 3, 4):
+        for k in (k for k in range(1, m + 1) if m % k == 0):
+            _assert_lazy_set_is_eager_set(lambda: make_gmpn(m, k, n), f"G({m},{k},{n})")
+            _assert_lazy_set_is_eager_set(lambda: make_w(m, k, n), f"W({m},{k},{n})")
+
+
+def test_generated_and_indexed_subgroup_element_sets_are_built_lazily_as_the_eager_frozenset():
+    gens = [adjacent_swap(3, 4, 1) * torus_gen(3, 4, 2, 1), torus_gen(3, 4, 3, 2)]
+    _assert_lazy_set_is_eager_set(lambda: closure_generate((4, 3), gens), "closure")
+    normals = make_gmpn(2, 1, 3).indexed().normal_subgroups()
+    for i, indices in enumerate(normals):
+        _assert_lazy_set_is_eager_set(
+            lambda: make_gmpn(2, 1, 3).indexed().subgroup_from_indices(indices), f"normal subgroup {i}"
+        )
+
+
+def test_building_a_group_and_reading_its_order_hashes_no_element(monkeypatch):
+    calls = []
+    original = MonomialElement.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MonomialElement, "__hash__", counting)
+    G = make_gmpn(6, 1, 4)
+    assert G.order == 6**4 * factorial(4)
+    assert calls == []
+    G.element_set()
+    assert len(calls) == G.order
