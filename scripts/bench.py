@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Measure the benchmark workloads and the verify-all checks into one JSON file.
+
+    python scripts/bench.py --out BENCH.json [--workloads NAME ...] [--checks NAME ...]
+                            [--seconds S] [--runs K]
+    python scripts/bench.py --compare OLD.json [--out NEW.json | --from NEW.json]
+
+A thin driver over perfbench: each workload runs K times as
+`perfbench/run.py --trace 0` at seed 3, and each entry of verify.ALL_CHECKS
+runs K times on VerifyConfig(), each time in a fresh interpreter.  Every
+metric is kept as its K values with their median and quartiles, beside the
+run envelope (Python, host, git revision, src line count).  --compare prints one line per
+metric shared with OLD.json: old median, new median and new/old; with --from
+it reads the new results from a file instead of measuring.  Run from the root
+of a source checkout; mystica is imported from src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+WORKLOADS = ("operator-rank", "group-structure", "identity-suites", "cli-queries")
+SEED = 3
+
+# times one verify check on VerifyConfig() in this interpreter
+CHECK_CHILD = """
+import json, sys, time
+from mystica import verify
+fn = dict(verify.ALL_CHECKS)[sys.argv[1]]
+wall, cpu = time.perf_counter(), time.process_time()
+results = fn(verify.VerifyConfig())
+print(json.dumps({"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu,
+                  "results": len(results), "failed": sum(not r.passed for r in results)}))
+"""
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="write the measured results here")
+    parser.add_argument("--from", dest="source", type=Path, help="read the results from this file instead")
+    parser.add_argument("--compare", type=Path, help="print new/old per metric against this file")
+    parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS), choices=WORKLOADS)
+    parser.add_argument("--checks", nargs="*", default=None, help="verify check names (default: all)")
+    parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds per run")
+    parser.add_argument("--runs", type=int, default=3, help="runs per workload and per check")
+    args = parser.parse_args(argv)
+    if args.source is None and args.out is None:
+        parser.error("name --out for a measurement, or --from with --compare")
+    if args.source is not None and args.compare is None:
+        parser.error("--from only makes sense with --compare")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    return args
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def summary(values: list[float], unit: str) -> dict:
+    """The values with their median and quartiles (all three equal for one value)."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def git(*argv: str) -> str:
+    try:
+        return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def envelope(args) -> dict:
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "git_revision": git("rev-parse", "HEAD"),
+        "src_changed_since_revision": bool(git("status", "--porcelain", "--", "src")),
+        "src_lines": sum(len(p.read_text().splitlines()) for p in sorted((SRC / "mystica").glob("*.py"))),
+        "seed": SEED,
+        "seconds": args.seconds,
+        "runs": args.runs,
+    }
+
+
+def run_workload(name: str, args, env: dict) -> dict:
+    """K untraced perfbench runs of one workload: each end-to-end metric over
+    the runs, the failed operations summed, the last run's envelope."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED)]
+    argv += ["--seconds", str(args.seconds), "--trace", "0"]
+    values: dict[str, list[float]] = {}
+    units: dict[str, str] = {}
+    attempted = failed = 0
+    bench_envelope = {}
+    for _ in range(args.runs):
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+        lines = proc.stdout.strip().splitlines()
+        prefix = "# envelope "
+        bench_envelope = json.loads(next(line for line in lines if line.startswith(prefix))[len(prefix) :])
+        result = json.loads(lines[-1])
+        attempted += result["attempted"]
+        failed += result["failed"]
+        for metric, entry in result["metrics"].items():
+            values.setdefault(metric, []).append(entry["value"])
+            units[metric] = entry["unit"]
+    metrics = {metric: summary(v, units[metric]) for metric, v in values.items()}
+    return {"attempted": attempted, "failed": failed, "metrics": metrics, "envelope": bench_envelope}
+
+
+def run_check(name: str, args, env: dict) -> dict:
+    """K fresh interpreters, each running one verify check on VerifyConfig()."""
+    runs = []
+    for _ in range(args.runs):
+        proc = subprocess.run(
+            [sys.executable, "-c", CHECK_CHILD, name], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+        )
+        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return {
+        "results": runs[-1]["results"],
+        "failed": runs[-1]["failed"],
+        "metrics": {key: summary([r[key] for r in runs], "s") for key in ("wall_s", "cpu_s")},
+    }
+
+
+def check_names(args) -> list[str]:
+    sys.path.insert(0, str(SRC))
+    from mystica import verify
+
+    names = [name for name, _ in verify.ALL_CHECKS]
+    unknown = sorted(set(args.checks or ()) - set(names))
+    if unknown:
+        raise SystemExit(f"bench: unknown checks {unknown}; choose from {', '.join(names)}")
+    return names if args.checks is None else [name for name in names if name in args.checks]
+
+
+def measure(args) -> dict:
+    env = child_env()
+    out = {"envelope": envelope(args), "workloads": {}, "checks": {}}
+    for name in args.workloads:
+        out["workloads"][name] = run_workload(name, args, env)
+    for name in check_names(args):
+        out["checks"][name] = run_check(name, args, env)
+    return out
+
+
+def flat_metrics(bench: dict) -> dict[str, float]:
+    """'<workload>.<metric>' and 'check.<name>.<metric>' -> median."""
+    out = {}
+    for name, entry in bench.get("workloads", {}).items():
+        out.update({f"{name}.{m}": s["median"] for m, s in entry["metrics"].items()})
+    for name, entry in bench.get("checks", {}).items():
+        out.update({f"check.{name}.{m}": s["median"] for m, s in entry["metrics"].items()})
+    out["src_lines"] = bench["envelope"]["src_lines"]
+    return out
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per metric in both: name, old median, new median, new/old."""
+    before, after = flat_metrics(old), flat_metrics(new)
+    lines = []
+    for name in sorted(set(before) & set(after)):
+        ratio = after[name] / before[name] if before[name] else float("nan")
+        lines.append(f"{name:48s} {before[name]:12.4g} {after[name]:12.4g} {ratio:8.3f}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.source is not None:
+        new = json.loads(args.source.read_text())
+    else:
+        new = measure(args)
+        args.out.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    if args.compare is not None:
+        print(f"{'metric':48s} {'old':>12s} {'new':>12s} {'new/old':>8s}")
+        print("\n".join(compare(json.loads(args.compare.read_text()), new)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

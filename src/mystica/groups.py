@@ -1,11 +1,13 @@
 """Finite subgroups of mu_N^n : S_n.
 
 Groups are stored extensionally, as the sorted tuple of all their elements.
-The element set behind equality, hashing and membership tests is built from
-that tuple on first use and kept, so a caller that reads only the elements and
-the order never hashes them.  The torus order of the ambient field is always
-lcm(m, 4) so that fourth roots of unity coexist with the m-th roots used by
-the group itself.
+A family group (G(m,p,n), W(m,d,n), T(m,p,j,n)) holds one block of torus
+rows per permutation instead, takes its order from the block sizes and builds
+the element tuple on first read.  The element set behind equality, hashing
+and membership tests is built from that tuple on first use and kept, so a
+caller that reads only the elements and the order never hashes them.  The
+torus order of the ambient field is always lcm(m, 4) so that fourth roots of
+unity coexist with the m-th roots used by the group itself.
 
 The counterpart mu(G) of G(m,p,n) is built as the det filter W(m, m/p, n);
 criterion 2 of verify checks it against the paper's product form
@@ -66,30 +68,68 @@ class GroupTag(NamedTuple):
 
 
 class FiniteMonomialGroup:
-    """A finite set of monomial elements closed under the group law."""
+    """A finite set of monomial elements closed under the group law.
+
+    An explicit, generated or index-subgroup group holds its sorted element
+    tuple from the start.  A family group holds blocks, one (permutation,
+    torus rows) pair per permutation in sort order, and a short generating
+    set; `elements` builds the tuple from the blocks on first read, and
+    `order`, `len`, `tag`, `to_json()` and `lift` never need it.
+    """
 
     def __init__(self, n: int, N: int, elements, tag: GroupTag | None = None):
         eset = frozenset(elements)
         for a in eset:
             if (a.n, a.N) != (n, N):
                 raise ValueError("element outside the stated ambient")
-        self._fill(n, N, tuple(sorted(eset, key=lambda a: a.sort_key())), tag, eset)
+        self._fill(n, N, len(eset), tag)
+        self._elements = tuple(sorted(eset, key=lambda a: a.sort_key()))
+        self._eset = eset
 
     @classmethod
     def _sorted(cls, n: int, N: int, elements: tuple, tag: GroupTag | None = None) -> "FiniteMonomialGroup":
         """The group of the given distinct elements of the stated ambient,
         already in sort_key order; nothing is checked."""
         group = object.__new__(cls)
-        group._fill(n, N, elements, tag)
+        group._fill(n, N, len(elements), tag)
+        group._elements = elements
         return group
 
-    def _fill(self, n: int, N: int, elements: tuple, tag: GroupTag | None, eset: frozenset | None = None) -> None:
+    @classmethod
+    def _from_blocks(cls, n: int, N: int, blocks: tuple, tag: GroupTag, generators: tuple) -> "FiniteMonomialGroup":
+        """The group whose elements are t*w for each block (w, rows) and each
+        exponent vector t in rows, blocks and rows already in sort order and
+        distinct; generators are (perm, exps) pairs that generate it."""
+        group = object.__new__(cls)
+        group._fill(n, N, sum(len(rows) for _, rows in blocks), tag)
+        group._blocks = blocks
+        group._generators = generators
+        return group
+
+    def _fill(self, n: int, N: int, order: int, tag: GroupTag | None) -> None:
         self.n = n
         self.N = N
-        self.elements = elements
-        self._eset = eset  # built by element_set() when not given
+        self.order = order
         self.tag = tag or GroupTag("explicit")
+        self._elements: tuple | None = None  # built from _blocks on first read when None
+        self._blocks: tuple | None = None
+        self._generators: tuple = ()
+        self._eset: frozenset | None = None  # built by element_set() on first use
         self._memo: dict = {}
+
+    @property
+    def elements(self) -> tuple[MonomialElement, ...]:
+        """The elements in sort order, built from the blocks on first read."""
+        if self._elements is None:
+            n, N = self.n, self.N
+            self._elements = tuple(_trusted(n, N, perm, exps) for perm, rows in self._blocks for exps in rows)
+        return self._elements
+
+    @property
+    def known_generators(self) -> tuple[MonomialElement, ...]:
+        """A generating set known from the construction, empty when none is
+        known; IndexedGroup.generators starts from it."""
+        return tuple(_trusted(self.n, self.N, perm, exps) for perm, exps in self._generators)
 
     def memo(self, key: str, build):
         """build(), computed on first use and kept with the group under key."""
@@ -101,12 +141,8 @@ class FiniteMonomialGroup:
         """The group's one IndexedGroup, shared by every caller."""
         return self.memo("indexed", lambda: IndexedGroup(self))
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
@@ -142,8 +178,15 @@ class FiniteMonomialGroup:
     def lift(self, N: int) -> "FiniteMonomialGroup":
         if N == self.N:
             return self
-        # scaling the exponents keeps the sort order
-        return FiniteMonomialGroup._sorted(self.n, N, tuple(a.lift(N) for a in self.elements), self.tag)
+        if N % self.N != 0:
+            raise ValueError(f"cannot lift torus order {self.N} into {N}")
+        if self._blocks is None:
+            # scaling the exponents keeps the sort order
+            return FiniteMonomialGroup._sorted(self.n, N, tuple(a.lift(N) for a in self.elements), self.tag)
+        step = N // self.N
+        blocks = tuple((perm, tuple(tuple([e * step for e in ex]) for ex in rows)) for perm, rows in self._blocks)
+        generators = tuple((perm, tuple([e * step for e in exps])) for perm, exps in self._generators)
+        return FiniteMonomialGroup._from_blocks(self.n, N, blocks, self.tag, generators)
 
     def to_json(self) -> dict:
         if self.tag.kind == "G":
@@ -180,18 +223,45 @@ def _torus_rows(m: int, n: int, N: int, residues: frozenset) -> tuple[tuple[int,
 def _family(m: int, p: int, odd, n: int, N: int | None, tag: GroupTag) -> FiniteMonomialGroup:
     """The det-and-parity filter: the t*w, t in mu_m^n and w in S_n, with det
     t in the index-p subgroup of mu_m for even w and det t = zeta_m^r, r in
-    odd, for odd w; emitted in sort order: permutations in lexicographic
-    order, then exponents."""
+    odd, for odd w; one block of torus rows per permutation, permutations in
+    lexicographic order and rows in lexicographic order, which is the sort
+    order of the elements."""
     N = N or ambient_order(m)
     if N % m != 0:
         raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
     even_rows, odd_rows = (_torus_rows(m, n, N, frozenset(r)) for r in (range(0, m, p), odd))
-    elems = tuple(
-        _trusted(n, N, perm, exps)
-        for perm in itertools.permutations(range(n))
-        for exps in (even_rows if perm_sign(perm) == 1 else odd_rows)
+    blocks = tuple(
+        (perm, even_rows if perm_sign(perm) == 1 else odd_rows) for perm in itertools.permutations(range(n))
     )
-    return FiniteMonomialGroup._sorted(n, N, elems, tag)
+    return FiniteMonomialGroup._from_blocks(n, N, blocks, tag, _family_generators(m, p, odd, n, N))
+
+
+def _family_generators(m: int, p: int, odd, n: int, N: int) -> tuple:
+    """A generating set of the det-and-parity filter, as (perm, exps) pairs
+    (Broue, Malle and Rouquier, J. reine angew. Math. 500 (1998)): t_1^p;
+    t_1 t_2^-1 when p > 1; t_1^r (1 2) for the first odd residue r; for
+    n >= 3 the long cycle (1 2 ... n), times t_1^r when it is odd.  The
+    identity is left out.  The torus part is generated by t_1^p and the
+    S_n-conjugates of t_1 t_2^-1, and (1 2) and the long cycle generate S_n.
+    Rank one gets t_1^p alone; a filter that keeps no odd permutation (W at
+    odd m) gets no set, its permutations being only the alternating group."""
+    step = N // m
+
+    def t1(power: int, perm: tuple) -> tuple:
+        return perm, (power * step % N,) + (0,) * (n - 1)
+
+    identity = tuple(range(n))
+    gens = [t1(p, identity)]
+    if n > 1:
+        if not odd:
+            return ()
+        r = odd[0]
+        if p > 1:
+            gens.append((identity, (step, N - step) + (0,) * (n - 2)))
+        gens.append(t1(r, (1, 0) + identity[2:]))
+        if n >= 3:
+            gens.append(t1(r if n % 2 == 0 else 0, identity[1:] + (0,)))
+    return tuple(g for g in gens if any(g[1]) or g[0] != identity)
 
 
 def make_gmpn(m: int, p: int, n: int, *, N: int | None = None) -> FiniteMonomialGroup:
@@ -373,13 +443,14 @@ class IndexedGroup:
 
     Elements are numbered in the group's sort order.  Products enter through
     one right-multiplication array per generator, filled from
-    MonomialElement products; the left multiplications, conjugations and
-    class products follow from those arrays by associativity along a
-    breadth-first spanning tree of the Cayley graph, as index lookups (Holt,
-    Eick and O'Brien, Handbook of Computational Group Theory, ch. 3-4).  No
-    dense Cayley table is kept.  Normal subgroups are answered as sets of
-    element indices; the class-join lattice behind them works on bit masks
-    of class ids.
+    MonomialElement products; the generators are the group's known ones (at
+    most four for a family group), completed greedily.  The left
+    multiplications, conjugations and class products follow from those
+    arrays by associativity along a breadth-first spanning tree of the
+    Cayley graph, as index lookups (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 3-4).  No dense Cayley table is kept.
+    Normal subgroups are answered as sets of element indices; the class-join
+    lattice behind them works on bit masks of class ids.
     """
 
     def __init__(self, G: FiniteMonomialGroup):
@@ -417,17 +488,19 @@ class IndexedGroup:
     # -- generators ------------------------------------------------------
 
     def generators(self) -> list[int]:
-        """A small generating set found greedily: the first element not yet
-        generated joins the set, in index order.  Each join grows the
-        breadth-first spanning tree, (x, y, right(g)) with x = y * g, from the
-        elements already reached."""
+        """A small generating set: the group's known generators first, then,
+        greedily, the first element not yet generated, in index order, until
+        everything is reached; a group with no known generators is scanned
+        from index 0.  Each join grows the breadth-first spanning tree,
+        (x, y, right(g)) with x = y * g, from the elements already reached."""
         if self._gens is not None:
             return self._gens
         gens: list[int] = []
         arrays: list[list[int]] = []
         reached = [self.id_index]
         seen = {self.id_index}
-        for i in range(len(self.elems)):
+        known = [self.index[a] for a in self.group.known_generators]
+        for i in itertools.chain(known, range(len(self.elems))):
             if i in seen:
                 continue
             gens.append(i)

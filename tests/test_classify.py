@@ -5,8 +5,8 @@ from math import gcd, lcm
 
 import pytest
 
-from mystica.classify import fingerprint, isomorphic, regular_singular
-from mystica.groups import CapExceededError, enumerate_thick, make_gmpn, make_w, mu_group
+from mystica.classify import ISO_CAP, fingerprint, isomorphic, regular_singular
+from mystica.groups import CapExceededError, FiniteMonomialGroup, enumerate_thick, make_gmpn, make_w, mu_group
 from mystica.verify import (
     CheckResult,
     VerifyConfig,
@@ -179,3 +179,42 @@ def test_thick_atlas_reads_the_group_size_cap(monkeypatch):
     narrowed = [T.tag.label for _, T in thick_atlas(3, 3)]
     assert "G(3,1,3)" in full and "G(3,3,3)" in full
     assert narrowed == [label for label in full if label not in ("G(3,1,3)", "G(3,3,3)")]
+
+
+def _explicit(G):
+    """G as an explicit group, with no known generators: its IndexedGroup
+    takes the greedy generating set."""
+    return FiniteMonomialGroup(G.n, G.N, G.elements)
+
+
+def _criterion_5_pairs():
+    for m in (2, 4):
+        for n in (2, 3, 4):
+            for p in (p for p in range(1, m + 1) if m % p == 0):
+                G = make_gmpn(m, p, n)
+                if G.order <= ISO_CAP:
+                    yield G, mu_group(G)
+
+
+def _criterion_7_pairs():
+    atlas = [T for _, T in thick_atlas(4, 3) if T.order <= ISO_CAP]
+    for i, G in enumerate(atlas):
+        for H in atlas[i + 1 :]:
+            if G.order == H.order:
+                yield G, H
+
+
+def test_isomorphism_verdicts_do_not_depend_on_the_generators_searched():
+    # the search extends the first group's generators: the known ones of a
+    # family group, the greedy ones of its explicit copy; the verdict is the
+    # same either way, on criterion 5's cells and criterion 7's pairs
+    cells, atlas_pairs = list(_criterion_5_pairs()), list(_criterion_7_pairs())
+    assert (len(cells), len(atlas_pairs)) == (12, 9)
+    pairs = cells + atlas_pairs
+    verdicts = set()
+    for G, H in pairs:
+        family = isomorphic(G, H)
+        assert isomorphic(_explicit(G), _explicit(H)) == family, (G, H)
+        assert isomorphic(_explicit(G), H) == isomorphic(G, _explicit(H)) == family, (G, H)
+        verdicts.add(family)
+    assert verdicts == {True, False}

@@ -15,6 +15,7 @@ from mystica.groups import (
     ambient_order,
     closure_generate,
     enumerate_thick,
+    group_size_cap,
     is_thick,
     make_gmpn,
     make_thick,
@@ -336,14 +337,30 @@ def _w_filter(m, d):
     return keep
 
 
+def _thick_filter(p, j):
+    def keep(perm, f):
+        return sum(f) % p == (0 if perm_sign(perm) == 1 else j)
+
+    return keep
+
+
 @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2), (4, 3), (6, 2), (3, 3)])
 def test_family_elements_match_sorted_set_construction(m, n):
+    # each lazy element tuple, also of a lifted family group, against the
+    # eager reference built at the lifted ambient
     for N in (ambient_order(m), 3 * ambient_order(m)):
         for p in (p for p in range(1, m + 1) if m % p == 0):
-            G = make_gmpn(m, p, n, N=N)
-            assert G.elements == _reference_family(n, N, m, lambda perm, f: sum(f) % p == 0)
-            W = make_w(m, p, n, N=N)
-            assert W.elements == _reference_family(n, N, m, _w_filter(m, p))
+            families = [
+                (make_gmpn(m, p, n, N=N), lambda perm, f: sum(f) % p == 0),
+                (make_w(m, p, n, N=N), _w_filter(m, p)),
+            ]
+            if p % 2 == 0:
+                families.append((make_thick(m, p, p // 2, n, N=N), _thick_filter(p, p // 2)))
+            for G, keep in families:
+                assert G.elements == _reference_family(n, N, m, keep), G
+                lifted = G.lift(2 * N)
+                assert lifted.order == G.order and lifted.tag == G.tag, G
+                assert lifted.elements == _reference_family(n, 2 * N, m, keep), G
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -531,3 +548,114 @@ def test_building_a_group_and_reading_its_order_hashes_no_element(monkeypatch):
     assert calls == []
     G.element_set()
     assert len(calls) == G.order
+
+
+def _count_trusted(monkeypatch):
+    """The calls that build group elements from rows: a list that grows by
+    one per element groups._trusted makes."""
+    from mystica import groups
+
+    calls = []
+    original = groups._trusted
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groups, "_trusted", counting)
+    return calls
+
+
+def test_family_groups_build_no_element_until_one_is_read(monkeypatch):
+    calls = _count_trusted(monkeypatch)
+    for m in range(1, 7):
+        for n in range(1, 5):
+            divisors = [k for k in range(1, m + 1) if m % k == 0]
+            groups = thick_family(m, n) + [make_gmpn(m, k, n) for k in divisors] + [make_w(m, k, n) for k in divisors]
+            for G in groups + [G.lift(3 * G.N) for G in groups]:
+                assert G.order == len(G) > 0
+                assert G.tag.label and repr(G)
+                if G.tag.kind in ("G", "W"):
+                    G.to_json()
+    assert calls == []
+    G = make_gmpn(4, 2, 3)
+    assert len(G.elements) == G.order and len(calls) == G.order
+    G.elements
+    assert len(calls) == G.order  # built once and kept
+
+
+def test_orders_grid_and_over_cap_parity_cells_build_no_element(monkeypatch):
+    from mystica import verify
+    from mystica.classify import ISO_CAP
+
+    calls = _count_trusted(monkeypatch)
+    assert all(r.passed for r in verify.check_orders(verify.VerifyConfig()))
+    assert calls == []
+    built = []
+    original = verify.make_gmpn
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "make_gmpn", recording)
+    verify.check_isomorphism_parity(verify.VerifyConfig())
+    over_cap = [G for G in built if G.order > ISO_CAP]
+    assert [G.tag.label for G in over_cap] == ["G(4,1,4)", "G(4,2,4)", "G(4,4,4)"]
+    for G in over_cap:
+        # reading the elements now builds every one of them: none was built before
+        before = len(calls)
+        G.elements
+        assert len(calls) - before == G.order, G
+
+
+# every thick_family group of the criterion 6-8 grids within the group-size
+# cap, and levels 5 and 6 up to rank 3
+HINT_GRID = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(m, n) for m in (5, 6) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("m, n", HINT_GRID)
+def test_known_generators_generate_and_keep_the_greedy_structure(m, n):
+    # the known generating set alone generates the group, and the classes and
+    # the normal subgroups are those of the hint-free copy, whose generators
+    # come from the greedy scan
+    for G in thick_family(m, n):
+        if G.order > group_size_cap():
+            continue
+        hint = G.known_generators
+        assert len(hint) <= 4 and all(g in G for g in hint), G
+        assert closure_generate((G.N, G.n), hint).element_set() == G.element_set(), G
+        copy = FiniteMonomialGroup(G.n, G.N, G.elements)
+        assert copy.known_generators == ()
+        ig, reference = G.indexed(), copy.indexed()
+        assert ig.generators()[: len(hint)] == [ig.index[g] for g in hint]
+        assert ig.conjugacy_classes() == reference.conjugacy_classes(), G
+        assert ig.normal_subgroups() == reference.normal_subgroups(), G
+
+
+def test_known_generators_of_the_wreath_product_and_of_odd_level_w():
+    G = make_gmpn(4, 1, 4)
+    assert [g.to_text() for g in G.known_generators] == [
+        "t1^1 t2^0 t3^0 t4^0 * ()",
+        "t1^0 t2^0 t3^0 t4^0 * (1 2)",
+        "t1^0 t2^0 t3^0 t4^0 * (1 2 3 4)",
+    ]
+    assert len(G.indexed().generators()) == 3
+    assert G.lift(8).known_generators == tuple(g.lift(8) for g in G.known_generators)
+    # W at odd level keeps even permutations only: no hint, the greedy scan
+    W = make_w(3, 1, 3)
+    assert W.known_generators == ()
+    assert closure_generate((W.N, 3), [W.elements[i] for i in W.indexed().generators()]) == W
+    assert [g.to_text() for g in make_gmpn(6, 2, 1).known_generators] == ["t1^4 * ()"]
+    assert make_gmpn(3, 3, 1).known_generators == ()  # the trivial group
+
+
+def test_a_known_set_that_generates_too_little_is_completed_greedily():
+    G = make_gmpn(4, 1, 3)
+    for keep in range(len(G._generators)):
+        partial = FiniteMonomialGroup._from_blocks(G.n, G.N, G._blocks, G.tag, G._generators[:keep])
+        ig = partial.indexed()
+        gens = ig.generators()
+        assert gens[:keep] == [ig.index[g] for g in partial.known_generators]
+        assert closure_generate((G.N, G.n), [ig.elems[i] for i in gens]) == G
+        assert ig.conjugacy_classes() == G.indexed().conjugacy_classes()

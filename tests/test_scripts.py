@@ -2,6 +2,7 @@
 the package, so a deletion in src that a script relies on fails here."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +35,29 @@ def test_saturation_report_lists_its_groups():
     report = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(report)
     assert [G.tag.label for G, _ in report.groups(5)] == ["G(5,1,2)", "G(5,5,2)", "G(5,5,3)"]
+
+
+def test_bench_writes_one_workload_and_one_check_and_compares(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(out), "--workloads", "group-structure"]
+    argv += ["--checks", "orders-grid", "--seconds", "0.2", "--runs", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    assert list(bench["workloads"]) == ["group-structure"] and list(bench["checks"]) == ["orders-grid"]
+    assert bench["workloads"]["group-structure"]["failed"] == 0
+    tail = bench["workloads"]["group-structure"]["metrics"]["op_tail_ms"]
+    assert tail["unit"] == "ms" and tail["q1"] == tail["median"] == tail["q3"] == tail["values"][0] > 0
+    check = bench["checks"]["orders-grid"]
+    assert (check["results"], check["failed"]) == (42, 0) and check["metrics"]["wall_s"]["median"] > 0
+    assert bench["envelope"]["src_lines"] > 0
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--compare", str(out), "--from", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert {row.split()[0] for row in rows} >= {"group-structure.op_tail_ms", "check.orders-grid.wall_s", "src_lines"}
+    assert all(row.split()[-1] == "1.000" for row in rows)
