@@ -4,6 +4,8 @@
     python scripts/bench.py --out BENCH.json [--workloads NAME ...] [--checks NAME ...]
                             [--seconds S] [--runs K]
     python scripts/bench.py --compare OLD.json [--out NEW.json | --from NEW.json]
+    python scripts/bench.py --pairs PARENT_DIR [--out PAIRS.json] [--workloads NAME ...]
+                            [--seconds S] [--runs K]
 
 A thin driver over perfbench: each workload runs K times as
 `perfbench/run.py --trace 0` at seed 3, and each entry of verify.ALL_CHECKS
@@ -11,8 +13,14 @@ runs K times on VerifyConfig(), each time in a fresh interpreter.  Every
 metric is kept as its K values with their median and quartiles, beside the
 run envelope (Python, host, git revision, src line count).  --compare prints one line per
 metric shared with OLD.json: old median, new median and new/old; with --from
-it reads the new results from a file instead of measuring.  Run from the root
-of a source checkout; mystica is imported from src/.
+it reads the new results from a file instead of measuring.  --pairs runs
+each workload K times in PARENT_DIR (another checkout, the old side) and K
+times in this tree, alternately, the two runs of pair i at seed 3 + i and the
+side that runs first swapping from pair to pair, so that host drift falls on
+both sides alike.  It keeps every run of both sides and prints, per workload
+and metric, the old and new medians, the median of the per-pair new/old ratios
+and the number of pairs in which the new value was lower.  Run from the root
+of a source checkout; mystica is imported from src/ of the tree that runs.
 """
 
 from __future__ import annotations
@@ -48,12 +56,18 @@ def parse_args(argv=None):
     parser.add_argument("--out", type=Path, help="write the measured results here")
     parser.add_argument("--from", dest="source", type=Path, help="read the results from this file instead")
     parser.add_argument("--compare", type=Path, help="print new/old per metric against this file")
+    parser.add_argument("--pairs", type=Path, metavar="PARENT_DIR", help="alternate runs with this checkout")
     parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--checks", nargs="*", default=None, help="verify check names (default: all)")
     parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds per run")
     parser.add_argument("--runs", type=int, default=3, help="runs per workload and per check")
     args = parser.parse_args(argv)
-    if args.source is None and args.out is None:
+    if args.pairs is not None:
+        if args.source is not None or args.compare is not None:
+            parser.error("--pairs measures both sides itself; it takes no --from or --compare")
+        if not (args.pairs / "perfbench" / "run.py").is_file():
+            parser.error(f"--pairs: {args.pairs} is not a source checkout with perfbench/run.py")
+    elif args.source is None and args.out is None:
         parser.error("name --out for a measurement, or --from with --compare")
     if args.source is not None and args.compare is None:
         parser.error("--from only makes sense with --compare")
@@ -62,9 +76,9 @@ def parse_args(argv=None):
     return args
 
 
-def child_env() -> dict:
+def child_env(root: Path = ROOT) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return env
 
 
@@ -98,28 +112,68 @@ def envelope(args) -> dict:
     }
 
 
-def run_workload(name: str, args, env: dict) -> dict:
-    """K untraced perfbench runs of one workload: each end-to-end metric over
-    the runs, the failed operations summed, the last run's envelope."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED)]
-    argv += ["--seconds", str(args.seconds), "--trace", "0"]
+def run_once(root: Path, name: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run of a workload in the checkout at root: its
+    result line, with its envelope under "envelope"."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed)]
+    argv += ["--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, env=child_env(root), capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    prefix = "# envelope "
+    result = json.loads(lines[-1])
+    result["envelope"] = json.loads(next(line for line in lines if line.startswith(prefix))[len(prefix) :])
+    return result
+
+
+def collect(results: list[dict]) -> dict:
+    """Runs of one workload: each end-to-end metric over the runs, the failed
+    operations summed, the last run's envelope."""
     values: dict[str, list[float]] = {}
     units: dict[str, str] = {}
-    attempted = failed = 0
-    bench_envelope = {}
-    for _ in range(args.runs):
-        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-        lines = proc.stdout.strip().splitlines()
-        prefix = "# envelope "
-        bench_envelope = json.loads(next(line for line in lines if line.startswith(prefix))[len(prefix) :])
-        result = json.loads(lines[-1])
-        attempted += result["attempted"]
-        failed += result["failed"]
+    for result in results:
         for metric, entry in result["metrics"].items():
             values.setdefault(metric, []).append(entry["value"])
             units[metric] = entry["unit"]
-    metrics = {metric: summary(v, units[metric]) for metric, v in values.items()}
-    return {"attempted": attempted, "failed": failed, "metrics": metrics, "envelope": bench_envelope}
+    return {
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": {metric: summary(v, units[metric]) for metric, v in values.items()},
+        "envelope": results[-1]["envelope"],
+    }
+
+
+def run_workload(name: str, args) -> dict:
+    """K untraced perfbench runs of one workload at the fixed seed."""
+    return collect([run_once(ROOT, name, SEED, args.seconds) for _ in range(args.runs)])
+
+
+def run_pairs(name: str, args, runner=run_once) -> dict:
+    """K pairs of runs of one workload, one in args.pairs (old) and one in this
+    tree (new) at seed SEED + i, the first side swapping from pair to pair."""
+    sides: dict[str, list[dict]] = {"old": [], "new": []}
+    for i in range(args.runs):
+        order = ("old", "new") if i % 2 == 0 else ("new", "old")
+        for side in order:
+            root = args.pairs if side == "old" else ROOT
+            sides[side].append(runner(root, name, SEED + i, args.seconds))
+    return {side: collect(results) for side, results in sides.items()}
+
+
+def pair_report(pairs: dict) -> list[str]:
+    """Per workload and metric: old and new medians, the median per-pair
+    new/old ratio and the number of pairs in which new was lower."""
+    lines = []
+    for name, sides in pairs.items():
+        for metric, old in sides["old"]["metrics"].items():
+            new = sides["new"]["metrics"][metric]
+            ratios = [b / a if a else float("nan") for a, b in zip(old["values"], new["values"])]
+            lower = sum(b < a for a, b in zip(old["values"], new["values"]))
+            lines.append(
+                f"{name + '.' + metric:36s} {old['median']:12.4g} {new['median']:12.4g} "
+                f"{statistics.median(ratios):8.3f} {lower:>3d}/{len(ratios)}"
+            )
+        lines.append(f"{name + '.failed':36s} {sides['old']['failed']:12d} {sides['new']['failed']:12d}")
+    return lines
 
 
 def run_check(name: str, args, env: dict) -> dict:
@@ -152,7 +206,7 @@ def measure(args) -> dict:
     env = child_env()
     out = {"envelope": envelope(args), "workloads": {}, "checks": {}}
     for name in args.workloads:
-        out["workloads"][name] = run_workload(name, args, env)
+        out["workloads"][name] = run_workload(name, args)
     for name in check_names(args):
         out["checks"][name] = run_check(name, args, env)
     return out
@@ -179,8 +233,16 @@ def compare(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
+def main(argv=None, runner=run_once) -> int:
     args = parse_args(argv)
+    if args.pairs is not None:
+        pairs = {name: run_pairs(name, args, runner) for name in args.workloads}
+        if args.out is not None:
+            out = {"envelope": envelope(args), "parent": str(args.pairs.resolve()), "pairs": pairs}
+            args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        print(f"{'metric':36s} {'old':>12s} {'new':>12s} {'new/old':>8s} lower")
+        print("\n".join(pair_report(pairs)))
+        return 0
     if args.source is not None:
         new = json.loads(args.source.read_text())
     else:

@@ -120,6 +120,19 @@ def _make(order: int, nums, den: int = 1) -> "Cyclotomic":
     return out
 
 
+def _reduce(order: int, conv: list[int], den: int) -> "Cyclotomic":
+    """The element sum_t conv[t] zeta^t / den of an unreduced product row,
+    0 <= t <= 2 * (degree - 1), folded modulo the cyclotomic polynomial."""
+    deg = len(conv) // 2 + 1
+    out = conv[:deg]
+    for t, row in _folds(order):
+        c = conv[t]
+        if c:
+            for j, r in row:
+                out[j] += c * r
+    return _make(order, out, den)
+
+
 def _constant(order: int, num: int, den: int = 1) -> "Cyclotomic":
     """The rational num/den written at the given order: (num, 0, ..., 0)/den."""
     deg, _ = _ctx(order)
@@ -224,7 +237,9 @@ class Cyclotomic:
         return (-self) + other
 
     def _scaled(self, num: int, den: int) -> "Cyclotomic":
-        """self * num/den, by scaling the numerators."""
+        """self * num/den, by scaling the numerators; self itself for 1."""
+        if num == den == 1:
+            return self
         return _make(self.order, [x * num for x in self.nums], self.den * den)
 
     def __mul__(self, other) -> "Cyclotomic":
@@ -243,13 +258,7 @@ class Cyclotomic:
                 for t, y in enumerate(bn, i):
                     if y:
                         conv[t] += x * y
-        out = conv[:deg]
-        for t, row in _folds(a.order):
-            c = conv[t]
-            if c:
-                for j, r in row:
-                    out[j] += c * r
-        return _make(a.order, out, a.den * b.den)
+        return _reduce(a.order, conv, a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -24,6 +24,7 @@ from .linalg import SparseMatrix, sparse_rank
 from .monomial import MonomialElement, inversions, perm_apply
 
 _ONE = Cyclotomic.one()
+_MINUS_ONE = -_ONE
 
 
 def _coerce_c(c):
@@ -79,7 +80,10 @@ class QMatrix:
         self._minus_one = all(self.entries[i][j] == (1 if i == j else -1) for i in range(n) for j in range(n))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def minus_one(n: int) -> "QMatrix":
+        """The q = -1 matrix of rank n, built and validated once per rank;
+        callers share it."""
         return QMatrix(n, [[1 if i == j else -1 for j in range(n)] for i in range(n)])
 
     def is_minus_one(self) -> bool:
@@ -92,7 +96,7 @@ def qform_bracket(q: QMatrix, k: tuple[int, ...], kprime: tuple[int, ...]) -> Cy
         raise ValueError("exponent vectors do not match the q-matrix rank")
     if q.is_minus_one():
         s = sum(kprime[i] * k[j] for i in range(q.n) for j in range(i + 1, q.n))
-        return Cyclotomic.rational(-1 if s % 2 else 1)
+        return _MINUS_ONE if s % 2 else _ONE
     out = Cyclotomic.one()
     for i in range(q.n):
         for j in range(i + 1, q.n):
@@ -148,6 +152,16 @@ class QPolynomial:
         return f"QPolynomial({self.to_text()!r})"
 
 
+def _trusted_polynomial(n: int, terms: dict) -> QPolynomial:
+    """The polynomial with these terms, already nonzero Cyclotomic values on
+    exponent tuples, without the checks of the public constructor: act_c and
+    qmul build their results through it."""
+    out = object.__new__(QPolynomial)
+    out.n = n
+    out.terms = terms
+    return out
+
+
 def qmul(q: QMatrix, f: QPolynomial, g: QPolynomial) -> QPolynomial:
     if f.n != g.n or f.n != q.n:
         raise ValueError("rank mismatch in twisted product")
@@ -162,7 +176,7 @@ def qmul(q: QMatrix, f: QPolynomial, g: QPolynomial) -> QPolynomial:
                 out.pop(key, None)
             else:
                 out[key] = total
-    return QPolynomial(f.n, out)
+    return _trusted_polynomial(f.n, out)
 
 
 def commute_check(q: QMatrix, polys) -> bool:
@@ -298,12 +312,13 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
         raise ValueError("rank mismatch")
     c_key = _c_key(_coerce_c(c))
     pairs = inversions(g.perm)
+    untwisted = _twist_row(g.N, None, 0, 0)[0] if c_key is None else None  # the same row for every k
     out: dict = {}
     for k, coeff in f.terms.items():
         image = perm_apply(g.perm, k)
-        values = _twist_row(g.N, c_key, *_cocycle(pairs, k))[0]
+        values = untwisted if c_key is None else _twist_row(g.N, c_key, *_cocycle(pairs, k))[0]
         out[image] = coeff * values[_dot(g.exps, image) % g.N]
-    return QPolynomial(f.n, out)
+    return _trusted_polynomial(f.n, out)
 
 
 class _Entries(dict):

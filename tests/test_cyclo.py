@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mystica.cyclo import (
@@ -398,6 +398,8 @@ def _element_and_rational(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_element_and_rational())
+@example((Cyclotomic.root(12, 5) * Fraction(3, 4), 1))  # a factor 1 returns the other operand
+@example((Cyclotomic.root(5, 2), Cyclotomic.one()))
 def test_rational_operands_match_the_lifted_operation(case):
     # the fast path writes a rational operand at the other's order and scales
     # by it; the reference lifts both operands to one order first

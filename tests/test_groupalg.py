@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar, scalar_to_text
 from mystica.groupalg import (
@@ -313,3 +315,108 @@ def test_memoised_q_ij_keeps_the_order_of_c():
         q = q_ij_element(c, 0, 1, 2, 12)
         assert {v.order for v in q.terms.values()} == {c.order}
         assert psi_eval(q, (1, 0)) == phi_eval(c, 0, 1, (1, 0))
+
+
+# -- the integer convolution kernel against the term-by-term convolution ------
+
+
+def _reference_mul(left, right):
+    """The element-by-element convolution: one group-law product, one field
+    product and one field sum per pair of terms, zero sums dropped."""
+    out = {}
+    for g, a in left.items():
+        for h, b in right.items():
+            key = g * h
+            total = out[key] + a * b if key in out else a * b
+            if total.is_zero():
+                del out[key]
+            else:
+                out[key] = total
+    return out
+
+
+def _reference_j_c(c, a):
+    """J_c term by term: each support term times Q of its permutation, summed."""
+    out = {}
+    for g, v in a.terms.items():
+        for key, value in _reference_mul({g: v}, q_w_element(c, g.perm, a.n, a.N).terms).items():
+            total = out[key] + value if key in out else value
+            if total.is_zero():
+                del out[key]
+            else:
+                out[key] = total
+    return out
+
+
+_DEGREES = {1: 1, 3: 2, 4: 2, 12: 4}
+_J_C_VALUES = {
+    4: (Cyclotomic.rational(1), Cyclotomic.rational(1, 2), cyc_make(4, 1)),
+    12: (Cyclotomic.rational(1), cyc_make(3, 1), cyc_make(4, 3), cyc_make(12, 5)),
+}
+
+
+@st.composite
+def _kernel_case(draw):
+    """(a, b, c, order): two elements of one ambient with n <= 3, N in {4, 12},
+    either both with every coefficient at `order` or (order None) each
+    coefficient at its own order in {1, 3, 4, 12}, denominators 1 to 4, some
+    numerators large; each side may be empty, and a drawn involution s can add
+    g + g s to a and h - s h to b, whose product cancels to zero."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.sampled_from((4, 12)))
+    order = draw(st.sampled_from((None, 1, 3, 4, 12)))
+    perms = list(itertools.permutations(range(n)))
+
+    def element():
+        return MonomialElement(n, N, draw(st.sampled_from(perms)), tuple(draw(st.integers(0, N - 1)) for _ in range(n)))
+
+    def coeff():
+        o = order or draw(st.sampled_from((1, 3, 4, 12)))
+        nums = draw(st.lists(st.integers(-3, 3) | st.integers(-(10**12), 10**12), min_size=_DEGREES[o], max_size=_DEGREES[o]))
+        if not any(nums):
+            nums[0] = 1
+        value = Cyclotomic.zero(o)
+        for j, x in enumerate(nums):
+            value = value + Cyclotomic.root(o, j) * x
+        return value * Fraction(1, draw(st.integers(1, 4)))
+
+    sides = [{element(): coeff() for _ in range(draw(st.integers(0, 4)))} for _ in range(2)]
+    if draw(st.booleans()):
+        involutions = [torus_gen(n, N, 1, N // 2)] + ([adjacent_swap(n, N, 1)] if n > 1 else [])
+        s = draw(st.sampled_from(involutions))
+        g, h, v, w = element(), element(), coeff(), coeff()
+        sides[0].update({g: v, g * s: v})
+        sides[1].update({h: w, s * h: -w})
+    a, b = (GroupAlgebraElement(n, N, terms) for terms in sides)
+    return a, b, draw(st.sampled_from(_J_C_VALUES[N])), order
+
+
+def _assert_matches(got, want, exact):
+    assert got.terms.keys() == want.keys()
+    for g, v in want.items():
+        assert got.terms[g] == v, g
+        if exact:
+            assert (got.terms[g].order, got.terms[g].nums, got.terms[g].den) == (v.order, v.nums, v.den), g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_case())
+def test_convolution_kernel_matches_term_by_term_convolution(case):
+    a, b, c, order = case
+    _assert_matches(a * b, _reference_mul(a.terms, b.terms), exact=order is not None)
+    _assert_matches(ga_mul(b, a), _reference_mul(b.terms, a.terms), exact=order is not None)
+    # Q_w^(c) carries coefficients of c's order, and 1 on the identity
+    _assert_matches(j_c(c, a), _reference_j_c(c, a), exact=order is not None and c.order in (1, order))
+
+
+def test_convolution_kernel_cancels_to_zero_and_takes_empty_operands():
+    n, N = 3, 12
+    g, h = MonomialElement(n, N, (1, 2, 0), (1, 5, 7)), MonomialElement(n, N, (2, 1, 0), (0, 6, 3))
+    s = adjacent_swap(n, N, 2)
+    v, w = parse_scalar("1/3 - 2*zeta12^3"), parse_scalar("3/4*zeta12 + 1/2")
+    a = GroupAlgebraElement(n, N, {g: v, g * s: v, h: 1})
+    b = GroupAlgebraElement(n, N, {h: w, s * h: -w})
+    assert (a * b).terms == {h * h: w, h * s * h: -w}
+    assert (GroupAlgebraElement(n, N, {g: v, g * s: v}) * b).terms == {}
+    empty = GroupAlgebraElement(n, N)
+    assert (a * empty).terms == (empty * a).terms == j_c(cyc_make(4, 1), empty).terms == {}

@@ -248,6 +248,38 @@ def test_odd_rank_invariants_not_closed_under_twisted_product():
     assert act_c(0, s1, prod) != prod
 
 
+def test_act_c_and_qmul_results_are_clean_polynomials():
+    # both build their result without the constructor's cleaning, which must
+    # leave it unchanged: Cyclotomic values, exponent tuples, no zero
+    rng = random.Random(23)
+    n, N = 3, 12
+    perms = list(itertools.permutations(range(n)))
+    mats = (QMatrix.minus_one(n), QMatrix(n, [[1] * n] * n))
+    for _ in range(60):
+        f, h = (
+            QPolynomial(n, {tuple(rng.randrange(3) for _ in range(n)): rng.randint(-2, 2) for _ in range(4)})
+            for _ in range(2)
+        )
+        g = MonomialElement(n, N, rng.choice(perms), tuple(rng.randrange(N) for _ in range(n)))
+        outs = [act_c(c, g, f) for c in (0, 1, cyc_make(4, 1), Fraction(2, 3))]
+        outs += [qmul(q, f, h) for q in mats]
+        for out in outs:
+            assert out == QPolynomial(n, dict(out.terms))
+            assert all(isinstance(k, tuple) and isinstance(v, Cyclotomic) and not v.is_zero() for k, v in out.terms.items())
+    # x1 + x2 squared at q = -1: the cross terms cancel and are not stored
+    s = QPolynomial(2, {(1, 0): 1, (0, 1): 1})
+    assert set(qmul(MINUS2, s, s).terms) == {(2, 0), (0, 2)}
+
+
+def test_minus_one_matrix_is_built_once_per_rank():
+    for n in (1, 2, 3, 4):
+        q = QMatrix.minus_one(n)
+        assert QMatrix.minus_one(n) is q
+        assert q.is_minus_one() and q.n == n
+    assert MINUS2 is QMatrix.minus_one(2)
+    assert qform_bracket(MINUS2, (0, 1), (1, 0)) == -1 and qform_bracket(MINUS2, (1, 0), (0, 1)) == 1
+
+
 def test_integer_weights_match_half_scaled_tally():
     # integer weights are counted in one tally per permutation; 1/2 is not an
     # integer, so its elements get a tally of their own, whose value 1/2

@@ -61,3 +61,47 @@ def test_bench_writes_one_workload_and_one_check_and_compares(tmp_path):
     rows = proc.stdout.splitlines()[1:]
     assert {row.split()[0] for row in rows} >= {"group-structure.op_tail_ms", "check.orders-grid.wall_s", "src_lines"}
     assert all(row.split()[-1] == "1.000" for row in rows)
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_alternates_the_two_trees_and_reports_ratios(tmp_path, capsys):
+    bench = _load_bench()
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    calls = []
+    # op_tail_ms per (side, seed): new is lower in two of the three pairs
+    tails = {("old", 3): 10.0, ("new", 3): 5.0, ("old", 4): 8.0, ("new", 4): 6.0, ("old", 5): 4.0, ("new", 5): 6.0}
+
+    def runner(root, name, seed, seconds):
+        side = "old" if root == parent else "new"
+        calls.append((side, name, seed, seconds))
+        metrics = {"op_tail_ms": {"value": tails[side, seed], "unit": "ms"}, "wall_s": {"value": 1.0, "unit": "s"}}
+        return {"attempted": 6, "failed": 0, "metrics": metrics, "envelope": {"seed": seed}}
+
+    out = tmp_path / "pairs.json"
+    argv = ["--pairs", str(parent), "--workloads", "identity-suites", "--runs", "3", "--seconds", "0.5"]
+    assert bench.main(argv + ["--out", str(out)], runner=runner) == 0
+    assert calls == [
+        ("old", "identity-suites", 3, 0.5),
+        ("new", "identity-suites", 3, 0.5),
+        ("new", "identity-suites", 4, 0.5),
+        ("old", "identity-suites", 4, 0.5),
+        ("old", "identity-suites", 5, 0.5),
+        ("new", "identity-suites", 5, 0.5),
+    ]
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
+    # medians 8 and 6; per-pair ratios 0.5, 0.75, 1.5
+    assert rows["identity-suites.op_tail_ms"] == ["8", "6", "0.750", "2/3"]
+    assert rows["identity-suites.wall_s"] == ["1", "1", "1.000", "0/3"]
+    assert rows["identity-suites.failed"] == ["0", "0"]
+    saved = json.loads(out.read_text())
+    assert saved["pairs"]["identity-suites"]["old"]["metrics"]["op_tail_ms"]["values"] == [10.0, 8.0, 4.0]
+    assert saved["pairs"]["identity-suites"]["new"]["metrics"]["op_tail_ms"]["values"] == [5.0, 6.0, 6.0]
+    assert saved["pairs"]["identity-suites"]["new"]["attempted"] == 18
