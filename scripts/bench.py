@@ -5,7 +5,7 @@
                             [--seconds S] [--runs K]
     python scripts/bench.py --compare OLD.json [--out NEW.json | --from NEW.json]
     python scripts/bench.py --pairs PARENT_DIR [--out PAIRS.json] [--workloads NAME ...]
-                            [--seconds S] [--runs K]
+                            [--checks NAME ...] [--seconds S] [--runs K]
 
 A thin driver over perfbench: each workload runs K times as
 `perfbench/run.py --trace 0` at seed 3, and each entry of verify.ALL_CHECKS
@@ -17,10 +17,12 @@ it reads the new results from a file instead of measuring.  --pairs runs
 each workload K times in PARENT_DIR (another checkout, the old side) and K
 times in this tree, alternately, the two runs of pair i at seed 3 + i and the
 side that runs first swapping from pair to pair, so that host drift falls on
-both sides alike.  It keeps every run of both sides and prints, per workload
-and metric, the old and new medians, the median of the per-pair new/old ratios
-and the number of pairs in which the new value was lower.  Run from the root
-of a source checkout; mystica is imported from src/ of the tree that runs.
+both sides alike; each verify check named with --checks (none by default
+here) alternates the same way, one fresh interpreter per run.  It keeps every
+run of both sides and prints, per workload or check and metric, the old and
+new medians, the median of the per-pair new/old ratios and the number of
+pairs in which the new value was lower.  Run from the root of a source
+checkout; mystica is imported from src/ of the tree that runs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +61,9 @@ def parse_args(argv=None):
     parser.add_argument("--compare", type=Path, help="print new/old per metric against this file")
     parser.add_argument("--pairs", type=Path, metavar="PARENT_DIR", help="alternate runs with this checkout")
     parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS), choices=WORKLOADS)
-    parser.add_argument("--checks", nargs="*", default=None, help="verify check names (default: all)")
+    parser.add_argument(
+        "--checks", nargs="*", default=None, help="verify check names (default: all; with --pairs, none)"
+    )
     parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds per run")
     parser.add_argument("--runs", type=int, default=3, help="runs per workload and per check")
     args = parser.parse_args(argv)
@@ -147,21 +152,22 @@ def run_workload(name: str, args) -> dict:
     return collect([run_once(ROOT, name, SEED, args.seconds) for _ in range(args.runs)])
 
 
-def run_pairs(name: str, args, runner=run_once) -> dict:
-    """K pairs of runs of one workload, one in args.pairs (old) and one in this
-    tree (new) at seed SEED + i, the first side swapping from pair to pair."""
+def run_pairs(name: str, args, run) -> dict:
+    """K pairs of runs of one workload or check, run(root, name, seed) in
+    args.pairs (old) and in this tree (new) at seed SEED + i, the first side
+    swapping from pair to pair; each run returns a result line as run_once
+    does."""
     sides: dict[str, list[dict]] = {"old": [], "new": []}
     for i in range(args.runs):
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         for side in order:
-            root = args.pairs if side == "old" else ROOT
-            sides[side].append(runner(root, name, SEED + i, args.seconds))
+            sides[side].append(run(args.pairs if side == "old" else ROOT, name, SEED + i))
     return {side: collect(results) for side, results in sides.items()}
 
 
 def pair_report(pairs: dict) -> list[str]:
-    """Per workload and metric: old and new medians, the median per-pair
-    new/old ratio and the number of pairs in which new was lower."""
+    """Per workload or check and metric: old and new medians, the median
+    per-pair new/old ratio and the number of pairs in which new was lower."""
     lines = []
     for name, sides in pairs.items():
         for metric, old in sides["old"]["metrics"].items():
@@ -176,14 +182,27 @@ def pair_report(pairs: dict) -> list[str]:
     return lines
 
 
-def run_check(name: str, args, env: dict) -> dict:
+def run_check_once(root: Path, name: str) -> dict:
+    """One verify check on VerifyConfig() in a fresh interpreter of the
+    checkout at root: wall_s, cpu_s and the number of results and of failed
+    ones."""
+    argv = [sys.executable, "-c", CHECK_CHILD, name]
+    proc = subprocess.run(argv, cwd=root, env=child_env(root), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_check_pair(check_runner, root: Path, name: str, seed: int) -> dict:
+    """One run of a check as a result line of run_once, for run_pairs: its
+    results attempted, the failed ones failed, wall_s and cpu_s its metrics.
+    A check draws no seed."""
+    run = check_runner(root, name)
+    metrics = {key: {"value": run[key], "unit": "s"} for key in ("wall_s", "cpu_s")}
+    return {"attempted": run["results"], "failed": run["failed"], "metrics": metrics, "envelope": {}}
+
+
+def run_check(name: str, args) -> dict:
     """K fresh interpreters, each running one verify check on VerifyConfig()."""
-    runs = []
-    for _ in range(args.runs):
-        proc = subprocess.run(
-            [sys.executable, "-c", CHECK_CHILD, name], cwd=ROOT, env=env, capture_output=True, text=True, check=True
-        )
-        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    runs = [run_check_once(ROOT, name) for _ in range(args.runs)]
     return {
         "results": runs[-1]["results"],
         "failed": runs[-1]["failed"],
@@ -203,12 +222,11 @@ def check_names(args) -> list[str]:
 
 
 def measure(args) -> dict:
-    env = child_env()
     out = {"envelope": envelope(args), "workloads": {}, "checks": {}}
     for name in args.workloads:
         out["workloads"][name] = run_workload(name, args)
     for name in check_names(args):
-        out["checks"][name] = run_check(name, args, env)
+        out["checks"][name] = run_check(name, args)
     return out
 
 
@@ -233,10 +251,13 @@ def compare(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main(argv=None, runner=run_once) -> int:
+def main(argv=None, runner=run_once, check_runner=run_check_once) -> int:
     args = parse_args(argv)
     if args.pairs is not None:
-        pairs = {name: run_pairs(name, args, runner) for name in args.workloads}
+        pairs = {name: run_pairs(name, args, partial(runner, seconds=args.seconds)) for name in args.workloads}
+        if args.checks is not None:
+            for name in check_names(args):
+                pairs[f"check.{name}"] = run_pairs(name, args, partial(run_check_pair, check_runner))
         if args.out is not None:
             out = {"envelope": envelope(args), "parent": str(args.pairs.resolve()), "pairs": pairs}
             args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

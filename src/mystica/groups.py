@@ -243,8 +243,11 @@ def _family_generators(m: int, p: int, odd, n: int, N: int) -> tuple:
     n >= 3 the long cycle (1 2 ... n), times t_1^r when it is odd.  The
     identity is left out.  The torus part is generated by t_1^p and the
     S_n-conjugates of t_1 t_2^-1, and (1 2) and the long cycle generate S_n.
-    Rank one gets t_1^p alone; a filter that keeps no odd permutation (W at
-    odd m) gets no set, its permutations being only the alternating group."""
+    Rank one gets t_1^p alone.  A filter that keeps even permutations only
+    (W at odd m) gets t_1^p, t_1 t_2^-1 when p > 1 or n = 2 (no permutation
+    moves t_1 there), and for n >= 3 (1 2 3) and, for n >= 4, the even cycle
+    (1 2 ... n) for odd n or (2 3 ... n) for even n, which generate A_n; the
+    A_n-conjugates of t_1 t_2^-1 (of t_1 when p = 1) span the torus part."""
     step = N // m
 
     def t1(power: int, perm: tuple) -> tuple:
@@ -252,15 +255,17 @@ def _family_generators(m: int, p: int, odd, n: int, N: int) -> tuple:
 
     identity = tuple(range(n))
     gens = [t1(p, identity)]
-    if n > 1:
-        if not odd:
-            return ()
+    if n > 1 and (p > 1 or (n == 2 and not odd)):
+        gens.append((identity, (step, N - step) + (0,) * (n - 2)))
+    if n > 1 and odd:
         r = odd[0]
-        if p > 1:
-            gens.append((identity, (step, N - step) + (0,) * (n - 2)))
         gens.append(t1(r, (1, 0) + identity[2:]))
         if n >= 3:
             gens.append(t1(r if n % 2 == 0 else 0, identity[1:] + (0,)))
+    elif n >= 3:
+        gens.append(t1(0, (1, 2, 0) + identity[3:]))
+        if n >= 4:
+            gens.append(t1(0, identity[1:] + (0,) if n % 2 else (0,) + identity[2:] + (1,)))
     return tuple(g for g in gens if any(g[1]) or g[0] != identity)
 
 

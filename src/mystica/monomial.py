@@ -78,13 +78,21 @@ class MonomialElement:
         return _trusted(n, N, tuple(winv), tuple([(-e[w[i]]) % N for i in range(n)]))
 
     def __pow__(self, k: int) -> "MonomialElement":
-        base = self if k >= 0 else self.inverse()
+        """Repeated squaring, starting from the base itself for k != 0, so no
+        identity is built or multiplied in."""
+        if k == 0:
+            return _trusted(self.n, self.N, tuple(range(self.n)), (0,) * self.n)
+        base = self if k > 0 else self.inverse()
         k = abs(k)
-        out = MonomialElement.identity(self.n, self.N)
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
         return out
 

@@ -249,18 +249,6 @@ def _slice_images(perm: tuple[int, ...], degree: int, N: int):
     return tuple(rows), tuple(keys)
 
 
-def _by_perm(terms, n: int, N: int) -> dict:
-    """perm -> (torus exponents, values) of the (element, value) terms."""
-    members: dict = {}
-    for elem, value in terms:
-        if (elem.n, elem.N) != (n, N):
-            raise ValueError("mixed ambients in operator")
-        exps, values = members.setdefault(elem.perm, ([], []))
-        exps.append(elem.exps)
-        values.append(value)
-    return members
-
-
 def _period(counts: dict, N: int):
     """(generators, order, coset representatives with multiplicity) of the
     period group U = {u : counts[e + u] = counts[e] for every e} of a
@@ -269,17 +257,17 @@ def _period(counts: dict, N: int):
     U lies in E - e0 for the support E and any e0 in it, so the candidates
     e - e0 are tried in turn, skipping those already in the span of the
     generators found; each one that is a period joins the span."""
-    if len(counts) == 1:  # one element's operator
+    if len(counts) == 1:  # one torus part
         return (), 1, tuple(counts.items())
 
     def shift(e, u):
-        return tuple((x + y) % N for x, y in zip(e, u))
+        return tuple([(x + y) % N for x, y in zip(e, u)])
 
     first = next(iter(counts))
     span = {(0,) * len(first)}
     gens = []
     for e in counts:
-        u = tuple((x - y) % N for x, y in zip(e, first))
+        u = tuple([(x - y) % N for x, y in zip(e, first)])
         if u in span or any(counts.get(shift(f, u)) != m for f, m in counts.items()):
             continue
         gens.append(u)
@@ -325,13 +313,94 @@ class _Entries(dict):
     """key -> entry of the terms of one permutation under one c, None for a
     zero entry; computed on first lookup and kept."""
 
-    def __init__(self, compute):
-        super().__init__()
-        self._compute = compute
+    __slots__ = ("_compute",)
 
     def __missing__(self, key):
         value = self[key] = self._compute(key)
         return value
+
+
+def _by_perm(terms, n: int, N: int) -> dict:
+    """perm -> [(torus exponents, coefficient), ...] of the (element, value)
+    terms, each value as a Cyclotomic."""
+    members: dict = {}
+    for elem, value in terms:
+        if elem.n != n or elem.N != N:
+            raise ValueError("mixed ambients in operator")
+        coeff = value if isinstance(value, Cyclotomic) else Cyclotomic.rational(value)
+        members.setdefault(elem.perm, []).append((elem.exps, coeff))
+    return members
+
+
+def _parts(members, N: int) -> tuple:
+    """((coefficient, generators of U, |U|, representatives), ...) of one
+    permutation's terms: those that share one coefficient form one part, its
+    torus exponents counted and their period group U searched once."""
+    if len(members) == 1:  # one term
+        ((e, coeff),) = members
+        return ((coeff, (), 1, ((e, 1),)),)
+    shared: dict = {}  # coefficient key -> (coefficient, exponents -> multiplicity)
+    for e, coeff in members:
+        counts = shared.setdefault((coeff.order, coeff.nums, coeff.den), (coeff, {}))[1]
+        counts[e] = counts.get(e, 0) + 1
+    return tuple((coeff, *_period(counts, N)) for coeff, counts in shared.values())
+
+
+def _scale(coeff, field_order: int):
+    """(coefficient to multiply by or None, numerator, denominator): a
+    rational coefficient in the field of the entries scales the weights by
+    numerator/denominator, any other multiplies the value."""
+    if coeff.is_rational() and field_order % coeff.order == 0:
+        return None, coeff.nums[0], coeff.den
+    return coeff, 1, 1
+
+
+def _entries(parts, N: int, c_key, field_order: int) -> _Entries:
+    """The entries of one permutation's parts under c, computed per key on
+    first lookup from a plan of (coefficient to multiply by or None,
+    denominator, generators of U, (representative, weight) pairs) per part;
+    a part of zero coefficient drops out."""
+    plan = []
+    for coeff, gens, size, reps in parts:
+        coeff, num, den = _scale(coeff, field_order)
+        if num:
+            plan.append((coeff, den, gens, tuple((rep, size * m * num) for rep, m in reps)))
+    table = _Entries()
+    table._compute = partial(_entry, N, c_key, field_order, plan)
+    return table
+
+
+def _entry(N: int, c_key, field_order: int, plan, key):
+    """The entry at a column of the given key, from the plan of _entries: per
+    coefficient whose period group is orthogonal to w(k), the root exponents
+    <rho, w(k)> of the coset representatives are tallied with their weights
+    and mapped through (-1)^s c^b into Q(zeta_L).  A tally of one coset, as
+    for a group sum, reads its value off the row, scaled by its weight."""
+    image, sign, cexp = key
+    values, nums, den = _twist_row(N, c_key, sign, cexp)
+    total = None
+    for coeff, cden, gens, reps in plan:
+        if gens and any(_dot(image, u) % N for u in gens):
+            continue
+        if len(reps) == 1:
+            ((rep, weight),) = reps
+            value = values[_dot(image, rep) % N]._scaled(weight, cden)
+        else:
+            tally: dict = {}
+            for rep, weight in reps:
+                a = _dot(image, rep) % N
+                tally[a] = tally.get(a, 0) + weight
+            vec = [0] * len(nums[0])
+            for a, weight in tally.items():
+                for j, x in enumerate(nums[a]):
+                    vec[j] += weight * x
+            if not any(vec):
+                continue
+            value = _make(field_order, vec, den * cden)
+        if coeff is not None:
+            value = coeff * value
+        total = value if total is None else total + value
+    return None if total is None or total.is_zero() else total
 
 
 class _GroupSum:
@@ -348,59 +417,18 @@ class _GroupSum:
 
     def __init__(self, terms, n: int, N: int):
         self.n, self.N = n, N
-        self.by_perm = _by_perm(terms, n, N)
-        self._parts = {}  # perm -> ((coefficient, generators of U, |U|, representatives), ...)
-        for perm, (exps, values) in self.by_perm.items():
-            shared: dict = {}  # coefficient -> (coefficient, exponents -> multiplicity)
-            for e, v in zip(exps, values):
-                coeff = v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
-                counts = shared.setdefault((coeff.order, coeff.nums, coeff.den), (coeff, {}))[1]
-                counts[e] = counts.get(e, 0) + 1
-            self._parts[perm] = tuple((coeff, *_period(counts, N)) for coeff, counts in shared.values())
-        self._tables: dict = {}  # (c key, perm) -> _Entries
+        self._parts = {perm: _parts(members, N) for perm, members in _by_perm(terms, n, N).items()}
+        self._tables: dict = {}  # c key -> perm -> _Entries
 
-    def _entries(self, cc, perm) -> _Entries:
+    def tables(self, cc) -> dict:
+        """perm -> _Entries under c, made on first use per c and kept."""
         c_key = _c_key(cc)
-        table = self._tables.get((c_key, perm))
-        if table is None:
+        tables = self._tables.get(c_key)
+        if tables is None:
             field_order = _field_order(cc, self.N)
-            plan = []  # (coefficient to multiply by or None, denominator, generators of U, (rep, weight) pairs)
-            for coeff, gens, size, reps in self._parts[perm]:
-                if coeff.is_rational() and field_order % coeff.order == 0:  # it scales the tally
-                    plan.append((None, coeff.den, gens, tuple((rep, size * m * coeff.nums[0]) for rep, m in reps)))
-                else:
-                    plan.append((coeff, 1, gens, tuple((rep, size * m) for rep, m in reps)))
-            table = _Entries(partial(_entry, self.N, c_key, field_order, plan))
-            self._tables[c_key, perm] = table
-        return table
-
-
-def _entry(N: int, c_key, field_order: int, plan, key):
-    """The entry at a column of the given key, from _GroupSum._entries's
-    plan: per coefficient whose period group is orthogonal to w(k), the root
-    exponents <rho, w(k)> of the coset representatives are tallied with
-    their weights and mapped through (-1)^s c^b into Q(zeta_L)."""
-    image, sign, cexp = key
-    _, nums, den = _twist_row(N, c_key, sign, cexp)
-    total = None
-    for coeff, cden, gens, reps in plan:
-        if any(_dot(image, u) % N for u in gens):
-            continue
-        tally: dict = {}
-        for rep, weight in reps:
-            a = _dot(image, rep) % N
-            tally[a] = tally.get(a, 0) + weight
-        vec = [0] * len(nums[0])
-        for a, weight in tally.items():
-            for j, x in enumerate(nums[a]):
-                vec[j] += weight * x
-        if not any(vec):
-            continue
-        value = _make(field_order, vec, den * cden)
-        if coeff is not None:
-            value = coeff * value
-        total = value if total is None else total + value
-    return None if total is None or total.is_zero() else total
+            tables = {perm: _entries(parts, self.N, c_key, field_order) for perm, parts in self._parts.items()}
+            self._tables[c_key] = tables
+        return tables
 
 
 def group_sum_terms(G: FiniteMonomialGroup) -> _GroupSum:
@@ -439,23 +467,51 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     slice_monomials.  For group-algebra input this is the coefficient-weighted
     sum of the element matrices; each entry lies in the field the definition
     puts it in, Q(zeta_L) with L = _field_order(c, N) or the larger field of
-    a coefficient."""
+    a coefficient.
+
+    A kept sum (group_sum_terms, class_sum_terms) keeps its entries per
+    (c, permutation, key) across degrees and calls.  Any other actor (an
+    element, a term list, a group-algebra element) is grouped and its
+    periods searched once per call, and its entries are memoised per key for
+    that call only.  A permutation whose every coefficient sits on one torus
+    part, as a single term's does, has trivial period: its terms are placed
+    one by one from the cached slice and twist rows.  A permutation with a
+    coefficient on several torus parts, as a whole group passed as a list,
+    keeps the coset tally."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if not isinstance(actor, _GroupSum):
-        actor = _GroupSum(*_terms_of(actor))
-    return _integer_sum_matrix(actor, _coerce_c(c), degree)
+    cc = _coerce_c(c)
+    if isinstance(actor, _GroupSum):
+        return _integer_sum_matrix(actor.tables(cc), actor.n, actor.N, degree)
+    terms, n, N = _terms_of(actor)
+    c_key, field_order = _c_key(cc), _field_order(cc, N)
+    tables = {}
+    for perm, members in _by_perm(terms, n, N).items():
+        parts = _parts(members, N)
+        if len(parts) == len(members):  # one term per coefficient: trivial periods
+            singles = []
+            for coeff, _, _, ((rep, _),) in parts:
+                coeff, num, den = _scale(coeff, field_order)
+                if num:
+                    singles.append((rep, num, den, _c_key(coeff)))
+            tables[perm] = tuple(singles)
+        else:
+            tables[perm] = _entries(parts, N, c_key, field_order)
+    return _integer_sum_matrix(tables, n, N, degree, c_key)
 
 
-def _integer_sum_matrix(actor: _GroupSum, cc, degree: int) -> SparseMatrix:
+def _integer_sum_matrix(tables: dict, n: int, N: int, degree: int, c_key=None) -> SparseMatrix:
     """The weighted sum of the element operators on the degree slice: per
-    permutation w, column k holds the entry of its key at the row of w(k)."""
-    dim = len(slice_monomials(actor.n, degree))
+    permutation w, column k holds the entry of its key at the row of w(k),
+    read from the permutation's _Entries or, for a tuple of single terms,
+    from _term_entries on this slice's keys."""
+    dim = len(slice_monomials(n, degree))
     matrix = SparseMatrix(dim, dim)
     placed = matrix.entries
-    for perm in actor.by_perm:
-        entries = actor._entries(cc, perm)
-        rows, keys = _slice_images(perm, degree, actor.N)
+    for perm, entries in tables.items():
+        rows, keys = _slice_images(perm, degree, N)
+        if entries.__class__ is tuple:
+            entries = _term_entries(entries, N, c_key, keys)
         for col, (row, key) in enumerate(zip(rows, keys)):
             value = entries[key]
             if value is None:
@@ -465,6 +521,35 @@ def _integer_sum_matrix(actor: _GroupSum, cc, degree: int) -> SparseMatrix:
             else:
                 placed[row, col] = value
     return matrix
+
+
+@lru_cache(maxsize=1024)
+def _coefficient_row(N: int, c_key, sign: int, cexp: int, coeff_key) -> tuple:
+    """The values of _twist_row(N, c_key, sign, cexp) times the coefficient
+    _make(*coeff_key): a coefficient of one-off terms, as the entries of
+    Q_w^(c) in J_c(a), recurs across calls, and its row is multiplied once."""
+    coeff = _make(*coeff_key)
+    return tuple(coeff * v for v in _twist_row(N, c_key, sign, cexp)[0])
+
+
+def _term_entries(terms, N: int, c_key, keys) -> dict:
+    """key -> entry of single terms of trivial period, (representative,
+    weight, denominator, coefficient key or None), for each distinct key
+    once: each term's value read off the twist row of c, or its coefficient's
+    row, and scaled by its weight; the terms summed, None for zero."""
+    out: dict = {}
+    for key in keys:
+        if key in out:
+            continue
+        image, sign, cexp = key
+        values = _twist_row(N, c_key, sign, cexp)[0]
+        total = None
+        for rep, weight, cden, coeff_key in terms:
+            row = values if coeff_key is None else _coefficient_row(N, c_key, sign, cexp, coeff_key)
+            value = row[_dot(image, rep) % N]._scaled(weight, cden)
+            total = value if total is None else total + value
+        out[key] = None if total is None or total.is_zero() else total
+    return out
 
 
 # -- invariants --------------------------------------------------------

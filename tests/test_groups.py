@@ -610,7 +610,8 @@ def test_orders_grid_and_over_cap_parity_cells_build_no_element(monkeypatch):
 
 
 # every thick_family group of the criterion 6-8 grids within the group-size
-# cap, and levels 5 and 6 up to rank 3
+# cap, and levels 5 and 6 up to rank 3; at the odd levels also W(m,1,n) and
+# W(m,m,n), which keep even permutations only
 HINT_GRID = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(m, n) for m in (5, 6) for n in range(1, 4)]
 
 
@@ -619,7 +620,8 @@ def test_known_generators_generate_and_keep_the_greedy_structure(m, n):
     # the known generating set alone generates the group, and the classes and
     # the normal subgroups are those of the hint-free copy, whose generators
     # come from the greedy scan
-    for G in thick_family(m, n):
+    odd_level_w = [make_w(m, d, n) for d in (1, m)] if m in (3, 5) else []
+    for G in thick_family(m, n) + odd_level_w:
         if G.order > group_size_cap():
             continue
         hint = G.known_generators
@@ -642,10 +644,20 @@ def test_known_generators_of_the_wreath_product_and_of_odd_level_w():
     ]
     assert len(G.indexed().generators()) == 3
     assert G.lift(8).known_generators == tuple(g.lift(8) for g in G.known_generators)
-    # W at odd level keeps even permutations only: no hint, the greedy scan
-    W = make_w(3, 1, 3)
-    assert W.known_generators == ()
-    assert closure_generate((W.N, 3), [W.elements[i] for i in W.indexed().generators()]) == W
+    # W at odd level keeps even permutations only: t_1 t_2^-1 (t_1^3 is the
+    # identity) and generators of A_4, (1 2 3) and the even cycle (2 3 4)
+    W = make_w(3, 1, 4)
+    assert [g.to_text() for g in W.known_generators] == [
+        "t1^4 t2^8 t3^0 t4^0 * ()",
+        "t1^0 t2^0 t3^0 t4^0 * (1 2 3)",
+        "t1^0 t2^0 t3^0 t4^0 * (2 3 4)",
+    ]
+    assert len(W.indexed().generators()) == 3
+    assert closure_generate((W.N, 4), W.known_generators) == W
+    assert [g.to_text() for g in make_w(5, 5, 3).known_generators] == [
+        "t1^4 t2^0 t3^0 * ()",
+        "t1^0 t2^0 t3^0 * (1 2 3)",
+    ]
     assert [g.to_text() for g in make_gmpn(6, 2, 1).known_generators] == ["t1^4 * ()"]
     assert make_gmpn(3, 3, 1).known_generators == ()  # the trivial group
 

@@ -185,6 +185,26 @@ def test_ambient_mismatch_rejected():
         MonomialElement.identity(2, 2) * MonomialElement.identity(3, 2)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_power_is_the_repeated_product(data):
+    # g**k by repeated squaring from the base against k factors of g (of its
+    # inverse for k < 0); g**0 is the identity, a new object
+    n = data.draw(st.integers(1, 4))
+    N = data.draw(st.sampled_from((1, 2, 3, 4, 12)))
+    g = MonomialElement(
+        n, N, tuple(data.draw(st.permutations(range(n)))), tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+    )
+    for k in range(-4, 7):
+        want = MonomialElement.identity(n, N)
+        for _ in range(abs(k)):
+            want = want * (g if k > 0 else g.inverse())
+        got = g**k
+        assert (got.perm, got.exps) == (want.perm, want.exps), k
+        assert got == want and hash(got) == hash(want), k
+    assert g**0 is not g**0
+
+
 def _order_by_repeated_products(a):
     """The reference element order: multiply until the identity comes back."""
     out, order, ident = a, 1, MonomialElement.identity(a.n, a.N)

@@ -6,8 +6,11 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar
+from mystica.groupalg import GroupAlgebraElement
 from mystica.groups import make_gmpn, make_w
 from mystica.linalg import SparseMatrix
 from mystica.monomial import MonomialElement, adjacent_swap, perm_apply, torus_gen
@@ -423,6 +426,103 @@ def test_slice_action_kernel_matches_definition():
                 _assert_same_entries(act_c(c, g, f).terms, want)
 
 
+_ONE_OFF_CS = (0, Cyclotomic.rational(Fraction(1, 2)), cyc_make(4, 1), cyc_make(3, 1))
+_FIELD_DEGREES = {1: 1, 3: 2, 4: 2, 12: 4}
+
+
+@st.composite
+def _one_off_case(draw):
+    """(actor, terms, n, N, c, degree): an operator that no kept sum holds,
+    with n <= 3 and N in {3, 4, 12}, and its (element, coefficient) terms.  Blocks
+    of terms: single elements, one permutation with distinct torus parts, a
+    whole coset of a torus subgroup under one coefficient, and an element
+    beside its product with an involution, or beside itself, whose
+    coefficients may cancel.  Coefficients at orders 1, 3, 4 and 12 over
+    denominators 1 to 4, zero included.  The actor is the term list, the
+    group-algebra element of distinct terms (zero ones dropped, so it may be
+    empty), or a lone element itself."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    N = draw(st.sampled_from((3, 4, 12)))
+    perms = list(itertools.permutations(range(n)))
+
+    def torus():
+        return tuple(draw(st.integers(0, N - 1)) for _ in range(n))
+
+    def coeff():
+        order = draw(st.sampled_from((1, 3, 4, 12)))
+        nums = draw(st.lists(st.integers(-3, 3), min_size=_FIELD_DEGREES[order], max_size=_FIELD_DEGREES[order]))
+        value = sum((Cyclotomic.root(order, j) * x for j, x in enumerate(nums)), Cyclotomic.zero(order))
+        return value * Fraction(1, draw(st.integers(1, 4)))
+
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(("element", "perm", "coset", "pair")), min_size=1, max_size=3)):
+        perm = draw(st.sampled_from(perms))
+        if kind == "element":
+            terms.append((MonomialElement(n, N, perm, torus()), coeff()))
+        elif kind == "perm":
+            shared = draw(st.booleans()) and coeff()
+            for exps in draw(st.lists(st.builds(torus), min_size=2, max_size=4, unique=True)):
+                terms.append((MonomialElement(n, N, perm, exps), shared or coeff()))
+        elif kind == "coset":
+            # the subgroup generated by t_j^(N/q), q a divisor of N up to 4
+            span = {(0,) * n}
+            orders = st.sampled_from([q for q in (2, 3, 4) if N % q == 0])
+            for j, q in draw(st.lists(st.tuples(st.integers(0, n - 1), orders), min_size=1, max_size=2)):
+                step = tuple(N // q if i == j else 0 for i in range(n))
+                span |= {tuple((x + r * y) % N for x, y in zip(u, step)) for u in span for r in range(q)}
+            base, shared = torus(), coeff()
+            terms += [(MonomialElement(n, N, perm, tuple(map(sum, zip(base, u)))), shared) for u in sorted(span)]
+        else:
+            g, value = MonomialElement(n, N, perm, torus()), coeff()
+            s = torus_gen(n, N, 1, N // 2) if N % 2 == 0 and draw(st.booleans()) else MonomialElement.identity(n, N)
+            terms += [(g, value), (g * s, draw(st.sampled_from((value, -value))))]
+    form = draw(st.sampled_from(("list", "algebra", "element")))
+    if form == "element" and len(terms) == 1:
+        terms = [(terms[0][0], Cyclotomic.one())]
+        actor = terms[0][0]
+    elif form == "algebra" and len({g for g, _ in terms}) == len(terms):
+        actor = GroupAlgebraElement(n, N, dict(terms))
+        terms = list(actor.items())
+    else:
+        actor = terms
+    return actor, terms, n, N, draw(st.sampled_from(_ONE_OFF_CS)), draw(st.sampled_from(range(7)))
+
+
+# N = 3 is odd, so two keys of one slice can differ in the sign bit alone:
+# (3, 3) and (0, 6) under the swap both go to (0, 0) mod 3, with sign bits 1
+# and 0 and one c exponent
+_SIGN_ONLY = [(MonomialElement(2, 3, (1, 0), (1, 2)), Cyclotomic.one())]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_one_off_case())
+@example((_SIGN_ONLY, _SIGN_ONLY, 2, 3, cyc_make(4, 1), 6))
+@example((_SIGN_ONLY[0][0], _SIGN_ONLY, 2, 3, Cyclotomic.rational(Fraction(1, 2)), 6))
+def test_one_off_operators_match_the_definition_and_a_kept_sum(case):
+    # the one-off path (single terms of trivial period placed term by term,
+    # every other permutation through its coset tally) against the sum of
+    # the terms' actions straight from the definition, and exactly, field
+    # order included, against the same terms held as a kept sum
+    from mystica.qpoly import _GroupSum
+
+    actor, terms, n, N, c, degree = case
+    basis = slice_monomials(n, degree)
+    row = {k: idx for idx, k in enumerate(basis)}
+    want = {}
+    for g, coeff in terms:
+        for col, k in enumerate(basis):
+            image, scalar = _reference_action(c, g, k)
+            key = (row[image], col)
+            want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
+    got = operator_matrix(actor, c, degree).entries
+    assert got.keys() == {key for key, v in want.items() if not v.is_zero()}
+    assert all(v == want[key] for key, v in got.items())
+    kept = operator_matrix(_GroupSum(terms, n, N), c, degree).entries
+    assert {key: (v.order, v.nums, v.den) for key, v in got.items()} == {
+        key: (v.order, v.nums, v.den) for key, v in kept.items()
+    }
+
+
 @pytest.mark.parametrize("G", [make_gmpn(3, 1, 2), make_gmpn(4, 1, 3), make_w(4, 1, 3)], ids=lambda G: G.tag.label)
 def test_slice_trace_matches_element_by_element_sum(G):
     # the symmetrizer's diagonal sum, read per (sign, c exponent, root
@@ -442,17 +542,16 @@ def test_slice_trace_matches_element_by_element_sum(G):
 
 
 def test_group_sum_grouping_is_kept_and_matches_uncached_grouping():
-    from mystica.qpoly import _by_perm, group_sum_terms
+    from mystica.qpoly import _by_perm, _parts, group_sum_terms
 
     for G in (make_gmpn(4, 2, 3), make_w(4, 1, 2), make_gmpn(3, 1, 2)):
         group_sum = group_sum_terms(G)
         assert group_sum_terms(G) is group_sum
         terms = [(g, Cyclotomic.one()) for g in G.elements]
         fresh = _by_perm(terms, G.n, G.N)
-        assert list(group_sum.by_perm) == list(fresh)
-        for perm, (exps, values) in fresh.items():
-            cached_exps, cached_values = group_sum.by_perm[perm]
-            assert cached_exps == exps and cached_values == values
+        assert list(group_sum._parts) == list(fresh)
+        for perm, members in fresh.items():
+            assert group_sum._parts[perm] == _parts(members, G.N)
         for c in (0, 1, cyc_make(4, 1)):
             for degree in range(4):
                 assert operator_matrix(group_sum, c, degree) == operator_matrix(terms, c, degree)
@@ -465,7 +564,8 @@ def test_class_sums_are_kept_and_add_up_to_the_group_sum():
         classes = class_sum_terms(G)
         assert class_sum_terms(G) is classes
         assert len(classes) == len(G.indexed().conjugacy_classes())
-        assert sum(len(values) for cls in classes for _, values in cls.by_perm.values()) == G.order
+        sizes = [size * m for cls in classes for parts in cls._parts.values() for _, _, size, reps in parts for _, m in reps]
+        assert sum(sizes) == G.order
         for c in (0, cyc_make(4, 1)):
             for degree in range(4):
                 whole = operator_matrix(group_sum_terms(G), c, degree)
@@ -518,14 +618,15 @@ def test_group_sum_entry_memo_and_period_match_element_by_element_sums():
                     _assert_same_entries(operator_matrix(group_sum, c, d).entries, reference(terms, ci, d))
                 trace = sum((v for (r, col), v in reference(whole, ci, d).items() if r == col), Cyclotomic.zero())
                 assert _slice_trace(G, c, d) == trace, (G, c, d)
-        for perm, (exps, _) in group_sum_terms(G).by_perm.items():
-            ((_, _, size, reps),) = group_sum_terms(G)._parts[perm]
-            assert (size, len(reps)) == (len(exps), 1)
-        for subset in subsets:
-            for perm, (exps, _) in subset.by_perm.items():
-                ((_, _, size, reps),) = subset._parts[perm]
-                assert size * len(reps) == len(exps)
-                periods.add((size, len(exps)))
-        assert all(size % G.N == 0 for perm in subsets[1].by_perm for _, _, size, _ in subsets[1]._parts[perm])
+        for perm, parts in group_sum_terms(G)._parts.items():
+            ((_, _, size, reps),) = parts
+            assert (size, len(reps)) == (sum(g.perm == perm for g in G.elements), 1)
+        for subset, terms in zip(subsets, (quarter, [(g, shared) for g in cosets])):
+            for perm, parts in subset._parts.items():
+                ((_, _, size, reps),) = parts
+                count = sum(g.perm == perm for g, _ in terms)
+                assert size * len(reps) == count
+                periods.add((size, count))
+        assert all(size % G.N == 0 for parts in subsets[1]._parts.values() for _, _, size, _ in parts)
     assert any(size == 1 < count for size, count in periods)
     assert any(1 < size < count for size, count in periods)

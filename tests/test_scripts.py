@@ -105,3 +105,40 @@ def test_bench_pairs_alternates_the_two_trees_and_reports_ratios(tmp_path, capsy
     assert saved["pairs"]["identity-suites"]["old"]["metrics"]["op_tail_ms"]["values"] == [10.0, 8.0, 4.0]
     assert saved["pairs"]["identity-suites"]["new"]["metrics"]["op_tail_ms"]["values"] == [5.0, 6.0, 6.0]
     assert saved["pairs"]["identity-suites"]["new"]["attempted"] == 18
+
+
+def test_bench_pairs_alternates_each_named_check_in_fresh_runs(tmp_path, capsys):
+    bench = _load_bench()
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    calls = []
+    # wall_s per side, run by run: new is lower in two of the three pairs
+    walls = {"old": [2.0, 3.0, 1.0], "new": [1.0, 1.5, 2.0]}
+
+    def check_runner(root, name):
+        side = "old" if root == parent else "new"
+        calls.append((side, name))
+        wall = walls[side][sum(s == side for s, _ in calls) - 1]
+        return {"wall_s": wall, "cpu_s": wall / 2, "results": 18, "failed": 1 if side == "old" else 0}
+
+    def runner(root, name, seed, seconds):
+        raise AssertionError("no workload was named")
+
+    out = tmp_path / "pairs.json"
+    argv = ["--pairs", str(parent), "--workloads", "--checks", "identity-suites", "--runs", "3", "--out", str(out)]
+    assert bench.main(argv, runner=runner, check_runner=check_runner) == 0
+    side_order = ["old", "new", "new", "old", "old", "new"]
+    assert calls == [(side, "identity-suites") for side in side_order]
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
+    # medians 2 and 1.5; per-pair ratios 0.5, 0.5, 2
+    assert rows["check.identity-suites.wall_s"] == ["2", "1.5", "0.500", "2/3"]
+    assert rows["check.identity-suites.cpu_s"] == ["1", "0.75", "0.500", "2/3"]
+    assert rows["check.identity-suites.failed"] == ["3", "0"]
+    saved = json.loads(out.read_text())["pairs"]["check.identity-suites"]
+    assert saved["new"]["metrics"]["wall_s"]["values"] == [1.0, 1.5, 2.0]
+    assert saved["old"]["attempted"] == 54
+    # without --checks, --pairs runs no check
+    calls.clear()
+    assert bench.main(["--pairs", str(parent), "--workloads"], runner=runner, check_runner=check_runner) == 0
+    assert calls == []
