@@ -21,8 +21,9 @@ both sides alike; each verify check named with --checks (none by default
 here) alternates the same way, one fresh interpreter per run.  It keeps every
 run of both sides and prints, per workload or check and metric, the old and
 new medians, the median of the per-pair new/old ratios and the number of
-pairs in which the new value was lower.  Run from the root of a source
-checkout; mystica is imported from src/ of the tree that runs.
+pairs in which the new value was lower, beside the interquartile range of
+the old runs.  Run from the root of a source checkout; mystica is imported
+from src/ of the tree that runs.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ def run_pairs(name: str, args, run) -> dict:
 
 def pair_report(pairs: dict) -> list[str]:
     """Per workload or check and metric: old and new medians, the median
-    per-pair new/old ratio and the number of pairs in which new was lower."""
+    per-pair new/old ratio, the number of pairs in which new was lower and
+    the interquartile range of the old runs, the spread that a difference of
+    the medians is read against."""
     lines = []
     for name, sides in pairs.items():
         for metric, old in sides["old"]["metrics"].items():
@@ -176,7 +179,7 @@ def pair_report(pairs: dict) -> list[str]:
             lower = sum(b < a for a, b in zip(old["values"], new["values"]))
             lines.append(
                 f"{name + '.' + metric:36s} {old['median']:12.4g} {new['median']:12.4g} "
-                f"{statistics.median(ratios):8.3f} {lower:>3d}/{len(ratios)}"
+                f"{statistics.median(ratios):8.3f} {lower:>3d}/{len(ratios)} {old['q3'] - old['q1']:12.4g}"
             )
         lines.append(f"{name + '.failed':36s} {sides['old']['failed']:12d} {sides['new']['failed']:12d}")
     return lines
@@ -261,7 +264,7 @@ def main(argv=None, runner=run_once, check_runner=run_check_once) -> int:
         if args.out is not None:
             out = {"envelope": envelope(args), "parent": str(args.pairs.resolve()), "pairs": pairs}
             args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-        print(f"{'metric':36s} {'old':>12s} {'new':>12s} {'new/old':>8s} lower")
+        print(f"{'metric':36s} {'old':>12s} {'new':>12s} {'new/old':>8s} lower {'old IQR':>12s}")
         print("\n".join(pair_report(pairs)))
         return 0
     if args.source is not None:

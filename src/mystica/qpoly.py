@@ -14,11 +14,11 @@ distinguished value 0 selects the untwisted action (cocycle identically 1).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .cyclo import Cyclotomic, _make
+from .cyclo import Cyclotomic, _make, _rational_parts
 from .groups import FiniteMonomialGroup
 from .linalg import SparseMatrix, sparse_rank
 from .monomial import MonomialElement, inversions, perm_apply
@@ -27,25 +27,25 @@ _ONE = Cyclotomic.one()
 _MINUS_ONE = -_ONE
 
 
-def _coerce_c(c):
-    """None for the untwisted action, otherwise an invertible Cyclotomic;
-    a rational c is kept at field order 1."""
-    if c is None:
+def _c_key(c):
+    """The hashable key (order, nums, den) of an invertible c, None for the
+    untwisted action (c None or 0).  A rational c is keyed at field order 1,
+    an int or a Fraction straight from its numerator and denominator."""
+    if isinstance(c, Cyclotomic):
+        if c.is_zero():
+            return None
+        return (1, c.nums[:1], c.den) if c.is_rational() else (c.order, c.nums, c.den)
+    if c is None or c == 0:
         return None
-    if not isinstance(c, Cyclotomic):  # a rational number
-        return None if c == 0 else Cyclotomic.rational(c)
-    if c.is_zero():
-        return None
-    if c.is_rational() and c.order != 1:
-        return _make(1, c.nums[:1], c.den)
-    return c
+    num, den = _rational_parts(c)
+    return (1, (num,), den)
 
 
-def _field_order(cc, N: int) -> int:
+def _field_order(c_key, N: int) -> int:
     """The order L of the field Q(zeta_L) holding the element operators'
     entries: N for the untwisted action, lcm(N, ord c) otherwise, which is N
-    for a rational c of any order, since _coerce_c writes it at order 1."""
-    return N if cc is None else lcm(N, cc.order)
+    for a rational c of any order, since _c_key writes it at order 1."""
+    return N if c_key is None else lcm(N, c_key[0])
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +193,10 @@ def commute_check(q: QMatrix, polys) -> bool:
 # For g = t*w in canonical form the twisted action sends x^k to
 # (-1)^s * c^b * zeta_N^a * x^(w(k)): (s, b) is the cocycle phi_w^(c)(k) of
 # w, and zeta_N^a = prod_j t_{w(j)}^(k_j) = t^(w(k)) is the torus root, so
-# a = <t, w(k)> mod N.
+# a = <t, w(k)> mod N.  operator_matrix runs every actor as a _GroupSum,
+# which holds per (c, w) one plan and one key -> entry dict; _entry fills
+# the dict on a key's first read in the one placement loop,
+# _integer_sum_matrix.
 
 
 def _cocycle(pairs, k) -> tuple[int, int]:
@@ -207,11 +210,6 @@ def _cocycle(pairs, k) -> tuple[int, int]:
     return sign % 2, cexp
 
 
-def _c_key(cc):
-    """The hashable key (order, nums, den) of c, None for the untwisted action."""
-    return None if cc is None else (cc.order, cc.nums, cc.den)
-
-
 @lru_cache(maxsize=1024)
 def _twist_row(N: int, c_key, sign: int, cexp: int):
     """(values, nums, den): values[a] = (-1)^sign c^cexp zeta_N^a, 0 <= a < N,
@@ -222,7 +220,7 @@ def _twist_row(N: int, c_key, sign: int, cexp: int):
         values = tuple(Cyclotomic.root(N, a) for a in range(N))
     else:
         cc = _make(*c_key)
-        field_order = _field_order(cc, N)
+        field_order = _field_order(c_key, N)
         scale = -(cc**cexp) if sign else cc**cexp
         values = tuple(Cyclotomic.root(field_order, a * (field_order // N)) * scale for a in range(N))
     den = lcm(*(v.den for v in values))
@@ -286,19 +284,19 @@ def _period(counts: dict, N: int):
 
 def phi_eval(c, i: int, j: int, k) -> Cyclotomic:
     """phi_ij^(c)(k) = (-1)^(k_i k_j) c^(parity(k_i) - parity(k_j)); indices zero-based."""
-    return _twist_row(1, _c_key(_coerce_c(c)), *_cocycle(((i, j),), k))[0][0]
+    return _twist_row(1, _c_key(c), *_cocycle(((i, j),), k))[0][0]
 
 
 def phi_w_eval(c, perm: tuple[int, ...], k) -> Cyclotomic:
     """Product of phi_ij^(c)(k) over the inversions of the permutation."""
-    return _twist_row(1, _c_key(_coerce_c(c)), *_cocycle(inversions(tuple(perm)), k))[0][0]
+    return _twist_row(1, _c_key(c), *_cocycle(inversions(tuple(perm)), k))[0][0]
 
 
 def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
     """The twisted action of a monomial matrix on a polynomial."""
     if f.n != g.n:
         raise ValueError("rank mismatch")
-    c_key = _c_key(_coerce_c(c))
+    c_key = _c_key(c)
     pairs = inversions(g.perm)
     untwisted = _twist_row(g.N, None, 0, 0)[0] if c_key is None else None  # the same row for every k
     out: dict = {}
@@ -307,17 +305,6 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
         values = untwisted if c_key is None else _twist_row(g.N, c_key, *_cocycle(pairs, k))[0]
         out[image] = coeff * values[_dot(g.exps, image) % g.N]
     return _trusted_polynomial(f.n, out)
-
-
-class _Entries(dict):
-    """key -> entry of the terms of one permutation under one c, None for a
-    zero entry; computed on first lookup and kept."""
-
-    __slots__ = ("_compute",)
-
-    def __missing__(self, key):
-        value = self[key] = self._compute(key)
-        return value
 
 
 def _by_perm(terms, n: int, N: int) -> dict:
@@ -346,45 +333,43 @@ def _parts(members, N: int) -> tuple:
     return tuple((coeff, *_period(counts, N)) for coeff, counts in shared.values())
 
 
-def _scale(coeff, field_order: int):
-    """(coefficient to multiply by or None, numerator, denominator): a
+def _plan(parts, field_order: int) -> tuple:
+    """((coefficient key or None, denominator, generators of U,
+    (representative, weight) pairs), ...) of one permutation's parts: a
     rational coefficient in the field of the entries scales the weights by
-    numerator/denominator, any other multiplies the value."""
-    if coeff.is_rational() and field_order % coeff.order == 0:
-        return None, coeff.nums[0], coeff.den
-    return coeff, 1, 1
-
-
-def _entries(parts, N: int, c_key, field_order: int) -> _Entries:
-    """The entries of one permutation's parts under c, computed per key on
-    first lookup from a plan of (coefficient to multiply by or None,
-    denominator, generators of U, (representative, weight) pairs) per part;
-    a part of zero coefficient drops out."""
+    its numerator and denominator (key None), any other keeps its key to
+    multiply the value by; a part of zero coefficient drops out."""
     plan = []
     for coeff, gens, size, reps in parts:
-        coeff, num, den = _scale(coeff, field_order)
-        if num:
-            plan.append((coeff, den, gens, tuple((rep, size * m * num) for rep, m in reps)))
-    table = _Entries()
-    table._compute = partial(_entry, N, c_key, field_order, plan)
-    return table
+        if coeff.is_rational() and field_order % coeff.order == 0:
+            coeff_key, num, den = None, coeff.nums[0], coeff.den
+            if not num:
+                continue
+        else:
+            coeff_key, num, den = (coeff.order, coeff.nums, coeff.den), 1, 1
+        if size * num != 1:
+            reps = tuple([(rep, size * m * num) for rep, m in reps])
+        plan.append((coeff_key, den, gens, reps))
+    return tuple(plan)
 
 
 def _entry(N: int, c_key, field_order: int, plan, key):
-    """The entry at a column of the given key, from the plan of _entries: per
-    coefficient whose period group is orthogonal to w(k), the root exponents
-    <rho, w(k)> of the coset representatives are tallied with their weights
-    and mapped through (-1)^s c^b into Q(zeta_L).  A tally of one coset, as
-    for a group sum, reads its value off the row, scaled by its weight."""
+    """The entry at a column of the given key under c, None for zero: per
+    part of the plan whose period group is orthogonal to w(k), the root
+    exponents <rho, w(k)> of the coset representatives are tallied with
+    their weights and mapped through (-1)^s c^b into Q(zeta_L).  A tally of
+    one coset, as for a group sum or a single term, reads its value off the
+    row of c, or off its coefficient's row, scaled by its weight."""
     image, sign, cexp = key
     values, nums, den = _twist_row(N, c_key, sign, cexp)
     total = None
-    for coeff, cden, gens, reps in plan:
+    for coeff_key, cden, gens, reps in plan:
         if gens and any(_dot(image, u) % N for u in gens):
             continue
         if len(reps) == 1:
             ((rep, weight),) = reps
-            value = values[_dot(image, rep) % N]._scaled(weight, cden)
+            row = values if coeff_key is None else _coefficient_row(N, c_key, sign, cexp, coeff_key)
+            value = row[_dot(image, rep) % N]._scaled(weight, cden)
         else:
             tally: dict = {}
             for rep, weight in reps:
@@ -397,8 +382,8 @@ def _entry(N: int, c_key, field_order: int, plan, key):
             if not any(vec):
                 continue
             value = _make(field_order, vec, den * cden)
-        if coeff is not None:
-            value = coeff * value
+            if coeff_key is not None:
+                value = _make(*coeff_key) * value
         total = value if total is None else total + value
     return None if total is None or total.is_zero() else total
 
@@ -412,22 +397,30 @@ class _GroupSum:
     (-1)^s c^b sum_{e in E} zeta_N^<e, w(k)>, which depends only on the key
     (w(k) mod N, s, b).  For the period group U of E, the sum is
     |U| [r orthogonal to U] sum_{rho in E/U} zeta_N^<rho, r> at r = w(k): one
-    term per coset for a group sum (U is the torus) and for a class sum (U
-    holds (1 - w)T)."""
+    term per coset for a group sum (U is the torus), for a class sum (U
+    holds (1 - w)T) and for a single term (U is trivial)."""
+
+    __slots__ = ("n", "N", "_parts", "_tables")
 
     def __init__(self, terms, n: int, N: int):
         self.n, self.N = n, N
-        self._parts = {perm: _parts(members, N) for perm, members in _by_perm(terms, n, N).items()}
-        self._tables: dict = {}  # c key -> perm -> _Entries
+        # loops, not comprehensions, here and in tables: a one-off actor
+        # builds its sum and its plans on every operator_matrix call
+        self._parts = parts = {}
+        for perm, members in _by_perm(terms, n, N).items():
+            parts[perm] = _parts(members, N)
+        self._tables: dict = {}  # c key -> (c key, field order, perm -> (plan, entries))
 
-    def tables(self, cc) -> dict:
-        """perm -> _Entries under c, made on first use per c and kept."""
-        c_key = _c_key(cc)
+    def tables(self, c_key) -> tuple:
+        """(c key, L, perm -> (plan, key -> entry)) under c, made on first use
+        per c and kept; the entries are filled as slices read them."""
         tables = self._tables.get(c_key)
         if tables is None:
-            field_order = _field_order(cc, self.N)
-            tables = {perm: _entries(parts, self.N, c_key, field_order) for perm, parts in self._parts.items()}
-            self._tables[c_key] = tables
+            field_order = _field_order(c_key, self.N)
+            plans = {}
+            for perm, parts in self._parts.items():
+                plans[perm] = (_plan(parts, field_order), {})
+            tables = self._tables[c_key] = (c_key, field_order, plans)
         return tables
 
 
@@ -469,51 +462,36 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     puts it in, Q(zeta_L) with L = _field_order(c, N) or the larger field of
     a coefficient.
 
-    A kept sum (group_sum_terms, class_sum_terms) keeps its entries per
-    (c, permutation, key) across degrees and calls.  Any other actor (an
-    element, a term list, a group-algebra element) is grouped and its
-    periods searched once per call, and its entries are memoised per key for
-    that call only.  A permutation whose every coefficient sits on one torus
-    part, as a single term's does, has trivial period: its terms are placed
-    one by one from the cached slice and twist rows.  A permutation with a
-    coefficient on several torus parts, as a whole group passed as a list,
-    keeps the coset tally."""
+    Every actor runs as a _GroupSum.  A kept sum (group_sum_terms,
+    class_sum_terms) keeps its entries per (c, permutation, key) across
+    degrees and calls; any other actor (an element, a term list, a
+    group-algebra element) is grouped and its periods searched once per
+    call, and its entries are kept for that call only."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    cc = _coerce_c(c)
-    if isinstance(actor, _GroupSum):
-        return _integer_sum_matrix(actor.tables(cc), actor.n, actor.N, degree)
-    terms, n, N = _terms_of(actor)
-    c_key, field_order = _c_key(cc), _field_order(cc, N)
-    tables = {}
-    for perm, members in _by_perm(terms, n, N).items():
-        parts = _parts(members, N)
-        if len(parts) == len(members):  # one term per coefficient: trivial periods
-            singles = []
-            for coeff, _, _, ((rep, _),) in parts:
-                coeff, num, den = _scale(coeff, field_order)
-                if num:
-                    singles.append((rep, num, den, _c_key(coeff)))
-            tables[perm] = tuple(singles)
-        else:
-            tables[perm] = _entries(parts, N, c_key, field_order)
-    return _integer_sum_matrix(tables, n, N, degree, c_key)
+    if not isinstance(actor, _GroupSum):
+        actor = _GroupSum(*_terms_of(actor))
+    return _integer_sum_matrix(actor.tables(_c_key(c)), actor.n, actor.N, degree)
 
 
-def _integer_sum_matrix(tables: dict, n: int, N: int, degree: int, c_key=None) -> SparseMatrix:
-    """The weighted sum of the element operators on the degree slice: per
-    permutation w, column k holds the entry of its key at the row of w(k),
-    read from the permutation's _Entries or, for a tuple of single terms,
-    from _term_entries on this slice's keys."""
+_UNSET = object()
+
+
+def _integer_sum_matrix(tables: tuple, n: int, N: int, degree: int) -> SparseMatrix:
+    """The weighted sum of the element operators on the degree slice, from
+    the tables of _GroupSum.tables: per permutation w, column k holds the
+    entry of its key at the row of w(k), read from the permutation's entries
+    under c or, on its first read, computed by _entry and kept there."""
+    c_key, field_order, plans = tables
     dim = len(slice_monomials(n, degree))
     matrix = SparseMatrix(dim, dim)
     placed = matrix.entries
-    for perm, entries in tables.items():
+    for perm, (plan, entries) in plans.items():
         rows, keys = _slice_images(perm, degree, N)
-        if entries.__class__ is tuple:
-            entries = _term_entries(entries, N, c_key, keys)
         for col, (row, key) in enumerate(zip(rows, keys)):
-            value = entries[key]
+            value = entries.get(key, _UNSET)
+            if value is _UNSET:
+                value = entries[key] = _entry(N, c_key, field_order, plan, key)
             if value is None:
                 continue
             if (row, col) in placed:  # another permutation maps k to the same row
@@ -530,26 +508,6 @@ def _coefficient_row(N: int, c_key, sign: int, cexp: int, coeff_key) -> tuple:
     Q_w^(c) in J_c(a), recurs across calls, and its row is multiplied once."""
     coeff = _make(*coeff_key)
     return tuple(coeff * v for v in _twist_row(N, c_key, sign, cexp)[0])
-
-
-def _term_entries(terms, N: int, c_key, keys) -> dict:
-    """key -> entry of single terms of trivial period, (representative,
-    weight, denominator, coefficient key or None), for each distinct key
-    once: each term's value read off the twist row of c, or its coefficient's
-    row, and scaled by its weight; the terms summed, None for zero."""
-    out: dict = {}
-    for key in keys:
-        if key in out:
-            continue
-        image, sign, cexp = key
-        values = _twist_row(N, c_key, sign, cexp)[0]
-        total = None
-        for rep, weight, cden, coeff_key in terms:
-            row = values if coeff_key is None else _coefficient_row(N, c_key, sign, cexp, coeff_key)
-            value = row[_dot(image, rep) % N]._scaled(weight, cden)
-            total = value if total is None else total + value
-        out[key] = None if total is None or total.is_zero() else total
-    return out
 
 
 # -- invariants --------------------------------------------------------

@@ -104,6 +104,14 @@ def test_phi_examples():
     assert phi_eval(1, 0, 1, (1, 1)) == -1
     assert phi_eval(0, 0, 1, (1, 1)) == 1  # the untwisted tag
     assert phi_w_eval(c, (0, 1, 2), (3, 1, 4)) == 1  # identity has no inversions
+    # an int or a Fraction c, and a rational c written at order 4, give the
+    # values of that c written at order 1, field order included
+    half = Fraction(-3, 2)
+    pairs = ((2, Cyclotomic.rational(2)), (half, Cyclotomic.rational(half)))
+    for c, same in pairs + ((Cyclotomic.rational(half, 4), Cyclotomic.rational(half)),):
+        for k in itertools.product(range(3), repeat=3):
+            got, want = phi_w_eval(c, (2, 0, 1), k), phi_w_eval(same, (2, 0, 1), k)
+            assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den), (c, k)
 
 
 def test_phi_antisymmetry_and_inverse():
@@ -499,10 +507,11 @@ _SIGN_ONLY = [(MonomialElement(2, 3, (1, 0), (1, 2)), Cyclotomic.one())]
 @example((_SIGN_ONLY, _SIGN_ONLY, 2, 3, cyc_make(4, 1), 6))
 @example((_SIGN_ONLY[0][0], _SIGN_ONLY, 2, 3, Cyclotomic.rational(Fraction(1, 2)), 6))
 def test_one_off_operators_match_the_definition_and_a_kept_sum(case):
-    # the one-off path (single terms of trivial period placed term by term,
-    # every other permutation through its coset tally) against the sum of
+    # a one-off actor, whose entries are computed afresh, against the sum of
     # the terms' actions straight from the definition, and exactly, field
-    # order included, against the same terms held as a kept sum
+    # order included, against the same terms held as a kept sum that has
+    # already filled entries under another c and at other degrees, so that
+    # an entry kept across c or degrees where it should not be shows
     from mystica.qpoly import _GroupSum
 
     actor, terms, n, N, c, degree = case
@@ -517,7 +526,11 @@ def test_one_off_operators_match_the_definition_and_a_kept_sum(case):
     got = operator_matrix(actor, c, degree).entries
     assert got.keys() == {key for key, v in want.items() if not v.is_zero()}
     assert all(v == want[key] for key, v in got.items())
-    kept = operator_matrix(_GroupSum(terms, n, N), c, degree).entries
+    kept_sum = _GroupSum(terms, n, N)
+    other_c = _ONE_OFF_CS[(_ONE_OFF_CS.index(c) + 1) % len(_ONE_OFF_CS)]
+    operator_matrix(kept_sum, other_c, (degree + 1) % 7)
+    operator_matrix(kept_sum, c, (degree + 3) % 7)
+    kept = operator_matrix(kept_sum, c, degree).entries
     assert {key: (v.order, v.nums, v.den) for key, v in got.items()} == {
         key: (v.order, v.nums, v.den) for key, v in kept.items()
     }

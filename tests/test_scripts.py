@@ -97,9 +97,9 @@ def test_bench_pairs_alternates_the_two_trees_and_reports_ratios(tmp_path, capsy
         ("new", "identity-suites", 5, 0.5),
     ]
     rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
-    # medians 8 and 6; per-pair ratios 0.5, 0.75, 1.5
-    assert rows["identity-suites.op_tail_ms"] == ["8", "6", "0.750", "2/3"]
-    assert rows["identity-suites.wall_s"] == ["1", "1", "1.000", "0/3"]
+    # medians 8 and 6; per-pair ratios 0.5, 0.75, 1.5; old quartiles 6 and 9
+    assert rows["identity-suites.op_tail_ms"] == ["8", "6", "0.750", "2/3", "3"]
+    assert rows["identity-suites.wall_s"] == ["1", "1", "1.000", "0/3", "0"]
     assert rows["identity-suites.failed"] == ["0", "0"]
     saved = json.loads(out.read_text())
     assert saved["pairs"]["identity-suites"]["old"]["metrics"]["op_tail_ms"]["values"] == [10.0, 8.0, 4.0]
@@ -131,9 +131,9 @@ def test_bench_pairs_alternates_each_named_check_in_fresh_runs(tmp_path, capsys)
     side_order = ["old", "new", "new", "old", "old", "new"]
     assert calls == [(side, "identity-suites") for side in side_order]
     rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
-    # medians 2 and 1.5; per-pair ratios 0.5, 0.5, 2
-    assert rows["check.identity-suites.wall_s"] == ["2", "1.5", "0.500", "2/3"]
-    assert rows["check.identity-suites.cpu_s"] == ["1", "0.75", "0.500", "2/3"]
+    # medians 2 and 1.5; per-pair ratios 0.5, 0.5, 2; old quartiles 1.5 and 2.5
+    assert rows["check.identity-suites.wall_s"] == ["2", "1.5", "0.500", "2/3", "1"]
+    assert rows["check.identity-suites.cpu_s"] == ["1", "0.75", "0.500", "2/3", "0.5"]
     assert rows["check.identity-suites.failed"] == ["3", "0"]
     saved = json.loads(out.read_text())["pairs"]["check.identity-suites"]
     assert saved["new"]["metrics"]["wall_s"]["values"] == [1.0, 1.5, 2.0]
