@@ -22,7 +22,9 @@ here) alternates the same way, one fresh interpreter per run.  It keeps every
 run of both sides and prints, per workload or check and metric, the old and
 new medians, the median of the per-pair new/old ratios and the number of
 pairs in which the new value was lower, beside the interquartile range of
-the old runs.  Run from the root of a source checkout; mystica is imported
+the old runs, and the failed operations of a workload summed over its runs,
+or the failed results of one run of a check, marked where its runs
+disagree.  Run from the root of a source checkout; mystica is imported
 from src/ of the tree that runs.
 """
 
@@ -148,6 +150,17 @@ def collect(results: list[dict]) -> dict:
     }
 
 
+def collect_check(results: list[dict]) -> dict:
+    """Runs of one check, as collect, but with the results and the failed
+    results of one run, not their sums, since every run decides the same
+    cells; where the runs' failed counts differ, failed is the largest and
+    runs_disagree is set."""
+    out = collect(results)
+    failed = {r["failed"] for r in results}
+    out.update(attempted=results[-1]["attempted"], failed=max(failed), runs_disagree=len(failed) > 1)
+    return out
+
+
 def run_workload(name: str, args) -> dict:
     """K untraced perfbench runs of one workload at the fixed seed."""
     return collect([run_once(ROOT, name, SEED, args.seconds) for _ in range(args.runs)])
@@ -156,21 +169,21 @@ def run_workload(name: str, args) -> dict:
 def run_pairs(name: str, args, run) -> dict:
     """K pairs of runs of one workload or check, run(root, name, seed) in
     args.pairs (old) and in this tree (new) at seed SEED + i, the first side
-    swapping from pair to pair; each run returns a result line as run_once
-    does."""
+    swapping from pair to pair: side -> the result lines of its runs, each
+    as run_once returns it."""
     sides: dict[str, list[dict]] = {"old": [], "new": []}
     for i in range(args.runs):
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         for side in order:
             sides[side].append(run(args.pairs if side == "old" else ROOT, name, SEED + i))
-    return {side: collect(results) for side, results in sides.items()}
+    return sides
 
 
 def pair_report(pairs: dict) -> list[str]:
     """Per workload or check and metric: old and new medians, the median
     per-pair new/old ratio, the number of pairs in which new was lower and
     the interquartile range of the old runs, the spread that a difference of
-    the medians is read against."""
+    the medians is read against; then the failed count of each side."""
     lines = []
     for name, sides in pairs.items():
         for metric, old in sides["old"]["metrics"].items():
@@ -181,7 +194,8 @@ def pair_report(pairs: dict) -> list[str]:
                 f"{name + '.' + metric:36s} {old['median']:12.4g} {new['median']:12.4g} "
                 f"{statistics.median(ratios):8.3f} {lower:>3d}/{len(ratios)} {old['q3'] - old['q1']:12.4g}"
             )
-        lines.append(f"{name + '.failed':36s} {sides['old']['failed']:12d} {sides['new']['failed']:12d}")
+        mark = "  runs disagree" if any(side.get("runs_disagree") for side in sides.values()) else ""
+        lines.append(f"{name + '.failed':36s} {sides['old']['failed']:12d} {sides['new']['failed']:12d}{mark}")
     return lines
 
 
@@ -257,10 +271,14 @@ def compare(old: dict, new: dict) -> list[str]:
 def main(argv=None, runner=run_once, check_runner=run_check_once) -> int:
     args = parse_args(argv)
     if args.pairs is not None:
-        pairs = {name: run_pairs(name, args, partial(runner, seconds=args.seconds)) for name in args.workloads}
+        pairs = {}
+        for name in args.workloads:
+            runs = run_pairs(name, args, partial(runner, seconds=args.seconds))
+            pairs[name] = {side: collect(results) for side, results in runs.items()}
         if args.checks is not None:
             for name in check_names(args):
-                pairs[f"check.{name}"] = run_pairs(name, args, partial(run_check_pair, check_runner))
+                runs = run_pairs(name, args, partial(run_check_pair, check_runner))
+                pairs[f"check.{name}"] = {side: collect_check(results) for side, results in runs.items()}
         if args.out is not None:
             out = {"envelope": envelope(args), "parent": str(args.pairs.resolve()), "pairs": pairs}
             args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

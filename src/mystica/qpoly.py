@@ -42,9 +42,9 @@ def _c_key(c):
 
 
 def _field_order(c_key, N: int) -> int:
-    """The order L of the field Q(zeta_L) holding the element operators'
-    entries: N for the untwisted action, lcm(N, ord c) otherwise, which is N
-    for a rational c of any order, since _c_key writes it at order 1."""
+    """The order L of the field Q(zeta_L) holding the operators' entries: N
+    for the untwisted action, lcm(N, ord c) otherwise, which is N for a
+    rational c of any order, since _c_key writes it at order 1."""
     return N if c_key is None else lcm(N, c_key[0])
 
 
@@ -193,10 +193,10 @@ def commute_check(q: QMatrix, polys) -> bool:
 # For g = t*w in canonical form the twisted action sends x^k to
 # (-1)^s * c^b * zeta_N^a * x^(w(k)): (s, b) is the cocycle phi_w^(c)(k) of
 # w, and zeta_N^a = prod_j t_{w(j)}^(k_j) = t^(w(k)) is the torus root, so
-# a = <t, w(k)> mod N.  operator_matrix runs every actor as a _GroupSum,
-# which holds per (c, w) one plan and one key -> entry dict; _entry fills
-# the dict on a key's first read in the one placement loop,
-# _integer_sum_matrix.
+# a = <t, w(k)> mod N.  operator_matrix runs every actor, a rational
+# combination of elements, as a _GroupSum, which holds per w one plan and
+# per (c, w) one key -> entry dict; _entry fills the dict on a key's first
+# read in the one placement loop, _integer_sum_matrix.
 
 
 def _cocycle(pairs, k) -> tuple[int, int]:
@@ -308,48 +308,45 @@ def act_c(c, g: MonomialElement, f: QPolynomial) -> QPolynomial:
 
 
 def _by_perm(terms, n: int, N: int) -> dict:
-    """perm -> [(torus exponents, coefficient), ...] of the (element, value)
-    terms, each value as a Cyclotomic."""
+    """perm -> [(torus exponents, numerator, denominator), ...] of the
+    (element, coefficient) terms.  A coefficient is rational: an int or a
+    Fraction, read through its numerator and denominator, or a rational
+    Cyclotomic of any order."""
     members: dict = {}
     for elem, value in terms:
         if elem.n != n or elem.N != N:
             raise ValueError("mixed ambients in operator")
-        coeff = value if isinstance(value, Cyclotomic) else Cyclotomic.rational(value)
-        members.setdefault(elem.perm, []).append((elem.exps, coeff))
+        if isinstance(value, Cyclotomic):
+            if not value.is_rational():
+                raise ValueError("operator coefficients must be rational")
+            num, den = value.nums[0], value.den
+        else:
+            try:
+                num, den = _rational_parts(value)
+            except TypeError:
+                raise ValueError("operator coefficients must be rational") from None
+        members.setdefault(elem.perm, []).append((elem.exps, num, den))
     return members
 
 
-def _parts(members, N: int) -> tuple:
-    """((coefficient, generators of U, |U|, representatives), ...) of one
-    permutation's terms: those that share one coefficient form one part, its
-    torus exponents counted and their period group U searched once."""
+def _plan(members, N: int) -> tuple:
+    """((denominator, generators of U, (representative, weight) pairs), ...)
+    of one permutation's terms: those that share one coefficient num/den form
+    one part, its torus exponents counted and their period group U searched
+    once, and each coset representative weighs |U| times its multiplicity
+    times num; a part of zero coefficient drops out."""
     if len(members) == 1:  # one term
-        ((e, coeff),) = members
-        return ((coeff, (), 1, ((e, 1),)),)
-    shared: dict = {}  # coefficient key -> (coefficient, exponents -> multiplicity)
-    for e, coeff in members:
-        counts = shared.setdefault((coeff.order, coeff.nums, coeff.den), (coeff, {}))[1]
-        counts[e] = counts.get(e, 0) + 1
-    return tuple((coeff, *_period(counts, N)) for coeff, counts in shared.values())
-
-
-def _plan(parts, field_order: int) -> tuple:
-    """((coefficient key or None, denominator, generators of U,
-    (representative, weight) pairs), ...) of one permutation's parts: a
-    rational coefficient in the field of the entries scales the weights by
-    its numerator and denominator (key None), any other keeps its key to
-    multiply the value by; a part of zero coefficient drops out."""
+        ((e, num, den),) = members
+        return ((den, (), ((e, num),)),) if num else ()
+    shared: dict = {}  # (num, den) -> exponents -> multiplicity
+    for e, num, den in members:
+        if num:
+            counts = shared.setdefault((num, den), {})
+            counts[e] = counts.get(e, 0) + 1
     plan = []
-    for coeff, gens, size, reps in parts:
-        if coeff.is_rational() and field_order % coeff.order == 0:
-            coeff_key, num, den = None, coeff.nums[0], coeff.den
-            if not num:
-                continue
-        else:
-            coeff_key, num, den = (coeff.order, coeff.nums, coeff.den), 1, 1
-        if size * num != 1:
-            reps = tuple([(rep, size * m * num) for rep, m in reps])
-        plan.append((coeff_key, den, gens, reps))
+    for (num, den), counts in shared.items():
+        gens, size, reps = _period(counts, N)
+        plan.append((den, gens, tuple([(rep, size * m * num) for rep, m in reps])))
     return tuple(plan)
 
 
@@ -359,17 +356,16 @@ def _entry(N: int, c_key, field_order: int, plan, key):
     exponents <rho, w(k)> of the coset representatives are tallied with
     their weights and mapped through (-1)^s c^b into Q(zeta_L).  A tally of
     one coset, as for a group sum or a single term, reads its value off the
-    row of c, or off its coefficient's row, scaled by its weight."""
+    row of c, scaled by its weight."""
     image, sign, cexp = key
     values, nums, den = _twist_row(N, c_key, sign, cexp)
     total = None
-    for coeff_key, cden, gens, reps in plan:
+    for cden, gens, reps in plan:
         if gens and any(_dot(image, u) % N for u in gens):
             continue
         if len(reps) == 1:
             ((rep, weight),) = reps
-            row = values if coeff_key is None else _coefficient_row(N, c_key, sign, cexp, coeff_key)
-            value = row[_dot(image, rep) % N]._scaled(weight, cden)
+            value = values[_dot(image, rep) % N]._scaled(weight, cden)
         else:
             tally: dict = {}
             for rep, weight in reps:
@@ -382,15 +378,14 @@ def _entry(N: int, c_key, field_order: int, plan, key):
             if not any(vec):
                 continue
             value = _make(field_order, vec, den * cden)
-            if coeff_key is not None:
-                value = _make(*coeff_key) * value
         total = value if total is None else total + value
     return None if total is None or total.is_zero() else total
 
 
 class _GroupSum:
-    """Operator terms (element, coefficient) grouped by permutation, whose
-    entries are kept per (c, permutation, key) across degrees and calls.
+    """Operator terms (element, rational coefficient) grouped by permutation
+    into one plan each, whose entries are kept per (c, permutation, key)
+    across degrees and calls.
 
     The terms of permutation w that share one coefficient form a multiset E
     of torus exponents, and their entry at column k is the coefficient times
@@ -400,15 +395,15 @@ class _GroupSum:
     term per coset for a group sum (U is the torus), for a class sum (U
     holds (1 - w)T) and for a single term (U is trivial)."""
 
-    __slots__ = ("n", "N", "_parts", "_tables")
+    __slots__ = ("n", "N", "_plans", "_tables")
 
     def __init__(self, terms, n: int, N: int):
         self.n, self.N = n, N
         # loops, not comprehensions, here and in tables: a one-off actor
         # builds its sum and its plans on every operator_matrix call
-        self._parts = parts = {}
+        self._plans = plans = {}
         for perm, members in _by_perm(terms, n, N).items():
-            parts[perm] = _parts(members, N)
+            plans[perm] = _plan(members, N)
         self._tables: dict = {}  # c key -> (c key, field order, perm -> (plan, entries))
 
     def tables(self, c_key) -> tuple:
@@ -416,17 +411,16 @@ class _GroupSum:
         per c and kept; the entries are filled as slices read them."""
         tables = self._tables.get(c_key)
         if tables is None:
-            field_order = _field_order(c_key, self.N)
             plans = {}
-            for perm, parts in self._parts.items():
-                plans[perm] = (_plan(parts, field_order), {})
-            tables = self._tables[c_key] = (c_key, field_order, plans)
+            for perm, plan in self._plans.items():
+                plans[perm] = (plan, {})
+            tables = self._tables[c_key] = (c_key, _field_order(c_key, self.N), plans)
         return tables
 
 
 def group_sum_terms(G: FiniteMonomialGroup) -> _GroupSum:
     """The group sum of G as operator terms, grouped once per group."""
-    return G.memo("group_sum", lambda: _GroupSum([(g, _ONE) for g in G.elements], G.n, G.N))
+    return G.memo("group_sum", lambda: _GroupSum([(g, 1) for g in G.elements], G.n, G.N))
 
 
 def class_sum_terms(G: FiniteMonomialGroup) -> list[_GroupSum]:
@@ -435,7 +429,7 @@ def class_sum_terms(G: FiniteMonomialGroup) -> list[_GroupSum]:
 
     def build():
         return [
-            _GroupSum([(G.elements[i], _ONE) for i in sorted(cls)], G.n, G.N)
+            _GroupSum([(G.elements[i], 1) for i in sorted(cls)], G.n, G.N)
             for cls in G.indexed().conjugacy_classes()
         ]
 
@@ -445,9 +439,7 @@ def class_sum_terms(G: FiniteMonomialGroup) -> list[_GroupSum]:
 def _terms_of(actor):
     """Normalize an operator argument to (terms, n, N)."""
     if isinstance(actor, MonomialElement):
-        return [(actor, _ONE)], actor.n, actor.N
-    if hasattr(actor, "items") and hasattr(actor, "n"):
-        return list(actor.items()), actor.n, actor.N
+        return [(actor, 1)], actor.n, actor.N
     terms = list(actor)
     if not terms:
         raise ValueError("empty operator")
@@ -457,16 +449,17 @@ def _terms_of(actor):
 
 def operator_matrix(actor, c, degree: int) -> SparseMatrix:
     """Exact matrix of the actor on the degree slice, columns indexed by
-    slice_monomials.  For group-algebra input this is the coefficient-weighted
-    sum of the element matrices; each entry lies in the field the definition
-    puts it in, Q(zeta_L) with L = _field_order(c, N) or the larger field of
-    a coefficient.
+    slice_monomials.  The actor is an element or a rational combination of
+    elements, a list of (element, coefficient) terms with each coefficient an
+    int, a Fraction or a rational Cyclotomic; its matrix is the
+    coefficient-weighted sum of the element matrices, and each entry lies in
+    Q(zeta_L), L = _field_order(c, N), whatever order a coefficient is
+    written at.  A coefficient outside Q raises ValueError.
 
     Every actor runs as a _GroupSum.  A kept sum (group_sum_terms,
     class_sum_terms) keeps its entries per (c, permutation, key) across
-    degrees and calls; any other actor (an element, a term list, a
-    group-algebra element) is grouped and its periods searched once per
-    call, and its entries are kept for that call only."""
+    degrees and calls; any other actor is grouped and its periods searched
+    once per call, and its entries are kept for that call only."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if not isinstance(actor, _GroupSum):
@@ -499,15 +492,6 @@ def _integer_sum_matrix(tables: tuple, n: int, N: int, degree: int) -> SparseMat
             else:
                 placed[row, col] = value
     return matrix
-
-
-@lru_cache(maxsize=1024)
-def _coefficient_row(N: int, c_key, sign: int, cexp: int, coeff_key) -> tuple:
-    """The values of _twist_row(N, c_key, sign, cexp) times the coefficient
-    _make(*coeff_key): a coefficient of one-off terms, as the entries of
-    Q_w^(c) in J_c(a), recurs across calls, and its row is multiplied once."""
-    coeff = _make(*coeff_key)
-    return tuple(coeff * v for v in _twist_row(N, c_key, sign, cexp)[0])
 
 
 # -- invariants --------------------------------------------------------

@@ -14,7 +14,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .cyclo import Cyclotomic, cyc_make
-from .groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
+from .groupalg import GroupAlgebraElement, j_c, perm_act, psi_eval, q_w_element
 from .groups import FiniteMonomialGroup, GroupTag, enumerate_thick, group_size_cap, make_gmpn, make_w, mu_group, thick_family
 from .monomial import MonomialElement, adjacent_swap, central_scalar, perm_apply, perm_sign, torus_gen
 from .mystic import (
@@ -33,10 +33,10 @@ from .qpoly import (
     hilbert_free,
     invariant_degrees,
     invariant_dimension,
-    operator_matrix,
     phi_w_eval,
     qform_bracket,
     qmul,
+    slice_monomials,
 )
 
 
@@ -477,8 +477,14 @@ def _j_c_multiplicative(c, a, b) -> bool:
 
 
 def _j_c_intertwines(c, a, degree: int) -> bool:
-    """rho_0(J_c(a)) = rho_c(a) on the degree slice."""
-    return operator_matrix(j_c(c, a), 0, degree) == operator_matrix(a, c, degree)
+    """rho_0(J_c(a)) = rho_c(a) on the degree slice, for a basis element
+    a = t*w, in its finite form psi_k(Q_w^(c)) = phi_w^(c)(k) at each k:
+
+      rho_0(t*w*s) sends x^k to zeta^<t,w(k)> zeta^<s,k> x^(w(k)), and J_c(t*w) = t*w*Q_w^(c),
+      so rho_0(J_c(t*w)) x^k = psi_k(Q_w^(c)) zeta^<t,w(k)> x^(w(k)); rho_c(t*w) puts phi_w^(c)(k) there."""
+    (g,) = a.terms
+    qw = q_w_element(c, g.perm, g.n, g.N)
+    return all(psi_eval(qw, k) == phi_w_eval(c, g.perm, k) for k in slice_monomials(g.n, degree))
 
 
 def _twist_map():

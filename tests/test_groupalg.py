@@ -27,6 +27,7 @@ from mystica.groupalg import (
 from mystica.groups import make_gmpn, make_w, closure_generate
 from mystica.monomial import MonomialElement, adjacent_swap, torus_gen
 from mystica.qpoly import operator_matrix, phi_eval, phi_w_eval
+from reference import reference_operator
 
 C_VALUES = [Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1), cyc_make(12, 5)]
 
@@ -209,7 +210,8 @@ def test_j_c_is_multiplicative_random():
 
 
 def test_twist_then_untwisted_operator_equals_twisted_operator():
-    # rho_+(J_c(a)) = rho_c(a) on small degrees
+    # rho_+(J_c(a)) = rho_c(a) on small degrees, both sides summed term by
+    # term from the definition
     rng = random.Random(33)
     G = make_gmpn(2, 1, 2)
     elems = list(G.elements)
@@ -219,7 +221,7 @@ def test_twist_then_untwisted_operator_equals_twisted_operator():
             G.n, G.N, {rng.choice(elems): rng.randint(-2, 2) for _ in range(3)}
         )
         for d in range(4):
-            assert operator_matrix(j_c(c, a), 0, d) == operator_matrix(a, c, d)
+            assert reference_operator(list(j_c(c, a).items()), 0, d) == reference_operator(list(a.items()), c, d)
 
 
 def test_j_at_i_of_swap_matches_twisted_operator():
@@ -230,16 +232,39 @@ def test_j_at_i_of_swap_matches_twisted_operator():
     tau2 = torus_gen(2, 4, 2, 2)
     assert frozenset(image.terms) == frozenset({s1 * tau1, s1 * tau2})
     for d in range(3):
-        assert operator_matrix(image, 0, d) == operator_matrix(s1, c, d)
+        assert reference_operator(list(image.items()), 0, d) == reference_operator([(s1, 1)], c, d)
+
+
+def test_twist_identity_on_every_parity_box():
+    # psi_k(Q_w^(c)) = phi_w^(c)(k) on {0,1}^n x S_n for n = 2, 3, 4.
+    # J_c(t*w) = t*w*Q_w^(c), so this is rho_0(J_c(x)) = rho_c(x) on every
+    # slice: every exponent in the support of Q_w^(c) is 0 or N/2, so psi_k
+    # reads k mod 2 only, as phi_w^(c) does, and the parity box covers every
+    # degree
+    cases = 0
+    for N, cs in (
+        (4, (1, cyc_make(4, 1), Fraction(1, 2), -3)),
+        (12, (cyc_make(3, 1), cyc_make(12, 5), cyc_make(4, 1))),
+    ):
+        for n in (2, 3, 4):
+            box = list(itertools.product((0, 1), repeat=n))
+            for c in cs:
+                for w in itertools.permutations(range(n)):
+                    qw = q_w_element(c, w, n, N)
+                    assert all(e in (0, N // 2) for g in qw.terms for e in g.exps), (N, c, w)
+                    for k in box:
+                        assert psi_eval(qw, k) == phi_w_eval(c, w, k), (N, c, w, k)
+                        cases += 1
+    assert cases == 3_080
 
 
 def test_rho_examples():
     one = GroupAlgebraElement.one(2, 4)
     for d in range(3):
-        mat = operator_matrix(one, cyc_make(4, 1), d)
+        mat = operator_matrix(list(one.items()), cyc_make(4, 1), d)
         assert all(r == c and v == 1 for (r, c), v in mat.entries.items())
     G = make_gmpn(2, 2, 2)
-    zero_mat = operator_matrix(e_group(G), 0, 1)
+    zero_mat = operator_matrix(list(e_group(G).items()), 0, 1)
     assert zero_mat.entries == {}
 
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mystica.cyclo import Cyclotomic, cyc_make, parse_scalar
-from mystica.groupalg import GroupAlgebraElement
 from mystica.groups import make_gmpn, make_w
 from mystica.linalg import SparseMatrix
 from mystica.monomial import MonomialElement, adjacent_swap, perm_apply, torus_gen
@@ -30,6 +29,7 @@ from mystica.qpoly import (
     qmul,
     slice_monomials,
 )
+from reference import reference_action, reference_cocycle, reference_operator, reference_torus
 
 MINUS2 = QMatrix.minus_one(2)
 PLUS2 = QMatrix(2, [[1, 1], [1, 1]])
@@ -318,36 +318,6 @@ def test_polynomial_text():
     assert f.to_text() == "x1^2*x2 + (-1)*x1*x2^2"
 
 
-def _reference_cocycle(c, w, k, N):
-    """(w(k), phi_w^(c)(k)) straight from the definition: phi_eval over the
-    inversions of w, written in Q(zeta_L), L = lcm(N, ord c), the field of
-    the operator entries."""
-    n = len(w)
-    scalar = Cyclotomic.one(lcm(N, c.order if isinstance(c, Cyclotomic) else 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] > w[j]:
-                scalar = scalar * phi_eval(c, i, j, k)
-    image = [0] * n
-    for j in range(n):
-        image[w[j]] = k[j]
-    return tuple(image), scalar
-
-
-def _reference_torus(g, k):
-    """prod_j t_(w(j))^(k_j) of g = t*w as powers of Cyclotomic.root."""
-    scalar = Cyclotomic.one()
-    for j in range(g.n):
-        scalar = scalar * Cyclotomic.root(g.N, g.exps[g.perm[j]]) ** k[j]
-    return scalar
-
-
-def _reference_action(c, g, k):
-    """(w(k), scalar) of x^k under t*w straight from the definition."""
-    image, scalar = _reference_cocycle(c, g.perm, k, g.N)
-    return image, scalar * _reference_torus(g, k)
-
-
 def _assert_same_entries(got: dict, want: dict):
     assert got.keys() == want.keys()
     for key, value in want.items():
@@ -360,14 +330,16 @@ def test_slice_action_kernel_matches_definition():
     # entry by entry and field order by field order.  The weight sets mix
     # integers small and large (2^31 - 1 and -2^70 scale the root tallies),
     # non-integers (each multiplies its tally's value), plain int and
-    # Fraction coefficients, an integer written in Q(zeta_12), and
-    # whole-group sums sharing one coefficient.
+    # Fraction coefficients, an integer written in Q(zeta_12), whose entries
+    # still lie in Q(zeta_L), and whole-group sums sharing one coefficient;
+    # a coefficient outside Q is refused.
     # c = 2 and c = -1 are rational c other than 1; c = 10^7 gives numerators
     # of more than 64 bits; the ambient N = 3 is odd, so -1 is not a power of
     # zeta_N there.
     rng = random.Random(61)
     cs = [0, 1, 2, -1, 10**7, cyc_make(4, 1), Cyclotomic.rational(Fraction(1, 2)) + cyc_make(4, 1) * Fraction(1, 2)]
-    coeffs = [Cyclotomic.rational(v) for v in (1, -2, 3, Fraction(1, 2))] + [cyc_make(4, 1)]
+    coeffs = [Cyclotomic.rational(v) for v in (1, -2, 3, Fraction(1, 2))]
+    poly_coeffs = coeffs + [cyc_make(4, 1)]  # act_c takes any polynomial coefficient
     big = Cyclotomic.rational(-(2**70))
     weight_sets = (
         coeffs[:3],
@@ -385,7 +357,7 @@ def test_slice_action_kernel_matches_definition():
             for col, k in enumerate(slice_monomials(n, d)):
                 for g in G.elements:
                     key = (g.perm, d, col)
-                    torus = _reference_torus(g, k)
+                    torus = reference_torus(g, k)
                     torus_sums[key] = torus_sums[key] + torus if key in torus_sums else torus
         for c in cs:
             elems = rng.sample(G.elements, 4)
@@ -393,49 +365,41 @@ def test_slice_action_kernel_matches_definition():
                 basis = slice_monomials(n, d)
                 row = {k: idx for idx, k in enumerate(basis)}
                 for g in elems:
-                    want = {}
-                    for col, k in enumerate(basis):
-                        image, scalar = _reference_action(c, g, k)
-                        want[(row[image], col)] = scalar
-                    _assert_same_entries(operator_matrix(g, c, d).entries, want)
+                    _assert_same_entries(operator_matrix(g, c, d).entries, reference_operator([(g, 1)], c, d))
                 for weights in weight_sets:
                     terms = list(zip(elems, weights))
-                    want = {}
-                    for g, coeff in terms:
-                        for col, k in enumerate(basis):
-                            image, scalar = _reference_action(c, g, k)
-                            key = (row[image], col)
-                            want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
-                    want = {key: v for key, v in want.items() if not v.is_zero()}
-                    _assert_same_entries(operator_matrix(terms, c, d).entries, want)
+                    rational = [(g, Fraction(v.nums[0], v.den) if isinstance(v, Cyclotomic) else v) for g, v in terms]
+                    _assert_same_entries(operator_matrix(terms, c, d).entries, reference_operator(rational, c, d))
                 if d > sum_degree:
                     continue
-                for shared in (coeffs[1], coeffs[4]):
-                    want = {}
-                    for w in {g.perm for g in G.elements}:
-                        for col, k in enumerate(basis):
-                            image, scalar = _reference_cocycle(c, w, k, G.N)
-                            key, value = (row[image], col), shared * scalar * torus_sums[w, d, col]
-                            want[key] = want[key] + value if key in want else value
-                    want = {key: v for key, v in want.items() if not v.is_zero()}
-                    _assert_same_entries(operator_matrix([(g, shared) for g in G.elements], c, d).entries, want)
+                shared = coeffs[1]
+                want = {}
+                for w in {g.perm for g in G.elements}:
+                    for col, k in enumerate(basis):
+                        image, scalar = reference_cocycle(c, w, k, G.N)
+                        key, value = (row[image], col), shared * scalar * torus_sums[w, d, col]
+                        want[key] = want[key] + value if key in want else value
+                want = {key: v for key, v in want.items() if not v.is_zero()}
+                _assert_same_entries(operator_matrix([(g, shared) for g in G.elements], c, d).entries, want)
+            for outside in (cyc_make(4, 1), 0.5):
+                with pytest.raises(ValueError, match="must be rational"):
+                    operator_matrix([(elems[0], 1), (elems[1], outside)], c, 1)
             for g in elems:
                 f = QPolynomial(
                     n,
                     {
-                        rng.choice(slice_monomials(n, rng.randrange(6))): rng.choice(coeffs)
+                        rng.choice(slice_monomials(n, rng.randrange(6))): rng.choice(poly_coeffs)
                         for _ in range(5)
                     },
                 )
                 want = {}
                 for k, coeff in f.terms.items():
-                    image, scalar = _reference_action(c, g, k)
+                    image, scalar = reference_action(c, g, k)
                     want[image] = coeff * scalar
                 _assert_same_entries(act_c(c, g, f).terms, want)
 
 
 _ONE_OFF_CS = (0, Cyclotomic.rational(Fraction(1, 2)), cyc_make(4, 1), cyc_make(3, 1))
-_FIELD_DEGREES = {1: 1, 3: 2, 4: 2, 12: 4}
 
 
 @st.composite
@@ -445,10 +409,10 @@ def _one_off_case(draw):
     of terms: single elements, one permutation with distinct torus parts, a
     whole coset of a torus subgroup under one coefficient, and an element
     beside its product with an involution, or beside itself, whose
-    coefficients may cancel.  Coefficients at orders 1, 3, 4 and 12 over
-    denominators 1 to 4, zero included.  The actor is the term list, the
-    group-algebra element of distinct terms (zero ones dropped, so it may be
-    empty), or a lone element itself."""
+    coefficients may cancel.  Coefficients are rational, -3 to 3 over
+    denominators 1 to 4, zero included, each an int or Fraction or written
+    in Q(zeta_e) for e in {1, 3, 4, 12}.  The actor is the term list or a
+    lone element itself."""
     n = draw(st.sampled_from((1, 2, 3)))
     N = draw(st.sampled_from((3, 4, 12)))
     perms = list(itertools.permutations(range(n)))
@@ -457,10 +421,9 @@ def _one_off_case(draw):
         return tuple(draw(st.integers(0, N - 1)) for _ in range(n))
 
     def coeff():
-        order = draw(st.sampled_from((1, 3, 4, 12)))
-        nums = draw(st.lists(st.integers(-3, 3), min_size=_FIELD_DEGREES[order], max_size=_FIELD_DEGREES[order]))
-        value = sum((Cyclotomic.root(order, j) * x for j, x in enumerate(nums)), Cyclotomic.zero(order))
-        return value * Fraction(1, draw(st.integers(1, 4)))
+        value = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        order = draw(st.sampled_from((None, 1, 3, 4, 12)))
+        return value if order is None else Cyclotomic.rational(value, order)
 
     terms = []
     for kind in draw(st.lists(st.sampled_from(("element", "perm", "coset", "pair")), min_size=1, max_size=3)):
@@ -484,13 +447,9 @@ def _one_off_case(draw):
             g, value = MonomialElement(n, N, perm, torus()), coeff()
             s = torus_gen(n, N, 1, N // 2) if N % 2 == 0 and draw(st.booleans()) else MonomialElement.identity(n, N)
             terms += [(g, value), (g * s, draw(st.sampled_from((value, -value))))]
-    form = draw(st.sampled_from(("list", "algebra", "element")))
-    if form == "element" and len(terms) == 1:
-        terms = [(terms[0][0], Cyclotomic.one())]
+    if len(terms) == 1 and draw(st.booleans()):
+        terms = [(terms[0][0], 1)]
         actor = terms[0][0]
-    elif form == "algebra" and len({g for g, _ in terms}) == len(terms):
-        actor = GroupAlgebraElement(n, N, dict(terms))
-        terms = list(actor.items())
     else:
         actor = terms
     return actor, terms, n, N, draw(st.sampled_from(_ONE_OFF_CS)), draw(st.sampled_from(range(7)))
@@ -508,24 +467,19 @@ _SIGN_ONLY = [(MonomialElement(2, 3, (1, 0), (1, 2)), Cyclotomic.one())]
 @example((_SIGN_ONLY[0][0], _SIGN_ONLY, 2, 3, Cyclotomic.rational(Fraction(1, 2)), 6))
 def test_one_off_operators_match_the_definition_and_a_kept_sum(case):
     # a one-off actor, whose entries are computed afresh, against the sum of
-    # the terms' actions straight from the definition, and exactly, field
-    # order included, against the same terms held as a kept sum that has
-    # already filled entries under another c and at other degrees, so that
-    # an entry kept across c or degrees where it should not be shows
+    # the terms' actions straight from the definition, each entry in
+    # Q(zeta_L) whatever order its coefficients are written at, and exactly,
+    # field order included, against the same terms held as a kept sum that
+    # has already filled entries under another c and at other degrees, so
+    # that an entry kept across c or degrees where it should not be shows
     from mystica.qpoly import _GroupSum
 
     actor, terms, n, N, c, degree = case
-    basis = slice_monomials(n, degree)
-    row = {k: idx for idx, k in enumerate(basis)}
-    want = {}
-    for g, coeff in terms:
-        for col, k in enumerate(basis):
-            image, scalar = _reference_action(c, g, k)
-            key = (row[image], col)
-            want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
+    want = reference_operator(terms, c, degree)
     got = operator_matrix(actor, c, degree).entries
-    assert got.keys() == {key for key, v in want.items() if not v.is_zero()}
+    assert got.keys() == want.keys()
     assert all(v == want[key] for key, v in got.items())
+    assert all(v.order == (N if c == 0 else lcm(N, c.order)) for v in got.values())
     kept_sum = _GroupSum(terms, n, N)
     other_c = _ONE_OFF_CS[(_ONE_OFF_CS.index(c) + 1) % len(_ONE_OFF_CS)]
     operator_matrix(kept_sum, other_c, (degree + 1) % 7)
@@ -555,16 +509,16 @@ def test_slice_trace_matches_element_by_element_sum(G):
 
 
 def test_group_sum_grouping_is_kept_and_matches_uncached_grouping():
-    from mystica.qpoly import _by_perm, _parts, group_sum_terms
+    from mystica.qpoly import _by_perm, _plan, group_sum_terms
 
     for G in (make_gmpn(4, 2, 3), make_w(4, 1, 2), make_gmpn(3, 1, 2)):
         group_sum = group_sum_terms(G)
         assert group_sum_terms(G) is group_sum
         terms = [(g, Cyclotomic.one()) for g in G.elements]
         fresh = _by_perm(terms, G.n, G.N)
-        assert list(group_sum._parts) == list(fresh)
+        assert list(group_sum._plans) == list(fresh)
         for perm, members in fresh.items():
-            assert group_sum._parts[perm] == _parts(members, G.N)
+            assert group_sum._plans[perm] == _plan(members, G.N)
         for c in (0, 1, cyc_make(4, 1)):
             for degree in range(4):
                 assert operator_matrix(group_sum, c, degree) == operator_matrix(terms, c, degree)
@@ -577,8 +531,9 @@ def test_class_sums_are_kept_and_add_up_to_the_group_sum():
         classes = class_sum_terms(G)
         assert class_sum_terms(G) is classes
         assert len(classes) == len(G.indexed().conjugacy_classes())
-        sizes = [size * m for cls in classes for parts in cls._parts.values() for _, _, size, reps in parts for _, m in reps]
-        assert sum(sizes) == G.order
+        # coefficient 1: each weight is |U| times a multiplicity
+        weights = [weight for cls in classes for plan in cls._plans.values() for _, _, reps in plan for _, weight in reps]
+        assert sum(weights) == G.order
         for c in (0, cyc_make(4, 1)):
             for degree in range(4):
                 whole = operator_matrix(group_sum_terms(G), c, degree)
@@ -631,15 +586,18 @@ def test_group_sum_entry_memo_and_period_match_element_by_element_sums():
                     _assert_same_entries(operator_matrix(group_sum, c, d).entries, reference(terms, ci, d))
                 trace = sum((v for (r, col), v in reference(whole, ci, d).items() if r == col), Cyclotomic.zero())
                 assert _slice_trace(G, c, d) == trace, (G, c, d)
-        for perm, parts in group_sum_terms(G)._parts.items():
-            ((_, _, size, reps),) = parts
-            assert (size, len(reps)) == (sum(g.perm == perm for g in G.elements), 1)
+        # a plan weighs each coset representative by |U| times its
+        # multiplicity, 1 here, times the coefficient's numerator
+        for perm, plan in group_sum_terms(G)._plans.items():
+            ((_, _, reps),) = plan
+            assert [size for _, size in reps] == [sum(g.perm == perm for g in G.elements)]
         for subset, terms in zip(subsets, (quarter, [(g, shared) for g in cosets])):
-            for perm, parts in subset._parts.items():
-                ((_, _, size, reps),) = parts
+            for perm, plan in subset._plans.items():
+                ((_, _, reps),) = plan
+                (size,) = {weight // shared.nums[0] for _, weight in reps}
                 count = sum(g.perm == perm for g, _ in terms)
                 assert size * len(reps) == count
                 periods.add((size, count))
-        assert all(size % G.N == 0 for parts in subsets[1]._parts.values() for _, _, size, _ in parts)
+                assert subset is subsets[0] or size % G.N == 0
     assert any(size == 1 < count for size, count in periods)
     assert any(1 < size < count for size, count in periods)

@@ -134,10 +134,25 @@ def test_bench_pairs_alternates_each_named_check_in_fresh_runs(tmp_path, capsys)
     # medians 2 and 1.5; per-pair ratios 0.5, 0.5, 2; old quartiles 1.5 and 2.5
     assert rows["check.identity-suites.wall_s"] == ["2", "1.5", "0.500", "2/3", "1"]
     assert rows["check.identity-suites.cpu_s"] == ["1", "0.75", "0.500", "2/3", "0.5"]
-    assert rows["check.identity-suites.failed"] == ["3", "0"]
+    # failed and attempted are one run's counts, not their sums over the runs
+    assert rows["check.identity-suites.failed"] == ["1", "0"]
     saved = json.loads(out.read_text())["pairs"]["check.identity-suites"]
     assert saved["new"]["metrics"]["wall_s"]["values"] == [1.0, 1.5, 2.0]
-    assert saved["old"]["attempted"] == 54
+    assert saved["old"]["attempted"] == 18
+    assert not saved["old"]["runs_disagree"] and not saved["new"]["runs_disagree"]
+    # runs of one side that fail different numbers of cells mark the row
+    calls.clear()
+    flaky = iter([0, 2, 2, 0, 0, 0])
+
+    def flaky_runner(root, name):
+        return {**check_runner(root, name), "failed": next(flaky)}
+
+    assert bench.main(argv, runner=runner, check_runner=flaky_runner) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
+    # side order old, new, new, old, old, new: old fails 0, 0, 0 and new 2, 2, 0
+    assert rows["check.identity-suites.failed"] == ["0", "2", "runs", "disagree"]
+    saved = json.loads(out.read_text())["pairs"]["check.identity-suites"]
+    assert (saved["old"]["runs_disagree"], saved["new"]["runs_disagree"]) == (False, True)
     # without --checks, --pairs runs no check
     calls.clear()
     assert bench.main(["--pairs", str(parent), "--workloads"], runner=runner, check_runner=check_runner) == 0

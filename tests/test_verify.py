@@ -179,6 +179,30 @@ def test_a_broken_identity_turns_exactly_its_suite_red(monkeypatch):
     assert all(r.detail == "0 failures" for name, r in results.items() if name != "cocycle-composition")
 
 
+def test_twist_map_intertwining_holds_on_its_domain_and_not_under_a_mutated_phi(monkeypatch):
+    # _j_c_intertwines on every case of the twist-map domain (c = zeta4, the
+    # 32 basis elements of the n = 2, N = 4 group, degrees 0 to 3); then with
+    # phi_w^(c) read at 1/c, which differs from it where the c exponent is
+    # odd: for the 16 elements over the swap, on degrees 1 and 3, where the
+    # two exponents of x^k differ in parity; and with its sign flipped at
+    # k = (0, 1) alone, the last monomial of its slice, on every element at
+    # degree 1
+    predicate, domain = verify._twist_map()[1]
+    assert predicate is verify._j_c_intertwines
+    cases = list(itertools.product(*domain))
+    assert len(cases) == 128
+    assert all(predicate(*case) for case in cases)
+    original = verify.phi_w_eval
+    monkeypatch.setattr(verify, "phi_w_eval", lambda c, perm, k: original(c.inverse(), perm, k))
+    assert sum(not predicate(*case) for case in cases) == 16 * 2
+
+    def flipped(c, perm, k):
+        return -original(c, perm, k) if k == (0, 1) else original(c, perm, k)
+
+    monkeypatch.setattr(verify, "phi_w_eval", flipped)
+    assert sum(not predicate(*case) for case in cases) == 32
+
+
 def test_check_result_json_form():
     passed = CheckResult("orders-grid", {"m": 2}, True)
     assert passed.to_json() == {"check": "orders-grid", "params": {"m": 2}, "pass": True}
