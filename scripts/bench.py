@@ -11,7 +11,9 @@ A thin driver over perfbench: each workload runs K times as
 `perfbench/run.py --trace 0` at seed 3, and each entry of verify.ALL_CHECKS
 runs K times on VerifyConfig(), each time in a fresh interpreter.  Every
 metric is kept as its K values with their median and quartiles, beside the
-run envelope (Python, host, git revision, src line count).  --compare prints one line per
+run envelope (Python, host, git revision, src line count); a check also keeps
+one run's results and the largest failed count of its runs, with
+runs_disagree set where the counts differ.  --compare prints one line per
 metric shared with OLD.json: old median, new median and new/old; with --from
 it reads the new results from a file instead of measuring.  --pairs runs
 each workload K times in PARENT_DIR (another checkout, the old side) and K
@@ -156,9 +158,15 @@ def collect_check(results: list[dict]) -> dict:
     cells; where the runs' failed counts differ, failed is the largest and
     runs_disagree is set."""
     out = collect(results)
-    failed = {r["failed"] for r in results}
-    out.update(attempted=results[-1]["attempted"], failed=max(failed), runs_disagree=len(failed) > 1)
+    out.update(attempted=results[-1]["attempted"], **failed_of(results))
     return out
+
+
+def failed_of(runs: list[dict]) -> dict:
+    """The largest failed count of the runs of one check, and whether the
+    runs' counts differ."""
+    failed = {r["failed"] for r in runs}
+    return {"failed": max(failed), "runs_disagree": len(failed) > 1}
 
 
 def run_workload(name: str, args) -> dict:
@@ -217,12 +225,13 @@ def run_check_pair(check_runner, root: Path, name: str, seed: int) -> dict:
     return {"attempted": run["results"], "failed": run["failed"], "metrics": metrics, "envelope": {}}
 
 
-def run_check(name: str, args) -> dict:
-    """K fresh interpreters, each running one verify check on VerifyConfig()."""
-    runs = [run_check_once(ROOT, name) for _ in range(args.runs)]
+def run_check(name: str, args, check_runner=run_check_once) -> dict:
+    """K fresh interpreters, each running one verify check on VerifyConfig():
+    one run's results, the failed results as failed_of reads them."""
+    runs = [check_runner(ROOT, name) for _ in range(args.runs)]
     return {
         "results": runs[-1]["results"],
-        "failed": runs[-1]["failed"],
+        **failed_of(runs),
         "metrics": {key: summary([r[key] for r in runs], "s") for key in ("wall_s", "cpu_s")},
     }
 
@@ -238,12 +247,12 @@ def check_names(args) -> list[str]:
     return names if args.checks is None else [name for name in names if name in args.checks]
 
 
-def measure(args) -> dict:
+def measure(args, check_runner=run_check_once) -> dict:
     out = {"envelope": envelope(args), "workloads": {}, "checks": {}}
     for name in args.workloads:
         out["workloads"][name] = run_workload(name, args)
     for name in check_names(args):
-        out["checks"][name] = run_check(name, args)
+        out["checks"][name] = run_check(name, args, check_runner)
     return out
 
 
@@ -288,7 +297,7 @@ def main(argv=None, runner=run_once, check_runner=run_check_once) -> int:
     if args.source is not None:
         new = json.loads(args.source.read_text())
     else:
-        new = measure(args)
+        new = measure(args, check_runner)
         args.out.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     if args.compare is not None:
         print(f"{'metric':48s} {'old':>12s} {'new':>12s} {'new/old':>8s}")

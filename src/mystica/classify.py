@@ -40,21 +40,17 @@ def fingerprint(G: FiniteMonomialGroup) -> Fingerprint:
     gens = ig.generators()
     commutators = {ig.mul(ig.mul(a, b), ig.mul(ig.inv[a], ig.inv[b])) for a in gens for b in gens}
     derived = ig.normal_closure(commutators)
+    orders = _class_orders(ig)
+    histogram: Counter = Counter()
     power_data = []
-    for cls in classes:
+    for c, cls in enumerate(classes):
         rep = min(cls)
         square_cls = ig.class_of(ig.mul(rep, rep))
-        power_data.append(
-            (
-                len(cls),
-                ig.elems[rep].element_order(),
-                len(classes[square_cls]),
-                ig.elems[min(classes[square_cls])].element_order(),
-            )
-        )
+        histogram[orders[c]] += len(cls)
+        power_data.append((len(cls), orders[c], len(classes[square_cls]), orders[square_cls]))
     return Fingerprint(
         order=G.order,
-        order_histogram=tuple(sorted(Counter(a.element_order() for a in G.elements).items())),
+        order_histogram=tuple(sorted(histogram.items())),
         center_order=sum(1 for cls in classes if len(cls) == 1),
         abelianization=_abelian_quotient_invariants(ig, derived),
         class_sizes=tuple(sorted(len(cls) for cls in classes)),
@@ -96,6 +92,12 @@ def _abelian_quotient_invariants(ig: IndexedGroup, derived: frozenset[int]) -> t
     return tuple(sorted(factors))
 
 
+def _class_orders(ig: IndexedGroup) -> list[int]:
+    """The element order of each conjugacy class, read off its rep: the
+    order is a class function."""
+    return [ig.elems[min(cls)].element_order() for cls in ig.conjugacy_classes()]
+
+
 class _MultTable:
     """Dense multiplication table for the backtracking search, which runs
     at orders up to ISO_CAP only."""
@@ -107,9 +109,10 @@ class _MultTable:
         self.size = size
         self.table = [ig.left(i) for i in range(size)]
         self.id_index = ig.id_index
-        self.orders = [g.element_order() for g in ig.elems]
-        ig.conjugacy_classes()
-        self.class_size = [len(ig.conjugacy_classes()[ig.class_of(i)]) for i in range(size)]
+        classes, orders = ig.conjugacy_classes(), _class_orders(ig)
+        class_ids = [ig.class_of(i) for i in range(size)]
+        self.orders = [orders[c] for c in class_ids]
+        self.class_size = [len(classes[c]) for c in class_ids]
 
     def signature(self, i: int) -> tuple[int, int]:
         return (self.orders[i], self.class_size[i])
@@ -198,7 +201,7 @@ def regular_singular(G: FiniteMonomialGroup) -> RegularityReport:
     compare their orders against the torus part; singular means some normal
     abelian subgroup other than the torus reaches the torus order."""
     ig = G.indexed()
-    torus_indices = frozenset(ig.index[t] for t in G.torus_elements())
+    torus_indices = frozenset(ig.index_of(t) for t in G.torus_elements())
     torus_order = len(torus_indices)
     witness = None
     for indices in ig.normal_subgroups():

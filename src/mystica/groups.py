@@ -172,19 +172,31 @@ class FiniteMonomialGroup:
             self._eset = frozenset(self.elements)
         return self._eset
 
+    def blocks(self) -> tuple:
+        """The (permutation, torus rows) pairs in sort order: the elements
+        are t*w, w the permutation of a block and t each exponent vector of
+        its rows in turn.  A family group holds them from its construction,
+        one per permutation of S_n, the odd ones with empty rows for W at odd
+        m; any other group groups its sorted elements into runs of one
+        permutation on the first call and keeps them."""
+        if self._blocks is None:
+            runs = itertools.groupby(self.elements, key=lambda a: a.perm)
+            self._blocks = tuple((perm, tuple(a.exps for a in run)) for perm, run in runs)
+        return self._blocks
+
     def torus_elements(self) -> tuple[MonomialElement, ...]:
-        return tuple(a for a in self.elements if a.is_torus())
+        """The first block's elements: the identity permutation sorts first."""
+        perm, rows = self.blocks()[0]
+        return self.elements[: len(rows)] if perm == tuple(range(self.n)) else ()
 
     def lift(self, N: int) -> "FiniteMonomialGroup":
         if N == self.N:
             return self
         if N % self.N != 0:
             raise ValueError(f"cannot lift torus order {self.N} into {N}")
-        if self._blocks is None:
-            # scaling the exponents keeps the sort order
-            return FiniteMonomialGroup._sorted(self.n, N, tuple(a.lift(N) for a in self.elements), self.tag)
+        # scaling the exponents keeps the sort order
         step = N // self.N
-        blocks = tuple((perm, tuple(tuple([e * step for e in ex]) for ex in rows)) for perm, rows in self._blocks)
+        blocks = tuple((perm, tuple(tuple([e * step for e in ex]) for ex in rows)) for perm, rows in self.blocks())
         generators = tuple((perm, tuple([e * step for e in exps])) for perm, exps in self._generators)
         return FiniteMonomialGroup._from_blocks(self.n, N, blocks, self.tag, generators)
 
@@ -225,7 +237,8 @@ def _family(m: int, p: int, odd, n: int, N: int | None, tag: GroupTag) -> Finite
     t in the index-p subgroup of mu_m for even w and det t = zeta_m^r, r in
     odd, for odd w; one block of torus rows per permutation, permutations in
     lexicographic order and rows in lexicographic order, which is the sort
-    order of the elements."""
+    order of the elements.  With no odd residue (W at odd m) the blocks of
+    the odd permutations are empty."""
     N = N or ambient_order(m)
     if N % m != 0:
         raise ValueError(f"ambient order {N} does not contain the {m}-th roots")
@@ -446,24 +459,36 @@ def torus_part(G: FiniteMonomialGroup) -> TorusSubgroup:
 class IndexedGroup:
     """Index-based view of a group for combinatorial computations.
 
-    Elements are numbered in the group's sort order.  Products enter through
-    one right-multiplication array per generator, filled from
-    MonomialElement products; the generators are the group's known ones (at
-    most four for a family group), completed greedily.  The left
-    multiplications, conjugations and class products follow from those
-    arrays by associativity along a breadth-first spanning tree of the
-    Cayley graph, as index lookups (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, ch. 3-4).  No dense Cayley table is kept.
-    Normal subgroups are answered as sets of element indices; the class-join
-    lattice behind them works on bit masks of class ids.
+    Elements are numbered in the group's sort order, block by block, so an
+    element's index is the start of its permutation's block plus the row of
+    its exponent vector: no element is hashed.  Products enter through one
+    right-multiplication array per generator g = s*v, with one
+    MonomialElement product per block and generator: the block's first row
+    times g gives the target block, and (t*w)(s*v) = (t + w(s))*(w v) moves
+    every row of the block by the same shift w(s).  The generators are the
+    group's known ones (at most four for a family group), completed
+    greedily.  The left multiplications, conjugations and class products
+    follow from those arrays by associativity along a breadth-first spanning
+    tree of the Cayley graph, as index lookups (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, ch. 3-4).  No dense Cayley table
+    is kept.  Normal subgroups are answered as sets of element indices; the
+    class-join lattice behind them works on bit masks of class ids.
     """
 
     def __init__(self, G: FiniteMonomialGroup):
         self.group = G
         self.elems = G.elements
-        self.index = {a: i for i, a in enumerate(self.elems)}
-        self.id_index = self.index[G.identity()]
-        self.inv = [self.index[a.inverse()] for a in self.elems]
+        self._where: dict[tuple, tuple] = {}  # perm -> (block start, rows, exps -> row), in index order
+        row_dicts: dict[int, dict] = {}  # one exps -> row dict per rows tuple, which blocks may share
+        start = 0
+        for perm, rows in G.blocks():
+            if rows:  # W at odd m has empty odd blocks
+                if id(rows) not in row_dicts:
+                    row_dicts[id(rows)] = {exps: r for r, exps in enumerate(rows)}
+                self._where[perm] = (start, rows, row_dicts[id(rows)])
+                start += len(rows)
+        self.id_index = self.index_of(G.identity())
+        self.inv = [self.index_of(a.inverse()) for a in self.elems]
         self._right: dict[int, list[int]] = {}
         self._gens: list[int] | None = None
         self._tree: list[tuple[int, int, list[int]]] = []
@@ -471,14 +496,29 @@ class IndexedGroup:
         self._class_of: list[int] | None = None
         self._class_mult: list[list[int]] | None = None
 
+    def index_of(self, a: MonomialElement) -> int:
+        """The index of the group element a: its block start plus its row."""
+        start, _, row_of = self._where[a.perm]
+        return start + row_of[a.exps]
+
     def mul(self, i: int, j: int) -> int:
-        return self.index[self.elems[i] * self.elems[j]]
+        return self.index_of(self.elems[i] * self.elems[j])
 
     def right(self, g: int) -> list[int]:
-        """x -> x * g on indices, from MonomialElement products; kept per g."""
+        """x -> x * g on indices, kept per g; an unshifted block lands row for
+        row on its target, whose rows are then the same."""
         if g not in self._right:
-            index, h = self.index, self.elems[g]
-            self._right[g] = [index[a * h] for a in self.elems]
+            elems, h, N = self.elems, self.elems[g], self.group.N
+            out: list[int] = []
+            for start, rows, _ in self._where.values():
+                first = elems[start] * h
+                target, _, row_of = self._where[first.perm]
+                shift = [(x - y) % N for x, y in zip(first.exps, rows[0])]
+                if any(shift):
+                    out.extend(target + row_of[tuple([(x + d) % N for x, d in zip(t, shift)])] for t in rows)
+                else:
+                    out.extend(range(target, target + len(rows)))
+            self._right[g] = out
         return self._right[g]
 
     def left(self, r: int) -> list[int]:
@@ -504,7 +544,7 @@ class IndexedGroup:
         arrays: list[list[int]] = []
         reached = [self.id_index]
         seen = {self.id_index}
-        known = [self.index[a] for a in self.group.known_generators]
+        known = [self.index_of(a) for a in self.group.known_generators]
         for i in itertools.chain(known, range(len(self.elems))):
             if i in seen:
                 continue
@@ -575,8 +615,10 @@ class IndexedGroup:
         class_of = self._class_of
         table = []
         for cls in classes:
-            times_rep = self.left(min(cls))
-            table.append([sum(1 << c for c in {class_of[times_rep[x]] for x in other}) for other in classes])
+            row = [0] * len(classes)
+            for x, y in enumerate(self.left(min(cls))):
+                row[class_of[x]] |= 1 << class_of[y]
+            table.append(row)
         self._class_mult = table
         return table
 

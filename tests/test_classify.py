@@ -1,11 +1,12 @@
 """Tests for fingerprints, the isomorphism decision, the dichotomy and the
 verification checks of criteria 5, 7 and 8 that run on them."""
 
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
 
-from mystica.classify import ISO_CAP, fingerprint, isomorphic, regular_singular
+from mystica.classify import ISO_CAP, _MultTable, fingerprint, isomorphic, regular_singular
 from mystica.groups import CapExceededError, FiniteMonomialGroup, enumerate_thick, make_gmpn, make_w, mu_group
 from mystica.verify import (
     CheckResult,
@@ -28,6 +29,17 @@ def test_fingerprint_examples():
     assert fp.order_histogram == ((1, 1), (2, 3))
     fp = fingerprint(mu_group(make_gmpn(2, 2, 2)))
     assert fp.order_histogram == ((1, 1), (2, 1), (4, 2))
+
+
+def test_element_orders_per_class_match_every_element():
+    # the histogram and the search table read each order off a class rep;
+    # against element_order on every element of the classification grid
+    grid = [T for _, T in thick_atlas(*VerifyConfig().bounds("classification-grid")) if T.order <= ISO_CAP]
+    assert len(grid) > 20
+    for G in grid:
+        orders = [a.element_order() for a in G.elements]
+        assert fingerprint(G).order_histogram == tuple(sorted(Counter(orders).items())), G
+        assert _MultTable(G).orders == orders, G
 
 
 def test_fingerprint_equal_for_isomorphic_groups():

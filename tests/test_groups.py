@@ -23,7 +23,7 @@ from mystica.groups import (
     thick_family,
     torus_part,
 )
-from mystica.classify import fingerprint
+from mystica.classify import fingerprint, regular_singular
 from mystica.monomial import MonomialElement, adjacent_swap, perm_sign, torus_gen
 
 
@@ -388,9 +388,31 @@ def _indexed_pairs(G, pairs):
 def test_indexed_products_and_inverses_match_element_law():
     G = make_gmpn(2, 1, 3)
     _indexed_pairs(G, itertools.product(range(G.order), repeat=2))
+    # groups whose blocks are not a family's: one closed under generators,
+    # a normal subgroup taken from the index view, and W at odd level, whose
+    # odd permutations have empty blocks
+    a = MonomialElement(3, 4, (1, 2, 0), (1, 0, 3))
+    b = MonomialElement(3, 4, (0, 2, 1), (2, 2, 0))
+    ig = G.indexed()
+    normal = next(S for S in ig.normal_subgroups() if 1 < len(S) < G.order and len({ig.elems[i].perm for i in S}) > 1)
     rng = random.Random(7)
-    for G in (make_gmpn(4, 2, 3), make_w(4, 1, 3), make_gmpn(2, 2, 3).lift(12)):
-        _indexed_pairs(G, [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(400)])
+    groups = (make_gmpn(4, 2, 3), make_w(4, 1, 3), make_gmpn(2, 2, 3).lift(12))
+    groups += (closure_generate((4, 3), [a, b]), ig.subgroup_from_indices(normal), make_w(3, 1, 3))
+    for H in groups:
+        _indexed_pairs(H, [(rng.randrange(H.order), rng.randrange(H.order)) for _ in range(400)])
+        assert H.torus_elements() == tuple(x for x in H.elements if x.is_torus()), H
+    assert sum(not rows for _, rows in groups[-1].blocks()) == 3  # the odd permutations of S_3
+
+
+def test_the_lattice_hashes_no_element(monkeypatch):
+    # elements are found by block and row, never by hash
+    def refuse(self):
+        raise AssertionError("a MonomialElement was hashed")
+
+    monkeypatch.setattr(MonomialElement, "__hash__", refuse)
+    G = make_gmpn(4, 1, 3)
+    assert len(G.indexed().normal_subgroups()) > 1
+    assert regular_singular(G).status == "regular"
 
 
 def _reference_normal_subgroups(G):
@@ -444,7 +466,7 @@ def test_class_lattice_matches_element_level_reference(G):
     for i, cls in enumerate(ig.conjugacy_classes()):
         rep = ig.elems[min(cls)]
         for j, other in enumerate(ig.conjugacy_classes()):
-            met = {ig.class_of(ig.index[rep * ig.elems[x]]) for x in other}
+            met = {ig.class_of(ig.index_of(rep * ig.elems[x])) for x in other}
             assert table[i][j] == sum(1 << c for c in met)
 
 
@@ -630,7 +652,7 @@ def test_known_generators_generate_and_keep_the_greedy_structure(m, n):
         copy = FiniteMonomialGroup(G.n, G.N, G.elements)
         assert copy.known_generators == ()
         ig, reference = G.indexed(), copy.indexed()
-        assert ig.generators()[: len(hint)] == [ig.index[g] for g in hint]
+        assert ig.generators()[: len(hint)] == [ig.index_of(g) for g in hint]
         assert ig.conjugacy_classes() == reference.conjugacy_classes(), G
         assert ig.normal_subgroups() == reference.normal_subgroups(), G
 
@@ -668,6 +690,6 @@ def test_a_known_set_that_generates_too_little_is_completed_greedily():
         partial = FiniteMonomialGroup._from_blocks(G.n, G.N, G._blocks, G.tag, G._generators[:keep])
         ig = partial.indexed()
         gens = ig.generators()
-        assert gens[:keep] == [ig.index[g] for g in partial.known_generators]
+        assert gens[:keep] == [ig.index_of(g) for g in partial.known_generators]
         assert closure_generate((G.N, G.n), [ig.elems[i] for i in gens]) == G
         assert ig.conjugacy_classes() == G.indexed().conjugacy_classes()

@@ -157,3 +157,24 @@ def test_bench_pairs_alternates_each_named_check_in_fresh_runs(tmp_path, capsys)
     calls.clear()
     assert bench.main(["--pairs", str(parent), "--workloads"], runner=runner, check_runner=check_runner) == 0
     assert calls == []
+
+
+def test_bench_out_marks_check_runs_that_disagree(tmp_path):
+    # --out keeps one run's results and the largest failed count of a check,
+    # and flags runs whose failed counts differ
+    bench = _load_bench()
+    flaky = iter([2, 0, 0])
+
+    def check_runner(root, name):
+        assert root == bench.ROOT
+        return {"wall_s": 1.0, "cpu_s": 0.5, "results": 18, "failed": next(flaky)}
+
+    def runner(root, name, seed, seconds):
+        raise AssertionError("no workload was named")
+
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--workloads", "--checks", "identity-suites", "--runs", "3"]
+    assert bench.main(argv, runner=runner, check_runner=check_runner) == 0
+    check = json.loads(out.read_text())["checks"]["identity-suites"]
+    assert (check["results"], check["failed"], check["runs_disagree"]) == (18, 2, True)
+    assert check["metrics"]["wall_s"]["values"] == [1.0, 1.0, 1.0]
