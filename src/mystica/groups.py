@@ -222,7 +222,8 @@ def ambient_order(m: int) -> int:
     return lcm(m, 4)
 
 
-@lru_cache(maxsize=32)
+# holds the 42 row sets of the orders grid (m <= 6, n <= 4)
+@lru_cache(maxsize=64)
 def _torus_rows(m: int, n: int, N: int, residues: frozenset) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors (N/m) f, f in {0..m-1}^n with sum(f) mod m in
     residues, in lexicographic order."""

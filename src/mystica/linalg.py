@@ -3,9 +3,10 @@
 Rows and matrices are dictionaries keyed by hashable column labels; all
 arithmetic is exact field arithmetic in Q(zeta_N).  The rank routine keeps
 the pivot rows in reduced echelon form, which guarantees termination and
-keeps fill-in local when the input has block structure; the same insertion
-step serves a caller that feeds rows one at a time and stops at a target
-rank.
+keeps fill-in local when the input has block structure.  An integer kernel
+takes vectors over Q(zeta_N) one at a time, for a caller that stops at a
+target rank, and eliminates their power-basis coordinates in plain
+integers.
 
 For full-rank certificates there is also a modular route: mapping zeta_N to
 an order-N element of a prime field F_q (q = 1 mod N) is a ring map on the
@@ -16,9 +17,9 @@ The converse direction is not used anywhere.
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, cyclotomic_polynomial
 
 # numpy is imported inside the F_q certificate, which no command calls, so
 # no command loads it.
@@ -112,6 +113,73 @@ def _insert_pivot(row: dict, pivots: dict) -> bool:
                 else:
                     prow[col] = total
     pivots[pivot_col] = normalized
+    return True
+
+
+# -- the integer kernel ---------------------------------------------------
+#
+# The line through a vector v over Q(zeta_L) is, over Q, spanned by the
+# phi(L) multiples zeta_L^j v, j < phi(L); written in power-basis
+# coordinates with the denominators cleared, they are integer rows.  The
+# rank of a family of vectors over Q(zeta_L) is the rational rank of their
+# rows divided by phi(L).  The rows are kept in echelon form, each
+# primitive: reduced by fraction-free steps, then divided by its content.
+
+
+def _insert_integer_pivot(row: list[int], pivots: dict) -> bool:
+    """Reduce the integer row against the primitive echelon rows (leading
+    column -> the row from that column on) by fraction-free steps and, if
+    anything is left, add it, divided by its content and with a positive
+    leading entry; whether the rank grew."""
+    lead = 0  # the column of row[0]
+    while True:
+        for skip, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        if skip:
+            row = row[skip:]
+            lead += skip
+        prow = pivots.get(lead)
+        if prow is None:
+            break
+        a, b = prow[0], row[0]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        row = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*row)
+    if row[0] < 0:
+        g = -g
+    pivots[lead] = row if g == 1 else [x // g for x in row]
+    return True
+
+
+def _insert_field_column(column: dict, size: int, order: int, pivots: dict) -> bool:
+    """Insert the vector over Q(zeta_order) with the given entries (index
+    below size -> Cyclotomic) into the integer echelon rows as its phi(order)
+    rows zeta^j v, entry i at coordinates i*phi .. i*phi + phi - 1; whether
+    its rank over Q(zeta_order) grew.  The rows already inserted span a
+    Q(zeta_order)-space, so v either lies in it, and so does every zeta^j v,
+    or each of its rows raises the rational rank by one."""
+    poly = cyclotomic_polynomial(order)
+    deg = len(poly) - 1
+    entries = [(i, v if v.order == order else v.lift(order)) for i, v in column.items()]
+    den = lcm(*(v.den for _, v in entries))
+    row = [0] * (size * deg)
+    for i, v in entries:
+        row[i * deg : (i + 1) * deg] = v.nums if v.den == den else [x * (den // v.den) for x in v.nums]
+    if not _insert_integer_pivot(row, pivots):
+        return False
+    for _ in range(deg - 1):
+        # times zeta: shift each entry's coordinates up, fold x^phi by poly
+        shifted = []
+        for start in range(0, len(row), deg):
+            top = row[start + deg - 1]
+            block = [0] + row[start : start + deg - 1]
+            shifted += [x - top * p for x, p in zip(block, poly)] if top else block
+        row = shifted
+        _insert_integer_pivot(row, pivots)
     return True
 
 

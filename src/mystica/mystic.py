@@ -13,7 +13,10 @@ permutation w from the n! elements Q_w^(c), not once per group element.
 The operators of the group elements on the slices of degree at most d become
 linearly independent once d is large enough; the smallest such d is found
 exactly on the conjugacy-class sums, with the element-level rank kept as
-the slow reference.
+the slow reference.  Conjugation fixes a class sum, so its entries at the
+positions of one orbit of G's permutation image are those at one position,
+times factors shared by every class sum: the search reads each class sum at
+one slice column per orbit and takes the rank in integers.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import NamedTuple
 from .cyclo import Cyclotomic, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, q_w_element
 from .groups import FiniteMonomialGroup, common_ambient, mu_group, thick_family
-from .linalg import _insert_pivot, sparse_rank
-from .qpoly import class_sum_terms, group_sum_terms, operator_matrix
+from .linalg import _insert_field_column, sparse_rank
+from .qpoly import _c_key, _field_order, _orbit_columns, class_sum_terms, group_sum_terms, operator_matrix
 
 
 class EquivalenceReport(NamedTuple):
@@ -187,21 +190,32 @@ def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
     it is zero exactly when no nonzero central element maps to zero.  The
     element operators are therefore independent exactly when the k
     conjugacy-class sums, which span the centre, have independent operators
-    (Serre, Linear Representations of Finite Groups, 2.5 and 6.3).  Their
-    rank is found exactly: each position (degree, row, column) of the slice
-    matrices gives a column of k class values, the distinct columns of each
-    degree join one reduced-echelon pivot set, and the search stops when the
-    pivots reach k.
+    (Serre, Linear Representations of Finite Groups, 2.5 and 6.3).  Each
+    position (degree, row, column) of the slice matrices gives a column of k
+    class values.  The operator of g = t*w sends x^k to mu_g(k) x^(w(k)), and
+    conjugating by it fixes every class sum C, so
+    rho(C)[w(r), w(k)] = mu_g(r) mu_g(k)^-1 rho(C)[r, k] with one factor for
+    every C: the class-value columns at the positions of one orbit are
+    proportional.  So each class sum is placed at one slice column per orbit
+    of G's permutation image, and the rank of the distinct class-value
+    columns is found exactly by the integer kernel of linalg, all degrees
+    joining one echelon set; the search stops when the rank reaches k.
     """
     classes = class_sum_terms(G)
+    perms = tuple(perm for perm, rows in G.blocks() if rows)
+    field_order = _field_order(_c_key(c), G.N)
     pivots: dict = {}
+    rank = 0
     for d in range(max_degree + 1):
+        orbit_columns = _orbit_columns(perms, d)
         columns: dict = {}  # (row, col) -> {class: entry}
         for i, class_sum in enumerate(classes):
-            for position, v in operator_matrix(class_sum, c, d).entries.items():
+            for position, v in operator_matrix(class_sum, c, d, orbit_columns).entries.items():
                 columns.setdefault(position, {})[i] = v
         distinct = {tuple((i, v.order, v.nums, v.den) for i, v in col.items()): col for col in columns.values()}
-        for column in distinct.values():
-            if _insert_pivot(column, pivots) and len(pivots) == len(classes):
-                return d, G.order
+        for column in sorted(distinct.values(), key=len):
+            if _insert_field_column(column, len(classes), field_order, pivots):
+                rank += 1
+                if rank == len(classes):
+                    return d, G.order
     return None, faithfulness_rank(G, c, max_degree)

@@ -63,6 +63,23 @@ def slice_monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, degree))
 
 
+@lru_cache(maxsize=None)
+def _orbit_columns(perms: tuple[tuple[int, ...], ...], degree: int) -> tuple[int, ...]:
+    """The slice columns, indices into slice_monomials, that come first in
+    their orbit under the permutations (a group, the permutation image of a
+    monomial group), k -> w(k): one column per orbit, in slice order."""
+    basis = slice_monomials(len(perms[0]), degree)
+    pos = {k: idx for idx, k in enumerate(basis)}
+    covered = [False] * len(basis)
+    reps = []
+    for idx, k in enumerate(basis):
+        if not covered[idx]:
+            reps.append(idx)
+            for perm in perms:
+                covered[pos[perm_apply(perm, k)]] = True
+    return tuple(reps)
+
+
 class QMatrix:
     """A commutation matrix: q_ii = 1 and q_ij q_ji = 1, entries exact."""
 
@@ -447,14 +464,16 @@ def _terms_of(actor):
     return terms, head.n, head.N
 
 
-def operator_matrix(actor, c, degree: int) -> SparseMatrix:
+def operator_matrix(actor, c, degree: int, columns=None) -> SparseMatrix:
     """Exact matrix of the actor on the degree slice, columns indexed by
     slice_monomials.  The actor is an element or a rational combination of
     elements, a list of (element, coefficient) terms with each coefficient an
     int, a Fraction or a rational Cyclotomic; its matrix is the
     coefficient-weighted sum of the element matrices, and each entry lies in
     Q(zeta_L), L = _field_order(c, N), whatever order a coefficient is
-    written at.  A coefficient outside Q raises ValueError.
+    written at.  A coefficient outside Q raises ValueError.  Only the given
+    columns (column indices) are placed, all of them by default; the others
+    are left empty.
 
     Every actor runs as a _GroupSum.  A kept sum (group_sum_terms,
     class_sum_terms) keeps its entries per (c, permutation, key) across
@@ -464,24 +483,29 @@ def operator_matrix(actor, c, degree: int) -> SparseMatrix:
         raise ValueError("degree must be nonnegative")
     if not isinstance(actor, _GroupSum):
         actor = _GroupSum(*_terms_of(actor))
-    return _integer_sum_matrix(actor.tables(_c_key(c)), actor.n, actor.N, degree)
+    return _integer_sum_matrix(actor.tables(_c_key(c)), actor.n, actor.N, degree, columns)
 
 
 _UNSET = object()
 
 
-def _integer_sum_matrix(tables: tuple, n: int, N: int, degree: int) -> SparseMatrix:
+def _integer_sum_matrix(tables: tuple, n: int, N: int, degree: int, columns=None) -> SparseMatrix:
     """The weighted sum of the element operators on the degree slice, from
     the tables of _GroupSum.tables: per permutation w, column k holds the
     entry of its key at the row of w(k), read from the permutation's entries
-    under c or, on its first read, computed by _entry and kept there."""
+    under c or, on its first read, computed by _entry and kept there.  Only
+    the given columns are placed, every column when columns is None."""
     c_key, field_order, plans = tables
     dim = len(slice_monomials(n, degree))
     matrix = SparseMatrix(dim, dim)
     placed = matrix.entries
     for perm, (plan, entries) in plans.items():
         rows, keys = _slice_images(perm, degree, N)
-        for col, (row, key) in enumerate(zip(rows, keys)):
+        if columns is None:
+            selected = enumerate(zip(rows, keys))
+        else:
+            selected = [(col, (rows[col], keys[col])) for col in columns]
+        for col, (row, key) in selected:
             value = entries.get(key, _UNSET)
             if value is _UNSET:
                 value = entries[key] = _entry(N, c_key, field_order, plan, key)

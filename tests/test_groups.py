@@ -693,3 +693,14 @@ def test_a_known_set_that_generates_too_little_is_completed_greedily():
         assert gens[:keep] == [ig.index_of(g) for g in partial.known_generators]
         assert closure_generate((G.N, G.n), [ig.elems[i] for i in gens]) == G
         assert ig.conjugacy_classes() == G.indexed().conjugacy_classes()
+
+
+def test_a_second_orders_grid_round_builds_no_torus_rows():
+    # the torus row sets of the whole orders grid stay cached between rounds
+    from mystica.groups import _torus_rows
+    from mystica.verify import VerifyConfig, check_orders
+
+    check_orders(VerifyConfig())
+    misses = _torus_rows.cache_info().misses
+    check_orders(VerifyConfig())
+    assert _torus_rows.cache_info().misses == misses

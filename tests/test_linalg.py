@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mystica.cyclo import Cyclotomic, cyc_make
+from mystica.cyclo import Cyclotomic, cyc_make, cyclotomic_polynomial
 from mystica.linalg import (
     SparseMatrix,
     _certificate_prime,
+    _insert_field_column,
     _prime_factors,
     modular_full_rank_certificate,
     sparse_rank,
@@ -154,3 +156,56 @@ def test_certificate_prime_is_prime_with_an_element_of_exact_order():
         assert isprime(q) and (q - 1) % N == 0 and q > 1_000_003, N
         assert pow(z, N, q) == 1, N
         assert all(pow(z, N // r, q) != 1 for r in _prime_factors(N)), N
+
+
+# -- the integer kernel against the field elimination ------------------------------
+
+_KERNEL_ORDERS = (1, 3, 4, 8, 12)
+
+
+@st.composite
+def _field_vectors(draw):
+    """(L, size, vectors over Q(zeta_L)): entries written at orders dividing
+    L with denominators 1, 2, 3 or 5, and vectors that are Q(zeta_L)-multiples
+    of an earlier one or combinations of two earlier ones."""
+    L = draw(st.sampled_from(_KERNEL_ORDERS))
+    orders = [o for o in (1, 2, 3, 4, 6, 8, 12) if L % o == 0]
+    size = draw(st.integers(1, 4))
+
+    def scalar():
+        order = draw(st.sampled_from(orders))
+        value = Cyclotomic.zero(order)
+        for a in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)):
+            value = value + Cyclotomic.root(order, draw(st.integers(0, order - 1))) * a
+        return value / draw(st.sampled_from((1, 2, 3, 5)))
+
+    def clean(vector):
+        return {i: v for i, v in vector.items() if not v.is_zero()}
+
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("fresh", "multiple", "combination"))) if vectors else "fresh"
+        if kind == "fresh":
+            vectors.append(clean({i: scalar() for i in draw(st.sets(st.integers(0, size - 1), min_size=1))}))
+        elif kind == "multiple":
+            a = scalar()
+            vectors.append(clean({i: v * a for i, v in draw(st.sampled_from(vectors)).items()}))
+        else:
+            u, w = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            a, b = scalar(), scalar()
+            zero = Cyclotomic.zero(L)
+            vectors.append(clean({i: u.get(i, zero) * a + w.get(i, zero) * b for i in set(u) | set(w)}))
+    return L, size, vectors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_field_vectors())
+def test_integer_kernel_rank_matches_sparse_rank(case):
+    L, size, vectors = case
+    phi = len(cyclotomic_polynomial(L)) - 1
+    pivots: dict = {}
+    rank = sum(_insert_field_column(dict(v), size, L, pivots) for v in vectors)
+    assert rank == sparse_rank([dict(v) for v in vectors])
+    assert len(pivots) == phi * rank
+    for lead, row in pivots.items():
+        assert row[0] > 0 and gcd(*row) == 1, lead  # primitive, positive leading entry

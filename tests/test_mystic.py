@@ -18,8 +18,9 @@ from mystica.mystic import (
     mystic_equiv_check,
     unique_equivalent_thick,
 )
-from mystica.qpoly import default_truncation_degree
-from mystica.verify import VerifyConfig, _even_m_cells, independence_groups
+from mystica.linalg import _insert_pivot
+from mystica.qpoly import class_sum_terms, default_truncation_degree, operator_matrix
+from mystica.verify import SATURATION_SLACK, VerifyConfig, _even_m_cells, independence_groups
 
 
 def test_mu_of_smallest_even_group_is_cyclic_four():
@@ -288,3 +289,47 @@ def test_saturation_search_above_exact_order_matches_reference():
         d, rank = faithfulness_saturation_degree(G, c, G.n * G.N)
         assert rank == G.order and d is not None, c
         assert faithfulness_rank(G, c, d - 1) < G.order == faithfulness_rank(G, c, d), c
+
+
+def _all_columns_class_sum_search(G, c, max_degree):
+    """The class-sum search on every slice column, eliminated over the field:
+    each position (degree, row, column) of the class-sum operators gives a
+    column of class values, and the distinct ones join one reduced-echelon
+    pivot set of Cyclotomic rows."""
+    classes = class_sum_terms(G)
+    pivots: dict = {}
+    for d in range(max_degree + 1):
+        columns: dict = {}
+        for i, class_sum in enumerate(classes):
+            for position, v in operator_matrix(class_sum, c, d).entries.items():
+                columns.setdefault(position, {})[i] = v
+        distinct = {tuple((i, v.order, v.nums, v.den) for i, v in col.items()): col for col in columns.values()}
+        for column in distinct.values():
+            if _insert_pivot(column, pivots) and len(pivots) == len(classes):
+                return d, G.order
+    return None, faithfulness_rank(G, c, max_degree)
+
+
+def _orbit_search_groups():
+    """Every criterion-9 cell, W(3,1,3) (permutation image A_3) and a torus
+    group (trivial image), built afresh on each call, so that the class-sum
+    entries one test fills are freed with its group."""
+    return independence_groups(VerifyConfig()) + [
+        make_w(3, 1, 3),
+        closure_generate((4, 2), [torus_gen(2, 4, 1, 1), torus_gen(2, 4, 2, 2)]),
+    ]
+
+
+_ORBIT_SEARCH_IDS = [G.tag.label for G in _orbit_search_groups()]
+
+
+@pytest.mark.parametrize("index", range(len(_ORBIT_SEARCH_IDS)), ids=_ORBIT_SEARCH_IDS)
+def test_orbit_column_search_matches_the_all_columns_search(index):
+    # the same degree as verify's criterion 9 searches to; every cell
+    # saturates there, so the rank is the group order
+    G = _orbit_search_groups()[index]
+    max_degree = G.n * G.N + SATURATION_SLACK
+    for c in C_VALUES:
+        expected = _all_columns_class_sum_search(G, c, max_degree)
+        assert expected[0] is not None
+        assert faithfulness_saturation_degree(G, c, max_degree) == expected, c

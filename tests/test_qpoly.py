@@ -601,3 +601,50 @@ def test_group_sum_entry_memo_and_period_match_element_by_element_sums():
                 assert subset is subsets[0] or size % G.N == 0
     assert any(size == 1 < count for size, count in periods)
     assert any(1 < size < count for size, count in periods)
+
+
+def _permutation_image(G):
+    return tuple(perm for perm, rows in G.blocks() if rows)
+
+
+def test_orbit_columns_meet_each_orbit_once():
+    from mystica.groups import closure_generate
+    from mystica.qpoly import _orbit_columns
+
+    groups = (
+        make_gmpn(3, 1, 3),  # S_3
+        make_w(3, 1, 3),  # A_3: the odd blocks are empty
+        make_gmpn(2, 2, 4),  # S_4
+        closure_generate((4, 2), [torus_gen(2, 4, 1, 1)]),  # trivial image
+        closure_generate((4, 3), [adjacent_swap(3, 4, 1)]),  # one transposition
+    )
+    for G in groups:
+        perms = _permutation_image(G)
+        for degree in range(6):
+            basis = slice_monomials(G.n, degree)
+            orbits = {frozenset(perm_apply(w, k) for w in perms) for k in basis}
+            reps = _orbit_columns(perms, degree)
+            assert list(reps) == sorted(reps)
+            assert sorted(len(orbit & {basis[col] for col in reps}) for orbit in orbits) == [1] * len(orbits)
+            assert len(reps) == len(orbits), (G, degree)
+
+
+def test_operator_matrix_on_chosen_columns_is_the_restricted_full_matrix():
+    from mystica.qpoly import _orbit_columns, class_sum_terms
+
+    G = make_gmpn(4, 1, 3)
+    half = Cyclotomic.rational(Fraction(1, 2))
+    one_off = [(g, Fraction(num, 3)) for g, num in zip(G.elements[::7], itertools.cycle((1, -2, 5)))]
+    actors = (class_sum_terms(G)[3], one_off, G.elements[5])
+    for actor in actors:
+        for c in (0, 1, cyc_make(4, 1), half):
+            for degree in (0, 3, 5):
+                dim = len(slice_monomials(G.n, degree))
+                for columns in (_orbit_columns(_permutation_image(G), degree), (dim - 1,), range(0, dim, 2)):
+                    # the part first, so that a kept sum fills its entries there
+                    part = operator_matrix(actor, c, degree, columns)
+                    full = operator_matrix(actor, c, degree)
+                    kept = set(columns)
+                    expected = {pos: v for pos, v in full.entries.items() if pos[1] in kept}
+                    assert (part.nrows, part.ncols) == (full.nrows, full.ncols) == (dim, dim)
+                    assert part.entries == expected, (c, degree)
