@@ -131,7 +131,7 @@ class FiniteMonomialGroup:
         known; IndexedGroup.generators starts from it."""
         return tuple(_trusted(self.n, self.N, perm, exps) for perm, exps in self._generators)
 
-    def memo(self, key: str, build):
+    def memo(self, key, build):
         """build(), computed on first use and kept with the group under key."""
         if key not in self._memo:
             self._memo[key] = build()
@@ -489,13 +489,24 @@ class IndexedGroup:
                 self._where[perm] = (start, rows, row_dicts[id(rows)])
                 start += len(rows)
         self.id_index = self.index_of(G.identity())
-        self.inv = [self.index_of(a.inverse()) for a in self.elems]
+        self.inv = self._inverses()
         self._right: dict[int, list[int]] = {}
         self._gens: list[int] | None = None
         self._tree: list[tuple[int, int, list[int]]] = []
         self._classes: list[frozenset[int]] | None = None
         self._class_of: list[int] | None = None
         self._class_mult: list[list[int]] | None = None
+
+    def _inverses(self) -> list[int]:
+        """i -> the index of the inverse of element i, block by block without
+        an element: (t*w)^-1 = (-w^-1(t))*w^-1 lies in the block of w^-1, at
+        the row of the exponents -t_(w(j)) mod N."""
+        N = self.group.N
+        out: list[int] = []
+        for perm, (_, rows, _) in self._where.items():
+            target, _, row_of = self._where[tuple(map(perm.index, range(len(perm))))]  # w^-1
+            out.extend(target + row_of[tuple([-t[x] % N for x in perm])] for t in rows)
+        return out
 
     def index_of(self, a: MonomialElement) -> int:
         """The index of the group element a: its block start plus its row."""

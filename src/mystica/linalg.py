@@ -155,20 +155,15 @@ def _insert_integer_pivot(row: list[int], pivots: dict) -> bool:
     return True
 
 
-def _insert_field_column(column: dict, size: int, order: int, pivots: dict) -> bool:
-    """Insert the vector over Q(zeta_order) with the given entries (index
-    below size -> Cyclotomic) into the integer echelon rows as its phi(order)
-    rows zeta^j v, entry i at coordinates i*phi .. i*phi + phi - 1; whether
-    its rank over Q(zeta_order) grew.  The rows already inserted span a
-    Q(zeta_order)-space, so v either lies in it, and so does every zeta^j v,
-    or each of its rows raises the rational rank by one."""
+def _insert_field_column(row: list[int], order: int, pivots: dict) -> bool:
+    """Insert the vector v over Q(zeta_order) whose power-basis coordinates,
+    scaled to integers, are the row (entry i at coordinates i*phi .. i*phi +
+    phi - 1) into the integer echelon rows as its phi(order) rows zeta^j v;
+    whether its rank over Q(zeta_order) grew.  The rows already inserted
+    span a Q(zeta_order)-space, so v either lies in it, and so does every
+    zeta^j v, or each of its rows raises the rational rank by one."""
     poly = cyclotomic_polynomial(order)
     deg = len(poly) - 1
-    entries = [(i, v if v.order == order else v.lift(order)) for i, v in column.items()]
-    den = lcm(*(v.den for _, v in entries))
-    row = [0] * (size * deg)
-    for i, v in entries:
-        row[i * deg : (i + 1) * deg] = v.nums if v.den == den else [x * (den // v.den) for x in v.nums]
     if not _insert_integer_pivot(row, pivots):
         return False
     for _ in range(deg - 1):

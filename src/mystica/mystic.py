@@ -15,19 +15,27 @@ linearly independent once d is large enough; the smallest such d is found
 exactly on the conjugacy-class sums, with the element-level rank kept as
 the slow reference.  Conjugation fixes a class sum, so its entries at the
 positions of one orbit of G's permutation image are those at one position,
-times factors shared by every class sum: the search reads each class sum at
-one slice column per orbit and takes the rank in integers.
+times factors shared by every class sum: the search reads the class sums at
+one slice column per orbit and takes the rank in integers.  It reads all k
+of them at once, from one operator of the packed centre sum_i B^i C_i per
+degree (B = 2^width, Kronecker substitution): D times an entry, D the lcm of
+the denominators of the twist values (-1)^s c^b zeta_N^a, has the integer
+coordinates of D times each class value as its signed base-B digits, and the
+width is derived from |G| and the largest numerator of a scaled twist value,
+so no digit overflows.  Each distinct packed entry is decoded and inserted
+once over the whole search.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .cyclo import Cyclotomic, in_gaussian_half_ring
 from .groupalg import GroupAlgebraElement, q_w_element
 from .groups import FiniteMonomialGroup, common_ambient, mu_group, thick_family
 from .linalg import _insert_field_column, sparse_rank
-from .qpoly import _c_key, _field_order, _orbit_columns, class_sum_terms, group_sum_terms, operator_matrix
+from .qpoly import _GroupSum, _c_key, _field_order, _orbit_columns, _twist_row, group_sum_terms, operator_matrix
 
 
 class EquivalenceReport(NamedTuple):
@@ -179,6 +187,56 @@ def faithfulness_rank(G: FiniteMonomialGroup, c, degree: int) -> int:
     return sparse_rank(rows)
 
 
+def _packed_centre(G: FiniteMonomialGroup, c_key) -> tuple:
+    """(packed sum, k, width, D) of G under the c of the key, made once per
+    (G, c key) and kept with G: the sum of B^i C_i over the k class sums C_i
+    of G.indexed().conjugacy_classes(), B = 2^width, as one _GroupSum.
+
+    An entry of C_i sums at most |G| values (-1)^s c^b zeta_N^a, |b| <=
+    n(n-1)/2, and D, the lcm of the denominators of those twist rows, makes
+    each integral.  So no coordinate of D times an entry of C_i, also where
+    two permutations meet at one position, exceeds |G| times the largest
+    numerator of a twist value times D, and a signed digit of width bits
+    holds it with room for the bias of _class_digits."""
+
+    def build():
+        inversions = G.n * (G.n - 1) // 2
+        rows = [_twist_row(G.N, c_key, s, b) for s in (0, 1) for b in range(-inversions, inversions + 1)]
+        D = lcm(*(den for _, _, den in rows))
+        top = max(abs(x) * (D // den) for _, nums, den in rows for value in nums for x in value)
+        width = (2 * G.order * top).bit_length() + 1
+        classes = G.indexed().conjugacy_classes()
+        terms = [(G.elements[j], 1 << (i * width)) for i, cls in enumerate(classes) for j in sorted(cls)]
+        return _GroupSum(terms, G.n, G.N), len(classes), width, D
+
+    return G.memo(("packed_centre", c_key), build)
+
+
+def _class_digits(entry: Cyclotomic, k: int, width: int, D: int) -> list[int]:
+    """The integer row of the k class values packed in an entry of the
+    packed centre: the power-basis coordinates of D times the value of class
+    i at i*phi .. i*phi + phi - 1, read off D times the entry as signed
+    base-2^width digits through a bias that makes each digit nonnegative.
+    ValueError if the entry's denominator does not divide D or the scaled
+    entry leaves the k digits' range: the width bound was broken."""
+    if D % entry.den:
+        raise ValueError(f"entry denominator {entry.den} does not divide {D}")
+    scale = D // entry.den
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shifts = range(0, k * width, width)
+    top = 1 << (k * width)
+    bias = half * (top - 1) // mask  # half in every digit
+    phi = len(entry.nums)
+    row = [0] * (k * phi)
+    for j, x in enumerate(entry.nums):
+        x = x * scale + bias
+        if not 0 <= x < top:
+            raise ValueError("a packed class value is out of the digit range")
+        row[j::phi] = [(x >> s & mask) - half for s in shifts]
+    return row
+
+
 def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
     """(d, G.order) for the smallest degree bound d at which the operators of
     the group elements on the slices of degree at most d are linearly
@@ -196,26 +254,35 @@ def faithfulness_saturation_degree(G: FiniteMonomialGroup, c, max_degree: int):
     conjugating by it fixes every class sum C, so
     rho(C)[w(r), w(k)] = mu_g(r) mu_g(k)^-1 rho(C)[r, k] with one factor for
     every C: the class-value columns at the positions of one orbit are
-    proportional.  So each class sum is placed at one slice column per orbit
-    of G's permutation image, and the rank of the distinct class-value
-    columns is found exactly by the integer kernel of linalg, all degrees
-    joining one echelon set; the search stops when the rank reaches k.
+    proportional.  So the class sums are read at one slice column per orbit
+    of G's permutation image.
+
+    They are read together, from one operator_matrix call per degree on the
+    packed centre sum_i B^i C_i of _packed_centre (Kronecker substitution;
+    Harvey, J. Symbolic Comput. 44, 2009).  D times an entry, D the lcm of
+    the twist rows' denominators, has the integer coordinates of D times
+    each class value as its signed base-B digits, and the width behind B
+    is derived so that no digit overflows.  Each distinct packed entry is
+    decoded and inserted once over the whole search, and the integer kernel
+    of linalg finds the rank exactly; the search stops when it reaches k.
     """
-    classes = class_sum_terms(G)
+    c_key = _c_key(c)
+    centre, k, width, D = _packed_centre(G, c_key)
     perms = tuple(perm for perm, rows in G.blocks() if rows)
-    field_order = _field_order(_c_key(c), G.N)
+    field_order = _field_order(c_key, G.N)
     pivots: dict = {}
+    seen: set = set()
     rank = 0
     for d in range(max_degree + 1):
-        orbit_columns = _orbit_columns(perms, d)
-        columns: dict = {}  # (row, col) -> {class: entry}
-        for i, class_sum in enumerate(classes):
-            for position, v in operator_matrix(class_sum, c, d, orbit_columns).entries.items():
-                columns.setdefault(position, {})[i] = v
-        distinct = {tuple((i, v.order, v.nums, v.den) for i, v in col.items()): col for col in columns.values()}
-        for column in sorted(distinct.values(), key=len):
-            if _insert_field_column(column, len(classes), field_order, pivots):
+        rows = []
+        for v in operator_matrix(centre, c, d, _orbit_columns(perms, d)).entries.values():
+            key = v.nums, v.den
+            if key not in seen:
+                seen.add(key)
+                rows.append(_class_digits(v, k, width, D))
+        for row in sorted(rows, key=lambda row: len(row) - row.count(0)):
+            if _insert_field_column(row, field_order, pivots):
                 rank += 1
-                if rank == len(classes):
+                if rank == k:
                     return d, G.order
     return None, faithfulness_rank(G, c, max_degree)

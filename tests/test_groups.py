@@ -400,6 +400,9 @@ def test_indexed_products_and_inverses_match_element_law():
     groups += (closure_generate((4, 3), [a, b]), ig.subgroup_from_indices(normal), make_w(3, 1, 3))
     for H in groups:
         _indexed_pairs(H, [(rng.randrange(H.order), rng.randrange(H.order)) for _ in range(400)])
+        # every inverse, read block by block, among them those of W(3,1,3)
+        # around its empty odd blocks and of the closure's run blocks
+        assert [H.elements[j] for j in H.indexed().inv] == [x.inverse() for x in H.elements], H
         assert H.torus_elements() == tuple(x for x in H.elements if x.is_torus()), H
     assert sum(not rows for _, rows in groups[-1].blocks()) == 3  # the odd permutations of S_3
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 from hypothesis import given, settings
@@ -198,13 +198,26 @@ def _field_vectors(draw):
     return L, size, vectors
 
 
+def _integer_row(vector, size, L):
+    """The power-basis coordinates of a vector over Q(zeta_L) (index ->
+    Cyclotomic), entry i at i*phi .. i*phi + phi - 1, over their common
+    denominator."""
+    phi = len(cyclotomic_polynomial(L)) - 1
+    entries = {i: v.lift(L) for i, v in vector.items()}
+    den = lcm(1, *(v.den for v in entries.values()))
+    row = [0] * (size * phi)
+    for i, v in entries.items():
+        row[i * phi : (i + 1) * phi] = [x * (den // v.den) for x in v.nums]
+    return row
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_field_vectors())
 def test_integer_kernel_rank_matches_sparse_rank(case):
     L, size, vectors = case
     phi = len(cyclotomic_polynomial(L)) - 1
     pivots: dict = {}
-    rank = sum(_insert_field_column(dict(v), size, L, pivots) for v in vectors)
+    rank = sum(_insert_field_column(_integer_row(v, size, L), L, pivots) for v in vectors)
     assert rank == sparse_rank([dict(v) for v in vectors])
     assert len(pivots) == phi * rank
     for lead, row in pivots.items():

@@ -12,6 +12,8 @@ from mystica.monomial import MonomialElement, torus_gen
 from mystica.mystic import (
     EquivalenceReport,
     GroupRingIsoReport,
+    _class_digits,
+    _packed_centre,
     faithfulness_rank,
     faithfulness_saturation_degree,
     group_ring_iso_check,
@@ -19,7 +21,7 @@ from mystica.mystic import (
     unique_equivalent_thick,
 )
 from mystica.linalg import _insert_pivot
-from mystica.qpoly import class_sum_terms, default_truncation_degree, operator_matrix
+from mystica.qpoly import _c_key, _field_order, class_sum_terms, default_truncation_degree, operator_matrix
 from mystica.verify import SATURATION_SLACK, VerifyConfig, _even_m_cells, independence_groups
 
 
@@ -270,11 +272,18 @@ def _reference_saturation(G, c, max_degree):
     return None, faithfulness_rank(G, c, max_degree)
 
 
-SMALL_INDEPENDENCE_GROUPS = [G for G in independence_groups(VerifyConfig()) if G.order <= 32]
+def _small_search_groups():
+    """The criterion-9 cells of order at most 32, built afresh on each call,
+    so that the entries one test fills are freed with its groups."""
+    return [G for G in independence_groups(VerifyConfig()) if G.order <= 32]
 
 
-@pytest.mark.parametrize("G", SMALL_INDEPENDENCE_GROUPS, ids=lambda G: G.tag.label)
-def test_saturation_search_matches_reference(G):
+_SMALL_SEARCH_IDS = [G.tag.label for G in _small_search_groups()]
+
+
+@pytest.mark.parametrize("index", range(len(_SMALL_SEARCH_IDS)), ids=_SMALL_SEARCH_IDS)
+def test_saturation_search_matches_reference(index):
+    G = _small_search_groups()[index]
     for c in C_VALUES:
         for max_degree in (1, G.n * G.N + 2):
             expected = _reference_saturation(G, c, max_degree)
@@ -333,3 +342,54 @@ def test_orbit_column_search_matches_the_all_columns_search(index):
         expected = _all_columns_class_sum_search(G, c, max_degree)
         assert expected[0] is not None
         assert faithfulness_saturation_degree(G, c, max_degree) == expected, c
+
+
+# c values whose twist rows have denominators (5/3, 7/2 - 3 zeta4), an order
+# other than N's (2 + zeta3) or a large numerator (-3), which set D and the
+# digit width of the packed centre
+STRESS_C_VALUES = (-3, Fraction(5, 3), parse_scalar("2+zeta3"), parse_scalar("7/2+-3*zeta4"))
+
+
+@pytest.mark.parametrize("index", range(len(_SMALL_SEARCH_IDS)), ids=_SMALL_SEARCH_IDS)
+def test_packed_search_matches_the_all_columns_search_at_stress_c(index):
+    G = _small_search_groups()[index]
+    max_degree = G.n * G.N + SATURATION_SLACK
+    for c in STRESS_C_VALUES:
+        assert faithfulness_saturation_degree(G, c, max_degree) == _all_columns_class_sum_search(G, c, max_degree), c
+
+
+@pytest.mark.parametrize("make", [lambda: make_gmpn(4, 1, 2), lambda: make_w(4, 1, 3)], ids=["G(4,1,2)", "W(4,1,3)"])
+def test_packed_centre_digits_are_the_class_values(make):
+    # the centre is linear in the class sums: the digits read off each entry
+    # of the packed operator are D times the power-basis coordinates of every
+    # class sum's entry there, on every column
+    G = make()
+    for c in C_VALUES:
+        c_key = _c_key(c)
+        centre, k, width, D = _packed_centre(G, c_key)
+        classes = class_sum_terms(G)
+        assert k == len(classes)
+        L = _field_order(c_key, G.N)
+        for d in range(7):
+            packed = operator_matrix(centre, c, d).entries
+            per_class = [operator_matrix(C, c, d).entries for C in classes]
+            positions = set(packed).union(*per_class)
+            for position in positions:
+                expected = []
+                for entries in per_class:
+                    v = entries.get(position, Cyclotomic.zero(L)).lift(L)
+                    assert all(x * D % v.den == 0 for x in v.nums)
+                    expected.append([x * D // v.den for x in v.nums])
+                phi = len(expected[0])
+                row = _class_digits(packed[position], k, width, D) if position in packed else [0] * (k * phi)
+                assert [row[i * phi : (i + 1) * phi] for i in range(k)] == expected, (c, d, position)
+
+
+def test_a_packed_entry_outside_the_digit_range_raises():
+    G = make_gmpn(4, 1, 2)
+    _, k, width, D = _packed_centre(G, _c_key(Fraction(5, 3)))
+    assert D % 7
+    with pytest.raises(ValueError):
+        _class_digits(parse_scalar("1/7"), k, width, D)  # a denominator that does not divide D
+    with pytest.raises(ValueError):
+        _class_digits(Cyclotomic.rational(1 << (k * width)), k, width, D)

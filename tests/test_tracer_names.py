@@ -4,13 +4,17 @@ The layer tracer behind `perfbench/run.py --trace 1` wraps a few private
 callables by name (EXTRA) and attaches counter hooks to others (HOOKS), and
 the group-structure and identity-suites workloads call `mystica.verify`
 functions by name.  A rename or deletion of one of them in src breaks the
-benchmark; these tests fail first.
+benchmark; these tests fail first.  The traced operator-rank round also
+expects the saturation search to reach the slices through
+`qpoly.operator_matrix`, once per degree it searches.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,3 +60,21 @@ def test_workloads_name_existing_verify_functions():
     verify = importlib.import_module("mystica.verify")
     missing = [name for name in names if not callable(getattr(verify, name, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("c", [0, 1, "zeta4"])
+def test_the_saturation_search_calls_operator_matrix_once_per_degree(monkeypatch, c):
+    cyclo, groups, mystic = (importlib.import_module(f"mystica.{name}") for name in ("cyclo", "groups", "mystic"))
+    c = cyclo.cyc_make(4, 1) if c == "zeta4" else c
+    calls = []
+    original = mystic.operator_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mystic, "operator_matrix", counted)
+    G = groups.make_gmpn(4, 1, 2)
+    degree, rank = mystic.faithfulness_saturation_degree(G, c, G.n * G.N + 2)
+    assert rank == G.order
+    assert calls == list(range(degree + 1))
