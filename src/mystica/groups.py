@@ -3,8 +3,9 @@
 Groups are stored extensionally, as the sorted tuple of all their elements.
 A family group (G(m,p,n), W(m,d,n), T(m,p,j,n)) holds one block of torus
 rows per permutation instead, takes its order from the block sizes and builds
-the element tuple on first read.  The element set behind equality, hashing
-and membership tests is built from that tuple on first use and kept, so a
+the element tuple on first read.  Equality and hashing read the non-empty
+blocks, so comparing two family groups builds no element; the element set
+behind membership tests is built from the tuple on first use and kept, so a
 caller that reads only the elements and the order never hashes them.  The
 torus order of the ambient field is always lcm(m, 4) so that fourth roots of
 unity coexist with the m-th roots used by the group itself.
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from .monomial import MonomialElement, _trusted, perm_sign
+from .monomial import MonomialElement, _trusted, cycles_order, perm_cycles, perm_sign
 
 DEFAULT_CAP = 50_000
 
@@ -74,7 +75,8 @@ class FiniteMonomialGroup:
     tuple from the start.  A family group holds blocks, one (permutation,
     torus rows) pair per permutation in sort order, and a short generating
     set; `elements` builds the tuple from the blocks on first read, and
-    `order`, `len`, `tag`, `to_json()` and `lift` never need it.
+    `order`, `len`, `tag`, `to_json()`, `lift`, `sign_twist`, `==` and
+    `hash` never need it.
     """
 
     def __init__(self, n: int, N: int, elements, tag: GroupTag | None = None):
@@ -151,14 +153,21 @@ class FiniteMonomialGroup:
         return a in self.element_set()
 
     def __eq__(self, other) -> bool:
+        """Equal element sets, read off the non-empty blocks: every
+        construction keeps its blocks and rows in sort order, so two groups
+        with the same elements have the same non-empty blocks."""
         return (
             isinstance(other, FiniteMonomialGroup)
-            and (self.n, self.N) == (other.n, other.N)
-            and self.element_set() == other.element_set()
+            and (self.n, self.N, self.order) == (other.n, other.N, other.order)
+            and self._filled_blocks() == other._filled_blocks()
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.N, self.element_set()))
+        return self.memo("hash", lambda: hash((self.n, self.N, self._filled_blocks())))
+
+    def _filled_blocks(self) -> tuple:
+        """The blocks with at least one row."""
+        return tuple(block for block in self.blocks() if block[1])
 
     def __repr__(self) -> str:
         return f"<{self.tag.label} order {self.order} in mu_{self.N}^{self.n}:S_{self.n}>"
@@ -199,6 +208,41 @@ class FiniteMonomialGroup:
         blocks = tuple((perm, tuple(tuple([e * step for e in ex]) for ex in rows)) for perm, rows in self.blocks())
         generators = tuple((perm, tuple([e * step for e in exps])) for perm, exps in self._generators)
         return FiniteMonomialGroup._from_blocks(self.n, N, blocks, self.tag, generators)
+
+    def sign_twist(self) -> "FiniteMonomialGroup":
+        """phi(G) = {(-I)^[w odd] t*w}, for even N: the rows of each odd
+        permutation's block moved by N/2 in every coordinate and re-sorted.
+        g -> (-I)^[w odd] is a homomorphism into the centre and phi keeps w,
+        so phi is an injective homomorphism and phi(G) is isomorphic to G."""
+        if self.N % 2:
+            raise ValueError(f"-I is not in the torus of order {self.N}")
+        N, half = self.N, self.N // 2
+        twisted: dict[int, tuple] = {}  # id(rows) -> moved rows; blocks may share rows
+
+        def moved(exps: tuple) -> tuple:
+            return tuple([(e + half) % N for e in exps])
+
+        def twist(perm: tuple, rows: tuple) -> tuple:
+            if perm_sign(perm) == 1:
+                return rows
+            if id(rows) not in twisted:
+                twisted[id(rows)] = tuple(sorted(map(moved, rows)))
+            return twisted[id(rows)]
+
+        blocks = tuple((perm, twist(perm, rows)) for perm, rows in self.blocks())
+        generators = tuple((perm, exps if perm_sign(perm) == 1 else moved(exps)) for perm, exps in self._generators)
+        return FiniteMonomialGroup._from_blocks(self.n, N, blocks, GroupTag("generated"), generators)
+
+    def order_histogram(self) -> tuple[tuple[int, int], ...]:
+        """(element order, count) pairs in increasing order, read off the
+        blocks by monomial.cycles_order, with no element built."""
+        histogram: dict[int, int] = {}
+        for perm, rows in self.blocks():
+            cycles = perm_cycles(perm)
+            for exps in rows:
+                order = cycles_order(cycles, exps, self.N)
+                histogram[order] = histogram.get(order, 0) + 1
+        return tuple(sorted(histogram.items()))
 
     def to_json(self) -> dict:
         if self.tag.kind == "G":
@@ -718,15 +762,19 @@ def _bits(mask: int):
 def enumerate_thick(m: int, n: int) -> list[FiniteMonomialGroup]:
     """All thick subgroups of G(m,1,n), found by searching the ambient's
     lattice of normal subgroups as joins of conjugacy-class closures, each
-    named by the member of thick_family with its element set."""
+    named by the member of thick_family with its element indices."""
     cap = group_size_cap()
     if m**n * factorial(n) > cap:
         raise CapExceededError(f"ambient order {m ** n * factorial(n)} exceeds cap {cap}")
     ig = make_gmpn(m, 1, n).indexed()
-    tags = {T.element_set(): T.tag for T in thick_family(m, n)}
+    # each member's ambient index set: block start plus row
+    where = ig._where
+    tags = {
+        frozenset(where[perm][0] + where[perm][2][exps] for perm, rows in T.blocks() for exps in rows): T.tag
+        for T in thick_family(m, n)
+    }
     out = []
     for indices in ig.normal_subgroups():
         if len({ig.elems[i].perm for i in indices}) == factorial(n):
-            found = frozenset(ig.elems[i] for i in indices)
-            out.append(ig.subgroup_from_indices(indices, tags.get(found, GroupTag("generated"))))
+            out.append(ig.subgroup_from_indices(indices, tags.get(indices, GroupTag("generated"))))
     return sorted(out, key=lambda G: (G.order, [a.sort_key() for a in G.elements]))

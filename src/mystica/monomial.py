@@ -97,23 +97,8 @@ class MonomialElement:
         return out
 
     def element_order(self) -> int:
-        """lcm over the cycles C of w of |C| * N / gcd(N, sum of e_i over C):
-        the |C|-th power of t*w acts on the coordinates of C as the scalar
-        zeta_N^(sum of e_i over C)."""
-        order = 1
-        seen = [False] * self.n
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = total = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                length += 1
-                total += self.exps[i]
-                i = self.perm[i]
-            order = lcm(order, length * (self.N // gcd(self.N, total)))
-        return order
+        """The order of t*w, by cycles_order."""
+        return cycles_order(perm_cycles(self.perm), self.exps, self.N)
 
     # -- characters and actions -------------------------------------------
 
@@ -173,23 +158,35 @@ def _trusted(n: int, N: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> Mo
     return elem
 
 
-def cycle_text(perm: tuple[int, ...]) -> str:
-    """One-based cycle notation, '()' for the identity."""
+def perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of the permutation, fixed points included, each walked as
+    i, perm[i], perm[perm[i]], ... from its smallest point i, in order of
+    that point."""
     seen = [False] * len(perm)
     cycles = []
     for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        cycles.append("(" + " ".join(str(c + 1) for c in cycle) + ")")
-    return "".join(cycles) if cycles else "()"
+        cycle, i = [], start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = perm[i]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def cycles_order(cycles: list[list[int]], exps: tuple[int, ...], N: int) -> int:
+    """The order of t*w for t = zeta_N^exps and w with these cycles: lcm over
+    the cycles C of |C| * N / gcd(N, sum of e_i over C), since the |C|-th
+    power of t*w acts on the coordinates of C as the scalar
+    zeta_N^(sum of e_i over C)."""
+    return lcm(*[len(cycle) * (N // gcd(N, sum([exps[i] for i in cycle]))) for cycle in cycles])
+
+
+def cycle_text(perm: tuple[int, ...]) -> str:
+    """One-based cycle notation, '()' for the identity."""
+    cycles = ("(" + " ".join(str(i + 1) for i in cycle) + ")" for cycle in perm_cycles(perm) if len(cycle) > 1)
+    return "".join(cycles) or "()"
 
 
 def adjacent_swap(n: int, N: int, i: int) -> MonomialElement:

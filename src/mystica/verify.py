@@ -23,7 +23,7 @@ from .mystic import (
     mystic_equiv_check,
     unique_equivalent_thick,
 )
-from .classify import ISO_CAP, isomorphic, regular_singular
+from .classify import ISO_CAP, certified_isomorphic, isomorphic, regular_singular
 from .qpoly import (
     QMatrix,
     act_c,
@@ -230,14 +230,17 @@ def _prediction(check: str, params: dict, predicted: bool, computed: bool) -> Ch
 
 def check_isomorphism_parity(cfg: VerifyConfig) -> list[CheckResult]:
     """Each group against its counterpart: not isomorphic exactly when n is
-    even and m/p is odd."""
+    even and m/p is odd.  Each cell is decided by certified_isomorphic: the
+    sign twist or the order histogram, read off the blocks, and the search
+    only where neither decides."""
     out = []
     for m, p, n in _even_m_cells(cfg, "isomorphism-parity"):
         G = make_gmpn(m, p, n)
         if G.order > ISO_CAP:
             continue
         predicted = not (n % 2 == 0 and (m // p) % 2 == 1)
-        out.append(_prediction("isomorphism-parity", {"m": m, "p": p, "n": n}, predicted, isomorphic(G, mu_group(G))))
+        computed = certified_isomorphic(G, mu_group(G)).isomorphic
+        out.append(_prediction("isomorphism-parity", {"m": m, "p": p, "n": n}, predicted, computed))
     return out
 
 

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from mystica.classify import ISO_CAP, _MultTable, fingerprint, isomorphic, regular_singular
+from mystica.classify import ISO_CAP, Verdict, _MultTable, certified_isomorphic, fingerprint, isomorphic, regular_singular
 from mystica.groups import CapExceededError, FiniteMonomialGroup, enumerate_thick, make_gmpn, make_w, mu_group
 from mystica.verify import (
     CheckResult,
@@ -230,3 +230,81 @@ def test_isomorphism_verdicts_do_not_depend_on_the_generators_searched():
         assert isomorphic(_explicit(G), H) == isomorphic(G, _explicit(H)) == family, (G, H)
         verdicts.add(family)
     assert verdicts == {True, False}
+
+
+# -- criterion 5 by certificates ---------------------------------------------
+
+
+def _counterpart_cells():
+    """The 12 cells criterion 5 runs, and further even-level cells: m <= 8
+    with n <= 3, and m = 2 with n = 4, wherever the order is at most ISO_CAP."""
+    cells = {(m, p, n) for m in (2, 4) for n in (2, 3, 4) for p in range(1, m + 1) if m % p == 0}
+    cells |= {(m, p, n) for m in (2, 4, 6, 8) for n in (2, 3) for p in range(1, m + 1) if m % p == 0}
+    for m, p, n in sorted(cells):
+        G = make_gmpn(m, p, n)
+        if G.order <= ISO_CAP:
+            yield G, mu_group(G)
+
+
+def test_certified_decision_matches_the_search_on_counterpart_cells():
+    # the sign twist decides every isomorphic cell and the order histogram
+    # every other one; no cell falls back to the search
+    pairs = list(_counterpart_cells())
+    assert len(pairs) == 23
+    assert {G.tag.params for G, _ in _criterion_5_pairs()} <= {G.tag.params for G, _ in pairs}
+    certificates = set()
+    for G, mu in pairs:
+        verdict = certified_isomorphic(G, mu)
+        assert verdict.isomorphic == isomorphic(G, mu), G
+        assert verdict.certificate == ("sign twist" if verdict.isomorphic else "order histogram"), G
+        certificates.add(verdict.certificate)
+    assert certificates == {"sign twist", "order histogram"}
+
+
+def test_isomorphism_parity_makes_no_search(monkeypatch):
+    from mystica import classify, verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomorphic was called")
+
+    monkeypatch.setattr(classify, "isomorphic", refuse)
+    monkeypatch.setattr(verify, "isomorphic", refuse)
+    results = check_isomorphism_parity(VerifyConfig())
+    assert len(results) == 12 and all(r.passed for r in results)
+
+
+def _moved(G, parity: int, shift: int) -> frozenset:
+    """{zeta^shift I * g for the g with perm_sign parity, g otherwise}."""
+    from mystica.monomial import central_scalar, perm_sign
+
+    scalar = central_scalar(G.n, G.N, shift)
+    return frozenset(scalar * g if perm_sign(g.perm) == parity else g for g in G)
+
+
+@pytest.mark.parametrize("m, p, n", [(2, 2, 3), (4, 4, 3)])
+def test_only_the_odd_half_turn_carries_the_group_onto_its_counterpart(m, p, n):
+    # G and mu(G) differ as sets; -I on the odd blocks carries one onto the
+    # other, and neither -I on the even blocks nor zeta^(N/4) I on the odd
+    # ones does
+    G = make_gmpn(m, p, n)
+    mu = mu_group(G)
+    assert G.element_set() != mu.element_set()
+    assert G.sign_twist() == mu and _moved(G, -1, G.N // 2) == mu.element_set()
+    assert _moved(G, 1, G.N // 2) != mu.element_set()
+    assert _moved(G, -1, G.N // 4) != mu.element_set()
+
+
+def test_a_pair_neither_certificate_decides_goes_to_the_search(monkeypatch):
+    from mystica.groups import FiniteMonomialGroup
+
+    # different ranks: no twist applies and the histograms agree
+    assert certified_isomorphic(make_gmpn(2, 2, 3), make_gmpn(1, 1, 4)) == Verdict(True, "search")
+    assert certified_isomorphic(make_gmpn(3, 3, 2), make_gmpn(1, 1, 3)) == Verdict(True, "search")
+    # equal histograms forced: the non-isomorphic cells fall back to the search
+    monkeypatch.setattr(FiniteMonomialGroup, "order_histogram", lambda self: ((1, self.order),))
+    for m, p, n in ((2, 2, 2), (2, 2, 4), (4, 4, 2)):
+        G = make_gmpn(m, p, n)
+        mu = mu_group(G)
+        assert certified_isomorphic(G, mu) == Verdict(isomorphic(G, mu), "search") == Verdict(False, "search")
+    G = make_gmpn(4, 2, 3)
+    assert certified_isomorphic(G, mu_group(G)) == Verdict(True, "sign twist")

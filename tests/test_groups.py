@@ -24,7 +24,7 @@ from mystica.groups import (
     torus_part,
 )
 from mystica.classify import fingerprint, regular_singular
-from mystica.monomial import MonomialElement, adjacent_swap, perm_sign, torus_gen
+from mystica.monomial import MonomialElement, adjacent_swap, central_scalar, perm_sign, torus_gen
 
 
 def test_closure_of_empty_set_is_trivial():
@@ -538,7 +538,7 @@ def _assert_lazy_set_is_eager_set(build, label):
     G = build()
     assert G == build() and G == FiniteMonomialGroup(G.n, G.N, eager), label
     assert (build() == make_gmpn(4, 1, G.n, N=G.N)) == (not outside), label
-    assert hash(build()) == hash((G.n, G.N, eager)) == hash(FiniteMonomialGroup(G.n, G.N, eager)), label
+    assert hash(build()) == hash(FiniteMonomialGroup(G.n, G.N, eager)), label
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -707,3 +707,107 @@ def test_a_second_orders_grid_round_builds_no_torus_rows():
     misses = _torus_rows.cache_info().misses
     check_orders(VerifyConfig())
     assert _torus_rows.cache_info().misses == misses
+
+
+# -- equality and hashing by blocks -----------------------------------------
+
+
+def _equality_pool():
+    """Groups built every way a group is made: the thick atlas to level 4 and
+    rank 4, W(3,1,3) with its empty odd blocks, lifts from N = 4 to N = 8
+    beside their twins built at N = 8, closures and index subgroups."""
+    from mystica.verify import thick_atlas
+
+    pool = [T for _, T in thick_atlas(4, 4)]
+    pool += [make_w(3, 1, 3), make_w(3, 3, 3), make_gmpn(3, 3, 3)]
+    for m, n in itertools.product((1, 2, 4), (2, 3)):
+        for p in (p for p in range(1, m + 1) if m % p == 0):
+            for j in {0, p // 2}:
+                pool += [make_thick(m, p, j, n).lift(8), make_thick(m, p, j, n, N=8)]
+    pool += [make_gmpn(8, 8, 2), make_w(8, 1, 2)]
+    for G in (make_gmpn(4, 2, 3), make_w(4, 1, 3), make_w(3, 1, 3), make_gmpn(2, 2, 2)):
+        pool.append(closure_generate((G.N, G.n), G.known_generators))
+    pool.append(closure_generate((4, 3), [adjacent_swap(3, 4, 1) * torus_gen(3, 4, 2, 1)]))
+    for G in (make_gmpn(2, 1, 3), make_gmpn(4, 1, 2)):
+        ig = G.indexed()
+        pool += [ig.subgroup_from_indices(indices) for indices in ig.normal_subgroups()]
+    return pool
+
+
+def test_block_equality_is_element_set_equality():
+    pool = _equality_pool()
+    assert len(pool) > 80
+    equal_pairs = 0
+    for G in pool:
+        for H in pool:
+            same = G.element_set() == H.element_set()
+            assert (G == H) == same, (G, H)
+            if same:
+                assert hash(G) == hash(H), (G, H)
+                equal_pairs += G is not H
+    # lifts against their twins, closures and index subgroups against families
+    assert equal_pairs > 40
+
+
+def test_independence_groups_are_deduplicated_as_by_element_sets():
+    from mystica.verify import VerifyConfig, independence_groups
+
+    raw = []
+    for m in range(1, 5):
+        for n in range(2, 4):
+            divisors = [k for k in range(1, m + 1) if m % k == 0]
+            raw += [make_gmpn(m, p, n) for p in divisors]
+            raw += [make_w(m, d, n) for d in divisors] if m % 2 == 0 else []
+    raw.append(make_gmpn(1, 1, 4))
+    reference, seen = [], set()
+    for G in raw:
+        if G.element_set() not in seen:
+            seen.add(G.element_set())
+            reference.append(G)
+    got = independence_groups(VerifyConfig())
+    assert [(G.tag, G.n, G.N) for G in got] == [(G.tag, G.n, G.N) for G in reference]
+
+
+def test_equality_hashing_and_the_certificates_build_no_element(monkeypatch):
+    calls = _count_trusted(monkeypatch)
+    groups = []
+    for m in range(1, 7):
+        for n in range(1, 5):
+            divisors = [k for k in range(1, m + 1) if m % k == 0]
+            groups += thick_family(m, n) + [make_w(m, k, n) for k in divisors]
+    groups += [G.lift(2 * G.N) for G in groups[:40]]
+    hashes = {hash(G) for G in groups}
+    assert len(hashes) > 1
+    assert sum(G == H for G in groups for H in groups) >= len(groups)
+    small = [G for G in groups if G.order <= 5000]
+    assert all(G.sign_twist().order_histogram() == G.order_histogram() for G in small)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3), (4, 2), (4, 3), (6, 2)])
+def test_sign_twist_and_order_histogram_match_the_element_law(m, n):
+    # phi(g) = (-I)^[w odd] g by MonomialElement products, and the orders by
+    # element_order, on every thick subgroup and on W at odd level
+    groups = thick_family(m, n) + ([make_w(m, 1, n)] if m % 2 else [])
+    for G in groups:
+        minus = central_scalar(n, G.N, G.N // 2)
+        def phi_of(g):
+            return minus * g if perm_sign(g.perm) == -1 else g
+
+        phi = G.sign_twist()
+        assert phi.order == G.order and phi.element_set() == frozenset(map(phi_of, G)), G
+        assert phi.known_generators == tuple(map(phi_of, G.known_generators)), G
+        assert G.order_histogram() == tuple(sorted(Counter(g.element_order() for g in G).items())), G
+    with pytest.raises(ValueError):
+        closure_generate((3, 2), [adjacent_swap(2, 3, 1)]).sign_twist()
+
+
+def test_enumerate_thick_hashes_no_element(monkeypatch):
+    # thick_family members are named by their ambient index sets
+    def refuse(self):
+        raise AssertionError("a MonomialElement was hashed")
+
+    monkeypatch.setattr(MonomialElement, "__hash__", refuse)
+    for m, n in ((2, 3), (4, 2), (4, 3), (3, 3)):
+        found = enumerate_thick(m, n)
+        assert [T.tag for T in found] == [T.tag for T in thick_family(m, n)]
