@@ -97,11 +97,7 @@ class GroupAlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        return (
-            (self.n, self.N) == (other.n, other.N)
-            and self.terms.keys() == other.terms.keys()
-            and all(v == other.terms[g] for g, v in self.terms.items())
-        )
+        return (self.n, self.N) == (other.n, other.N) and self.terms == other.terms
 
     def is_torus_supported(self) -> bool:
         return all(g.is_torus() for g in self.terms)

@@ -16,8 +16,10 @@ criterion 2 of verify checks it against the paper's product form
 
 The thick subgroups of G(m,1,n) are built in closed form by a det-and-parity
 filter.  The conjugacy-class machinery at the bottom of the module enumerates
-normal subgroups as join-closed unions of conjugacy classes: the independent
-side of criterion 6, and the normal abelian subgroup scans of classify.
+normal subgroups as join-closed unions of conjugacy classes: on the quotient
+G(m,1,n)/{det t = 1} = mu_m x S_n, lifted back, for the independent side of
+criterion 6, and on the group itself for the normal abelian subgroup scans
+of classify.
 """
 
 from __future__ import annotations
@@ -760,21 +762,33 @@ def _bits(mask: int):
 
 
 def enumerate_thick(m: int, n: int) -> list[FiniteMonomialGroup]:
-    """All thick subgroups of G(m,1,n), found by searching the ambient's
-    lattice of normal subgroups as joins of conjugacy-class closures, each
-    named by the member of thick_family with its element indices."""
+    """All thick subgroups of G(m,1,n), by size and then element sort keys.
+    Each contains A = {t : det t = 1}, and t*w -> (det t, w) maps G(m,1,n)
+    onto mu_m x S_n with kernel A (docs/decisions.md, criterion 6, steps
+    1-2), so they are the preimages of the normal subgroups of that quotient
+    which meet every permutation.  The quotient is zeta_m^a I times the
+    permutation matrices, index k*m + a for the k-th permutation; its
+    class-join lattice is searched, and the preimage's block at w holds the
+    torus rows whose det residue is an a met at w.  A preimage equal to a
+    member of thick_family is that member; any other is tagged generated."""
     cap = group_size_cap()
     if m**n * factorial(n) > cap:
         raise CapExceededError(f"ambient order {m ** n * factorial(n)} exceeds cap {cap}")
-    ig = make_gmpn(m, 1, n).indexed()
-    # each member's ambient index set: block start plus row
-    where = ig._where
-    tags = {
-        frozenset(where[perm][0] + where[perm][2][exps] for perm, rows in T.blocks() for exps in rows): T.tag
-        for T in thick_family(m, n)
-    }
+    N, perms, identity = ambient_order(m), tuple(itertools.permutations(range(n))), tuple(range(n))
+    scalars = tuple((a * N // m,) * n for a in range(m))
+    generators = [(identity, scalars[1])] if m > 1 else []  # zeta_m I, (1 2), (1 2 ... n)
+    if n >= 2:
+        generators.append(((1, 0) + identity[2:], scalars[0]))
+    if n >= 3:
+        generators.append((identity[1:] + (0,), scalars[0]))
+    blocks = tuple((w, scalars) for w in perms)
+    quotient = FiniteMonomialGroup._from_blocks(n, N, blocks, GroupTag("generated"), tuple(generators))
+    family = thick_family(m, n)
     out = []
-    for indices in ig.normal_subgroups():
-        if len({ig.elems[i].perm for i in indices}) == factorial(n):
-            out.append(ig.subgroup_from_indices(indices, tags.get(indices, GroupTag("generated"))))
-    return sorted(out, key=lambda G: (G.order, [a.sort_key() for a in G.elements]))
+    for indices in quotient.indexed().normal_subgroups():
+        residues = [frozenset(a for a in range(m) if k * m + a in indices) for k in range(len(perms))]
+        if all(residues):
+            preimage = tuple((w, _torus_rows(m, n, N, r)) for w, r in zip(perms, residues))
+            lifted = FiniteMonomialGroup._from_blocks(n, N, preimage, GroupTag("generated"), ())
+            out.append(next((T for T in family if T == lifted), lifted))
+    return sorted(out, key=lambda G: (G.order, [(w, t) for w, rows in G.blocks() for t in rows]))

@@ -141,9 +141,7 @@ class QPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        return self.n == other.n and self.terms.keys() == other.terms.keys() and all(
-            v == other.terms[k] for k, v in self.terms.items()
-        )
+        return self.n == other.n and self.terms == other.terms
 
     def to_text(self) -> str:
         from .cyclo import scalar_to_text

@@ -1,10 +1,14 @@
-"""The twisted action straight from its definition, one element and one
-monomial at a time: the reference that the tests of the slice-action kernel
-and of the twist identity compare operators with."""
+"""Slow references that the tests compare the fast code with.  The twisted
+action straight from its definition, one element and one monomial at a time,
+for the slice-action kernel and the twist identity; and the thick subgroups
+found on the whole normal-subgroup lattice of G(m,1,n), for
+groups.enumerate_thick, which searches only the lattice of its quotient by
+the det-one torus."""
 
-from math import lcm
+from math import factorial, lcm
 
 from mystica.cyclo import Cyclotomic
+from mystica.groups import CapExceededError, GroupTag, group_size_cap, make_gmpn, thick_family
 from mystica.qpoly import phi_eval, slice_monomials
 
 
@@ -50,3 +54,24 @@ def reference_operator(terms, c, degree: int) -> dict:
             key = (basis.index(image), col)
             want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
     return {key: v for key, v in want.items() if not v.is_zero()}
+
+
+def reference_thick(m, n):
+    """All thick subgroups of G(m,1,n), found by searching the ambient's
+    lattice of normal subgroups as joins of conjugacy-class closures, each
+    named by the member of thick_family with its element indices."""
+    cap = group_size_cap()
+    if m**n * factorial(n) > cap:
+        raise CapExceededError(f"ambient order {m ** n * factorial(n)} exceeds cap {cap}")
+    ig = make_gmpn(m, 1, n).indexed()
+    # each member's ambient index set: block start plus row
+    where = ig._where
+    tags = {
+        frozenset(where[perm][0] + where[perm][2][exps] for perm, rows in T.blocks() for exps in rows): T.tag
+        for T in thick_family(m, n)
+    }
+    out = []
+    for indices in ig.normal_subgroups():
+        if len({ig.elems[i].perm for i in indices}) == factorial(n):
+            out.append(ig.subgroup_from_indices(indices, tags.get(indices, GroupTag("generated"))))
+    return sorted(out, key=lambda G: (G.order, [a.sort_key() for a in G.elements]))

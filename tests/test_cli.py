@@ -121,6 +121,25 @@ def test_thick_command_at_rank_one(capsys):
     )
 
 
+def test_thick_command_on_the_largest_cells_under_the_default_cap(capsys, monkeypatch):
+    # G(6,1,4), of order 31104, is under the default cap of 50000; G(8,1,4)
+    # is over it
+    monkeypatch.delenv("MYSTICA_CAP", raising=False)
+    code, out, _ = run(capsys, "thick", "--m", "6", "--n", "4")
+    assert code == 0
+    assert out == (
+        "thick subgroups at level 6, rank 4: 6\n"
+        "  G(6,6,4)  order 5184\n"
+        "  W(6,1,4)  order 5184\n"
+        "  G(6,3,4)  order 10368\n"
+        "  G(6,2,4)  order 15552\n"
+        "  W(6,3,4)  order 15552\n"
+        "  G(6,1,4)  order 31104\n"
+    )
+    code, out, err = run(capsys, "thick", "--m", "8", "--n", "4")
+    assert (code, out, err) == (2, "", "mystica: ambient order 98304 exceeds cap 50000\n")
+
+
 def test_determinism_identical_bytes(capsys):
     _, first, _ = run(capsys, "thick", "--m", "4", "--n", "2", "--format", "json")
     _, second, _ = run(capsys, "thick", "--m", "4", "--n", "2", "--format", "json")

@@ -6,6 +6,7 @@ from collections import Counter
 from math import factorial, gcd, lcm, prod
 
 import pytest
+from reference import reference_thick
 
 from mystica.groups import (
     CapExceededError,
@@ -155,15 +156,48 @@ def _family_tag(G: FiniteMonomialGroup, m: int) -> GroupTag:
 THICK_GRID_CELLS = [(m, n) for m in range(1, 7) for n in range(1, 4)] + [(m, 4) for m in range(1, 5)]
 
 
-@pytest.mark.parametrize("m, n", THICK_GRID_CELLS)
+@pytest.mark.parametrize("m, n", THICK_GRID_CELLS + [(5, 4), (6, 4)])
 def test_thick_family_is_the_lattice_search(m, n):
-    # the closed form against the search of the ambient's normal-subgroup
-    # lattice: the same groups in the same order, each named as the family
-    # it equals
+    # the closed form against the search of the normal-subgroup lattice of
+    # G(m,1,n)/A: the same groups in the same order, each named as the
+    # family it equals
     family = thick_family(m, n)
     found = enumerate_thick(m, n)
     assert family == found
     assert [T.tag for T in family] == [T.tag for T in found] == [_family_tag(T, m) for T in family]
+
+
+@pytest.mark.parametrize("m, n", THICK_GRID_CELLS)
+def test_enumerate_thick_is_the_ambient_lattice_search(m, n):
+    # the quotient search against the search of the whole lattice of
+    # G(m,1,n): the same groups in the same order with the same names
+    found, reference = enumerate_thick(m, n), reference_thick(m, n)
+    assert found == reference
+    assert [T.tag for T in found] == [T.tag for T in reference]
+    # ledger step 1 on that lattice: every normal subgroup that meets all
+    # permutations holds A = {t : det t = 1}, the torus of G(m,m,n)
+    det_one = set(make_gmpn(m, m, n).blocks()[0][1])
+    assert len(det_one) == m ** (n - 1)
+    for T in reference:
+        perm, rows = T.blocks()[0]
+        assert perm == tuple(range(n)) and det_one <= set(rows), T
+
+
+def test_enumerate_thick_indexes_only_the_quotient(monkeypatch):
+    # one IndexedGroup per call, of order m * n! = |mu_m x S_n|, never the
+    # ambient's m^n * n!
+    orders = []
+    init = IndexedGroup.__init__
+
+    def recording(self, G):
+        orders.append(G.order)
+        init(self, G)
+
+    monkeypatch.setattr(IndexedGroup, "__init__", recording)
+    for m, n in ((1, 3), (4, 1), (4, 3), (3, 3), (2, 4), (6, 4), (12, 3)):
+        orders.clear()
+        enumerate_thick(m, n)
+        assert orders == [m * factorial(n)], (m, n)
 
 
 def test_make_thick_at_rank_one_and_with_a_bad_twist():

@@ -9,7 +9,7 @@ import pytest
 
 from mystica import groups, verify
 from mystica.cyclo import cyc_make
-from mystica.groups import make_gmpn, make_w, thick_family
+from mystica.groups import enumerate_thick, make_gmpn, make_w, thick_family
 from mystica.verify import (
     IDENTITY_SUITES,
     CheckResult,
@@ -40,9 +40,12 @@ def test_predicted_family_counts():
 @pytest.mark.parametrize("n", [2, 3])
 def test_thick_family_exceeds_the_prediction_by_tau_of_m_over_4(n):
     # criterion 6's corrected statement: the groups outside the predicted
-    # family are the T(m,p,p/2,n) with p and m/p both even, tau(m/4) of them
+    # family are the T(m,p,p/2,n) with p and m/p both even, tau(m/4) of them;
+    # the lattice search finds the same groups with the same names
     for m in range(1, 13):
         family = thick_family(m, n)
+        found = enumerate_thick(m, n)
+        assert found == family and [T.tag for T in found] == [T.tag for T in family], (m, n)
         predicted = predicted_thick_family(m, n)
         tau = sum(1 for d in range(1, m // 4 + 1) if m % 4 == 0 and (m // 4) % d == 0)
         assert len(set(family)) == len(family)
