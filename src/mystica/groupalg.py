@@ -25,6 +25,11 @@ j * width (Kronecker substitution), the width bounding every coefficient the
 product can reach; a pair of terms then adds the product of two integers to
 the unreduced convolution row of its product element, and each element's row
 is unpacked and folded modulo the L-th cyclotomic polynomial once.
+
+The evaluation psi_k, psi_eval, is one integer accumulation too: each
+coefficient's numerators, scaled to one denominator, are added at the rows
+of their roots at the lcm order of N and the coefficients, and the sum is
+made once.  Its term-by-term reference is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -318,11 +323,33 @@ def j_c(c, a: GroupAlgebraElement) -> GroupAlgebraElement:
 
 def psi_eval(a: GroupAlgebraElement, k) -> Cyclotomic:
     """Evaluate a torus-supported element as a function of the exponent
-    vector: sum of coeff * prod_j zeta^(e_j k_j)."""
+    vector: sum of coeff * prod_j zeta^(e_j k_j).
+
+    One integer accumulation at L = lcm(N, orders of the coefficients) over
+    D = lcm of their denominators: numerator j of a coefficient of order o,
+    scaled to D, is added at the row of zeta_L^(j L/o + <e, k> L/N), and the
+    sum is made once.  The value is the canonical element of the
+    term-by-term sum, whose reference is in tests/reference.py."""
     if not a.is_torus_supported():
         raise ValueError("psi is defined on torus-supported elements only")
-    out = Cyclotomic.zero(a.N)
+    N = a.N
+    order, den = N, 1
+    for v in a.terms.values():
+        if order % v.order:
+            order = lcm(order, v.order)
+        if den % v.den:
+            den = lcm(den, v.den)
+    deg, rows = _ctx(order)
+    acc = [0] * deg
+    step = order // N
     for g, v in a.terms.items():
-        e = sum(ej * kj for ej, kj in zip(g.exps, k)) % a.N
-        out = out + v * Cyclotomic.root(a.N, e)
-    return out
+        shift = sum(map(mul, g.exps, k)) * step
+        stride = order // v.order
+        scale = den // v.den
+        for j, x in enumerate(v.nums):
+            if x:
+                x *= scale
+                for t, r in enumerate(rows[(j * stride + shift) % order]):
+                    if r:
+                        acc[t] += x * r
+    return _make(order, acc, den)

@@ -474,11 +474,6 @@ def _q_element_identities():
     return [(_q_element_identities_hold, (cs, _perms(n), _perms(n))) for n in (2, 3)]
 
 
-def _j_c_multiplicative(c, a, b) -> bool:
-    """J_c(ab) = J_c(a) J_c(b)."""
-    return j_c(c, a * b) == j_c(c, a) * j_c(c, b)
-
-
 def _j_c_intertwines(c, a, degree: int) -> bool:
     """rho_0(J_c(a)) = rho_c(a) on the degree slice, for a basis element
     a = t*w, in its finite form psi_k(Q_w^(c)) = phi_w^(c)(k) at each k:
@@ -492,13 +487,25 @@ def _j_c_intertwines(c, a, degree: int) -> bool:
 
 def _twist_map():
     """J_c is linear and the product bilinear, so the basis of the group
-    algebra of the n = 2, N = 4 monomial group proves both identities there."""
+    algebra of the n = 2, N = 4 monomial group proves both identities there.
+
+    The J_c image of each basis element is built once per call.  The product
+    of the basis elements g and h is the basis element g h, so the
+    multiplicativity predicate reads J_c(ab), J_c(a) and J_c(b) off that
+    table and multiplies only J_c(a) J_c(b)."""
     n, N = 2, 4
-    basis = tuple(
-        GroupAlgebraElement.from_element(MonomialElement(n, N, w, t)) for w in _perms(n) for t in _vectors(n, N)
-    )
-    cs = (cyc_make(4, 1),)
-    return [(_j_c_multiplicative, (cs, basis, basis)), (_j_c_intertwines, (cs, basis, range(4)))]
+    elements = [MonomialElement(n, N, w, t) for w in _perms(n) for t in _vectors(n, N)]
+    basis = tuple(GroupAlgebraElement.from_element(g) for g in elements)
+    zeta4 = cyc_make(4, 1)
+    image = {g: j_c(zeta4, a) for g, a in zip(elements, basis)}
+
+    def j_c_multiplicative(c, a, b) -> bool:
+        """J_c(ab) = J_c(a) J_c(b), at the table's c = zeta4."""
+        (g,), (h,) = a.terms, b.terms
+        return image[g * h] == image[g] * image[h]
+
+    cs = (zeta4,)
+    return [(j_c_multiplicative, (cs, basis, basis)), (_j_c_intertwines, (cs, basis, range(4)))]
 
 
 def _long_cycles(n: int) -> tuple[tuple[int, ...], ...]:

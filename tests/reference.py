@@ -1,13 +1,15 @@
 """Slow references that the tests compare the fast code with.  The twisted
 action straight from its definition, one element and one monomial at a time,
-for the slice-action kernel and the twist identity; and the thick subgroups
-found on the whole normal-subgroup lattice of G(m,1,n), for
-groups.enumerate_thick, which searches only the lattice of its quotient by
-the det-one torus."""
+for the slice-action kernel and the twist identity; psi_k term by term, for
+groupalg.psi_eval, and J_c multiplicativity from three j_c calls, for the
+twist-map suite's table of basis images; and the thick subgroups found on the
+whole normal-subgroup lattice of G(m,1,n), for groups.enumerate_thick, which
+searches only the lattice of its quotient by the det-one torus."""
 
 from math import factorial, lcm
 
 from mystica.cyclo import Cyclotomic
+from mystica.groupalg import j_c
 from mystica.groups import CapExceededError, GroupTag, group_size_cap, make_gmpn, thick_family
 from mystica.qpoly import phi_eval, slice_monomials
 
@@ -54,6 +56,23 @@ def reference_operator(terms, c, degree: int) -> dict:
             key = (basis.index(image), col)
             want[key] = want[key] + coeff * scalar if key in want else coeff * scalar
     return {key: v for key, v in want.items() if not v.is_zero()}
+
+
+def reference_psi(a, k):
+    """psi_k(a) term by term: one field product and one field sum per term,
+    sum of coeff * zeta_N^(<e, k> mod N)."""
+    if not a.is_torus_supported():
+        raise ValueError("psi is defined on torus-supported elements only")
+    out = Cyclotomic.zero(a.N)
+    for g, v in a.terms.items():
+        e = sum(ej * kj for ej, kj in zip(g.exps, k)) % a.N
+        out = out + v * Cyclotomic.root(a.N, e)
+    return out
+
+
+def reference_j_c_multiplicative(c, a, b):
+    """J_c(ab) = J_c(a) J_c(b), each side from its own j_c calls."""
+    return j_c(c, a * b) == j_c(c, a) * j_c(c, b)
 
 
 def reference_thick(m, n):

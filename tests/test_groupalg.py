@@ -27,7 +27,7 @@ from mystica.groupalg import (
 from mystica.groups import make_gmpn, make_w, closure_generate
 from mystica.monomial import MonomialElement, adjacent_swap, torus_gen
 from mystica.qpoly import operator_matrix, phi_eval, phi_w_eval
-from reference import reference_operator
+from reference import reference_operator, reference_psi
 
 C_VALUES = [Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1), cyc_make(12, 5)]
 
@@ -242,20 +242,26 @@ def test_twist_identity_on_every_parity_box():
     # reads k mod 2 only, as phi_w^(c) does, and the parity box covers every
     # degree
     cases = 0
+    for N, c, w, qw in _parity_box_q_elements():
+        assert all(e in (0, N // 2) for g in qw.terms for e in g.exps), (N, c, w)
+        for k in itertools.product((0, 1), repeat=len(w)):
+            assert psi_eval(qw, k) == phi_w_eval(c, w, k), (N, c, w, k)
+            cases += 1
+    assert cases == 3_080
+
+
+def _parity_box_q_elements():
+    """(N, c, w, Q_w^(c)) for every w in S_n, n = 2, 3, 4, and every c of its
+    ambient: N = 4 with c in 1, zeta4, 1/2, -3 and N = 12 with c in zeta3,
+    zeta12^5, zeta4."""
     for N, cs in (
         (4, (1, cyc_make(4, 1), Fraction(1, 2), -3)),
         (12, (cyc_make(3, 1), cyc_make(12, 5), cyc_make(4, 1))),
     ):
         for n in (2, 3, 4):
-            box = list(itertools.product((0, 1), repeat=n))
             for c in cs:
                 for w in itertools.permutations(range(n)):
-                    qw = q_w_element(c, w, n, N)
-                    assert all(e in (0, N // 2) for g in qw.terms for e in g.exps), (N, c, w)
-                    for k in box:
-                        assert psi_eval(qw, k) == phi_w_eval(c, w, k), (N, c, w, k)
-                        cases += 1
-    assert cases == 3_080
+                    yield N, c, w, q_w_element(c, w, n, N)
 
 
 def test_rho_examples():
@@ -445,3 +451,53 @@ def test_convolution_kernel_cancels_to_zero_and_takes_empty_operands():
     assert (GroupAlgebraElement(n, N, {g: v, g * s: v}) * b).terms == {}
     empty = GroupAlgebraElement(n, N)
     assert (a * empty).terms == (empty * a).terms == j_c(cyc_make(4, 1), empty).terms == {}
+
+
+# -- psi_k as one integer accumulation against the term-by-term sum -----------
+
+
+def _assert_same_element(got, want):
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+
+@st.composite
+def _psi_case(draw):
+    """(a, k): a torus-supported element with n <= 3 and N in {1, 2, 3, 4, 6,
+    8, 12}, up to five terms, each coefficient an int, a Fraction or a
+    rational multiple of a root of unity whose order need not divide N,
+    perhaps plus a further coefficient; k with entries in -5..24."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12)))
+
+    def coeff():
+        kind = draw(st.sampled_from(("int", "fraction", "root")))
+        if kind == "int":
+            return draw(st.integers(-3, 3) | st.integers(-(10**12), 10**12))
+        if kind == "fraction":
+            return Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+        root = Cyclotomic.root(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 10, 12))), draw(st.integers(0, 11)))
+        value = root * Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 6)))
+        return value + coeff() if draw(st.booleans()) else value
+
+    identity = tuple(range(n))
+    terms = {
+        MonomialElement(n, N, identity, tuple(draw(st.integers(0, N - 1)) for _ in range(n))): coeff()
+        for _ in range(draw(st.integers(0, 5)))
+    }
+    return GroupAlgebraElement(n, N, terms), tuple(draw(st.integers(-5, 24)) for _ in range(n))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_psi_case())
+def test_psi_accumulation_matches_term_by_term_sum(case):
+    a, k = case
+    _assert_same_element(psi_eval(a, k), reference_psi(a, k))
+
+
+def test_psi_accumulation_matches_term_by_term_sum_on_every_parity_box_q_element():
+    cases = 0
+    for N, c, w, qw in _parity_box_q_elements():
+        for k in itertools.product((-1, 0, 1), repeat=len(w)):
+            _assert_same_element(psi_eval(qw, k), reference_psi(qw, k))
+            cases += 1
+    assert cases == 7 * (3**2 * 2 + 3**3 * 6 + 3**4 * 24)  # seven (N, c), k in {-1, 0, 1}^n

@@ -1,14 +1,16 @@
 """Tests for the verification grid runner at small bounds."""
 
 import ast
+import inspect
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from mystica import groups, verify
+from mystica import groupalg, groups, verify
 from mystica.cyclo import cyc_make
+from mystica.groupalg import GroupAlgebraElement
 from mystica.groups import enumerate_thick, make_gmpn, make_w, thick_family
 from mystica.verify import (
     IDENTITY_SUITES,
@@ -25,6 +27,7 @@ from mystica.verify import (
     predicted_thick_family,
     run_all,
 )
+from reference import reference_j_c_multiplicative
 
 SMALL = VerifyConfig(max_m=2, max_n=2)
 
@@ -204,6 +207,60 @@ def test_twist_map_intertwining_holds_on_its_domain_and_not_under_a_mutated_phi(
 
     monkeypatch.setattr(verify, "phi_w_eval", flipped)
     assert sum(not predicate(*case) for case in cases) == 32
+
+
+def test_twist_map_reads_multiplicativity_off_one_table_of_basis_images(monkeypatch):
+    # the multiplicativity predicate reads J_c(ab), J_c(a) and J_c(b) off a
+    # table of the 32 basis images, built by 32 j_c calls per _twist_map()
+    # call; it agrees with the three-j_c reference on all 1,024 pairs
+    calls = []
+    original_j_c = verify.j_c
+
+    def counted(c, a):
+        calls.append(a)
+        return original_j_c(c, a)
+
+    monkeypatch.setattr(verify, "j_c", counted)
+    (predicate, domain), (_, intertwining) = verify._twist_map()
+    cases = list(itertools.product(*domain))
+    assert (len(cases), len(list(itertools.product(*intertwining)))) == (32 * 32, 32 * 4)
+    (c,), basis, _ = domain
+    image = inspect.getclosurevars(predicate).nonlocals["image"]
+    assert len(image) == 32
+    assert all(image[g] == original_j_c(c, a) for a in basis for g in a.terms)
+    assert [predicate(*case) for case in cases] == [reference_j_c_multiplicative(*case) for case in cases]
+    assert all(predicate(*case) for case in cases) and len(calls) == 32
+
+
+def test_twist_map_table_is_rebuilt_from_q_w_and_fails_where_the_cocycle_law_does(monkeypatch):
+    # each _twist_map() call rebuilds its table through q_w_element.  Q_w at
+    # 1/c for the swap changes the 16 images over the swap, and J_(1/c) is a
+    # twisting map too, so no pair fails.  2 Q_w for the swap breaks the law
+    # swap(Q_s) Q_s = 1, so J(a) J(b) = 4 J(ab) where a and b both lie over
+    # the swap: exactly those 16 x 16 pairs fail, in the table route and in
+    # the three-j_c reference alike
+    swap = (1, 0)
+    (_, (_, basis, _)), _ = verify._twist_map()
+    before = [verify.j_c(cyc_make(4, 1), a) for a in basis]
+    original = groupalg.q_w_element
+
+    def at_inverse(c, perm, n, N):
+        return original(c.inverse() if tuple(perm) == swap else c, perm, n, N)
+
+    def doubled(c, perm, n, N):
+        q = original(c, perm, n, N)
+        return GroupAlgebraElement(n, N, {g: 2 * v for g, v in q.items()}) if tuple(perm) == swap else q
+
+    for patch, want in ((at_inverse, 0), (doubled, 16 * 16)):
+        monkeypatch.setattr(groupalg, "q_w_element", patch)
+        (predicate, domain), _ = verify._twist_map()
+        image = inspect.getclosurevars(predicate).nonlocals["image"]
+        changed = [a for a, old in zip(basis, before) for g in a.terms if image[g] != old]
+        assert [next(iter(a.terms)).perm for a in changed] == [swap] * 16
+        failing = [(a, b) for c, a, b in itertools.product(*domain) if not predicate(c, a, b)]
+        assert len(failing) == want
+        assert all(next(iter(a.terms)).perm == next(iter(b.terms)).perm == swap for a, b in failing)
+        assert failing == [(a, b) for c, a, b in itertools.product(*domain) if not reference_j_c_multiplicative(c, a, b)]
 
 
 def test_check_result_json_form():
