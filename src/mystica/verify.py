@@ -421,7 +421,10 @@ def check_operator_independence(cfg: VerifyConfig) -> list[CheckResult]:
 # the product of its factor sequences, and its predicate holds on a case
 # when the identity does.  check_identity_suites runs every case.  phi_w^(c)(k)
 # and the q = -1 bracket depend on k only through its parities, so exponent
-# vectors in {0,1}^n prove the two cocycle identities for every k.
+# vectors in {0,1}^n prove the two cocycle identities for every k.  A suite
+# function may build the constants of its domain once, in a table local to
+# the call, and return predicates that close over it and do only the
+# per-case algebra; each call builds its own table.
 
 
 def _perms(n: int) -> tuple[tuple[int, ...], ...]:
@@ -458,20 +461,34 @@ def _twisted_multiplicativity():
     ]
 
 
-def _q_element_identities_hold(c, w, wp) -> bool:
-    """Q_w^(c) Q_w^(1/c) = 1 and Q_(w'w)^(c) = w^-1(Q_w'^(c)) Q_w^(c), at N = 12."""
-    n, N = len(w), 12
-    qw = q_w_element(c, w, n, N)
-    if qw * q_w_element(c.inverse(), w, n, N) != GroupAlgebraElement.one(n, N):
-        return False
-    winv = tuple(sorted(range(n), key=w.__getitem__))
-    ww = tuple(wp[i] for i in w)
-    return q_w_element(c, ww, n, N) == perm_act(winv, q_w_element(c, wp, n, N)) * qw
-
-
 def _q_element_identities():
+    """Q_w^(c) Q_w^(1/c) = 1 and Q_(w'w)^(c) = w^-1(Q_w'^(c)) Q_w^(c), at N = 12.
+
+    Q_w^(c) and its inverse-law verdict are built once per call for each
+    (c, w), keyed by c's canonical (order, nums, den): 24 inverse-law
+    products.  The predicate fails a case whose (c, w) breaks the inverse
+    law, and otherwise reads Q_(w'w), Q_w' and Q_w off that table and
+    multiplies only w^-1(Q_w') Q_w."""
+    N = 12
     cs = (Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1))
-    return [(_q_element_identities_hold, (cs, _perms(n), _perms(n))) for n in (2, 3)]
+    table = {}  # (c key, w) -> (Q_w^(c), whether Q_w^(c) Q_w^(1/c) = 1)
+    for n in (2, 3):
+        one = GroupAlgebraElement.one(n, N)
+        for c in cs:
+            for w in _perms(n):
+                qw = q_w_element(c, w, n, N)
+                table[(c.order, c.nums, c.den), w] = qw, qw * q_w_element(c.inverse(), w, n, N) == one
+
+    def q_element_identities_hold(c, w, wp) -> bool:
+        key = (c.order, c.nums, c.den)
+        qw, inverse_law = table[key, w]
+        if not inverse_law:
+            return False
+        winv = tuple(sorted(range(len(w)), key=w.__getitem__))
+        ww = tuple(wp[i] for i in w)
+        return table[key, ww][0] == perm_act(winv, table[key, wp][0]) * qw
+
+    return [(q_element_identities_hold, (cs, _perms(n), _perms(n))) for n in (2, 3)]
 
 
 def _j_c_intertwines(c, a, degree: int) -> bool:
@@ -527,23 +544,33 @@ def _long_cycle_law():
     return [(_long_cycle_law_holds, ((N,), _long_cycles(n), _vectors(n, N))) for n, N in cells]
 
 
-def _odd_level_nonclosed(m: int, p: int, n: int) -> bool:
-    """At odd level m the generators of G(m,p,n) fix the first and the last
-    fundamental invariant f, g, but not their q = -1 product."""
-    N, step = 4 * m, 4  # zeta_N^step = zeta_m
-    polys = fundamental_invariants(m, p, n)
-    f, g = polys[0], polys[-1]
-    gens = [adjacent_swap(n, N, i) for i in range(1, n)]
-    gens.append(torus_gen(n, N, 1, step) * torus_gen(n, N, 2, -step))
-    gens.append(torus_gen(n, N, 1, p * step))
-    if any(act_c(0, gen, f) != f or act_c(0, gen, g) != g for gen in gens):
-        return False
-    h = qmul(QMatrix.minus_one(n), f, g)
-    return not all(act_c(0, gen, h) == h for gen in gens)
-
-
 def _odd_level_nonclosure():
-    return [(_odd_level_nonclosed, ((m,), _divisors(m), (2, 3))) for m in (1, 3, 5)]
+    """At odd level m the generators of G(m,p,n) fix the first and the last
+    fundamental invariant f, g, but not their q = -1 product.
+
+    f, g and the generators of each G(m,p,n) are built once per call; the
+    predicate checks that every generator fixes f and g, builds h = f * g
+    at q = -1 and checks it against every generator."""
+    levels = (1, 3, 5)
+    table = {}  # (m, p, n) -> (f, g, generators of G(m,p,n) at N = 4m)
+    for m in levels:
+        N, step = 4 * m, 4  # zeta_N^step = zeta_m
+        for p in _divisors(m):
+            for n in (2, 3):
+                polys = fundamental_invariants(m, p, n)
+                gens = [adjacent_swap(n, N, i) for i in range(1, n)]
+                gens.append(torus_gen(n, N, 1, step) * torus_gen(n, N, 2, -step))
+                gens.append(torus_gen(n, N, 1, p * step))
+                table[m, p, n] = polys[0], polys[-1], gens
+
+    def odd_level_nonclosed(m: int, p: int, n: int) -> bool:
+        f, g, gens = table[m, p, n]
+        if any(act_c(0, gen, f) != f or act_c(0, gen, g) != g for gen in gens):
+            return False
+        h = qmul(QMatrix.minus_one(n), f, g)
+        return not all(act_c(0, gen, h) == h for gen in gens)
+
+    return [(odd_level_nonclosed, ((m,), _divisors(m), (2, 3))) for m in levels]
 
 
 IDENTITY_SUITES = (

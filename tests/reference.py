@@ -2,16 +2,19 @@
 action straight from its definition, one element and one monomial at a time,
 for the slice-action kernel and the twist identity; psi_k term by term, for
 groupalg.psi_eval, and J_c multiplicativity from three j_c calls, for the
-twist-map suite's table of basis images; and the thick subgroups found on the
-whole normal-subgroup lattice of G(m,1,n), for groups.enumerate_thick, which
-searches only the lattice of its quotient by the det-one torus."""
+twist-map suite's table of basis images; the q-element identities and the
+odd-level non-closure with every constant built per case, for the tables of
+those two suites; and the thick subgroups found on the whole normal-subgroup
+lattice of G(m,1,n), for groups.enumerate_thick, which searches only the
+lattice of its quotient by the det-one torus."""
 
 from math import factorial, lcm
 
 from mystica.cyclo import Cyclotomic
-from mystica.groupalg import j_c
+from mystica.groupalg import GroupAlgebraElement, j_c, perm_act, q_w_element
 from mystica.groups import CapExceededError, GroupTag, group_size_cap, make_gmpn, thick_family
-from mystica.qpoly import phi_eval, slice_monomials
+from mystica.monomial import adjacent_swap, torus_gen
+from mystica.qpoly import QMatrix, act_c, fundamental_invariants, phi_eval, qmul, slice_monomials
 
 
 def reference_cocycle(c, w, k, N):
@@ -73,6 +76,34 @@ def reference_psi(a, k):
 def reference_j_c_multiplicative(c, a, b):
     """J_c(ab) = J_c(a) J_c(b), each side from its own j_c calls."""
     return j_c(c, a * b) == j_c(c, a) * j_c(c, b)
+
+
+def reference_q_element_identities_hold(c, w, wp) -> bool:
+    """Q_w^(c) Q_w^(1/c) = 1 and Q_(w'w)^(c) = w^-1(Q_w'^(c)) Q_w^(c), at N =
+    12, every Q element and the inverse-law product built for this case."""
+    n, N = len(w), 12
+    qw = q_w_element(c, w, n, N)
+    if qw * q_w_element(c.inverse(), w, n, N) != GroupAlgebraElement.one(n, N):
+        return False
+    winv = tuple(sorted(range(n), key=w.__getitem__))
+    ww = tuple(wp[i] for i in w)
+    return q_w_element(c, ww, n, N) == perm_act(winv, q_w_element(c, wp, n, N)) * qw
+
+
+def reference_odd_level_nonclosed(m: int, p: int, n: int) -> bool:
+    """At odd level m the generators of G(m,p,n) fix the first and the last
+    fundamental invariant f, g, but not their q = -1 product; the invariants
+    and the generators built for this case."""
+    N, step = 4 * m, 4  # zeta_N^step = zeta_m
+    polys = fundamental_invariants(m, p, n)
+    f, g = polys[0], polys[-1]
+    gens = [adjacent_swap(n, N, i) for i in range(1, n)]
+    gens.append(torus_gen(n, N, 1, step) * torus_gen(n, N, 2, -step))
+    gens.append(torus_gen(n, N, 1, p * step))
+    if any(act_c(0, gen, f) != f or act_c(0, gen, g) != g for gen in gens):
+        return False
+    h = qmul(QMatrix.minus_one(n), f, g)
+    return not all(act_c(0, gen, h) == h for gen in gens)
 
 
 def reference_thick(m, n):

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from mystica import groupalg, groups, verify
-from mystica.cyclo import cyc_make
+from mystica.cyclo import Cyclotomic, cyc_make
 from mystica.groupalg import GroupAlgebraElement
 from mystica.groups import enumerate_thick, make_gmpn, make_w, thick_family
+from mystica.qpoly import QPolynomial
 from mystica.verify import (
     IDENTITY_SUITES,
     CheckResult,
@@ -27,7 +29,11 @@ from mystica.verify import (
     predicted_thick_family,
     run_all,
 )
-from reference import reference_j_c_multiplicative
+from reference import (
+    reference_j_c_multiplicative,
+    reference_odd_level_nonclosed,
+    reference_q_element_identities_hold,
+)
 
 SMALL = VerifyConfig(max_m=2, max_n=2)
 
@@ -261,6 +267,136 @@ def test_twist_map_table_is_rebuilt_from_q_w_and_fails_where_the_cocycle_law_doe
         assert len(failing) == want
         assert all(next(iter(a.terms)).perm == next(iter(b.terms)).perm == swap for a, b in failing)
         assert failing == [(a, b) for c, a, b in itertools.product(*domain) if not reference_j_c_multiplicative(c, a, b)]
+
+
+# -- the q-element and odd-level suites on per-call tables ---------------------
+
+Q_ELEMENT_CS = (Cyclotomic.rational(1), cyc_make(4, 1), cyc_make(3, 1))
+CYCLE3 = (1, 2, 0)  # the n = 3 permutation the q_w_element mutations hit
+
+
+def _suite_blocks():
+    """(suite name, the function making its blocks, reference predicate, the
+    factor tuples of its blocks as the per-case predicates had them) for the
+    two table suites."""
+    perms = verify._perms
+    q_factors = [(Q_ELEMENT_CS, perms(n), perms(n)) for n in (2, 3)]
+    odd_factors = [((1,), [1], (2, 3)), ((3,), [1, 3], (2, 3)), ((5,), [1, 5], (2, 3))]
+    return (
+        ("q-element-identities", verify._q_element_identities, reference_q_element_identities_hold, q_factors),
+        ("odd-level-nonclosure", verify._odd_level_nonclosure, reference_odd_level_nonclosed, odd_factors),
+    )
+
+
+def _cases(blocks):
+    return [(predicate, case) for predicate, factors in blocks for case in itertools.product(*factors)]
+
+
+def _failing(blocks, reference_predicate=None):
+    return [case for predicate, case in _cases(blocks) if not (reference_predicate or predicate)(*case)]
+
+
+def test_table_suites_agree_with_the_per_case_references_on_every_case():
+    # the predicates read their constants off the call's table; the blocks
+    # keep the factor tuples of the per-case predicates, so a sampler makes
+    # the same draws, and on all 120 and 10 cases each verdict is the
+    # reference's, and True
+    for name, make_blocks, reference_predicate, factors in _suite_blocks():
+        blocks = make_blocks()
+        assert [list(f) for _, f in blocks] == [list(f) for f in factors]
+        cases = _cases(blocks)
+        assert len(cases) == SUITE_CASES[name] == {"q-element-identities": 120, "odd-level-nonclosure": 10}[name]
+        assert [predicate(*case) for predicate, case in cases] == [reference_predicate(*case) for _, case in cases]
+        assert all(predicate(*case) for predicate, case in cases)
+    for seed in range(5):
+        assert verify.suite_q_element_identities(random.Random(seed), 200) == 0, seed
+        assert verify.suite_odd_level_nonclosure(random.Random(seed), 200) == 0, seed
+
+
+def test_q_element_table_is_rebuilt_per_call_and_fails_where_the_reference_does(monkeypatch):
+    # the mutant q_w_element replaces the name in verify and in the reference
+    # alike; blocks built before the patch keep their own table and pass,
+    # blocks built after it read the mutant.  2 Q_w for the 3-cycle w0
+    # scales each side of a law by 2 per occurrence of w0: the inverse law
+    # fails at every (c, w0, w'), 3 * 6 cases, and the cocycle law where w0
+    # is exactly one of w' and w'w with w neither w0 nor the identity, 2 * 4
+    # per c.  Q_w0 at 1/c still satisfies the inverse law, and at c = 1 it
+    # is Q_w0; at each other c the cocycle law fails on the 15 cases where
+    # w0 is one of w, w', w'w, except the two where w or w' is the identity
+    # and w0 stands on both sides
+    before = verify._q_element_identities()
+    original = verify.q_w_element
+
+    def doubled(c, perm, n, N):
+        q = original(c, perm, n, N)
+        return GroupAlgebraElement(n, N, {g: 2 * v for g, v in q.items()}) if tuple(perm) == CYCLE3 else q
+
+    def at_inverse(c, perm, n, N):
+        return original(c.inverse() if tuple(perm) == CYCLE3 else c, perm, n, N)
+
+    for patch in (doubled, at_inverse):
+        monkeypatch.setattr(verify, "q_w_element", patch)
+        monkeypatch.setattr(reference, "q_w_element", patch)
+        assert _failing(before) == []
+        after = verify._q_element_identities()
+        failing = _failing(after)
+        assert failing == _failing(after, reference_q_element_identities_hold)
+        assert all(CYCLE3 in (w, wp, tuple(wp[i] for i in w)) for _, w, wp in failing)
+        if patch is doubled:
+            assert len(failing) == 3 * (6 + 2 * 4)
+            at_cycle = [(c, wp) for c, w, wp in failing if w == CYCLE3]
+            assert at_cycle == list(itertools.product(Q_ELEMENT_CS, verify._perms(3)))
+        else:
+            assert len(failing) == 2 * (15 - 2) and all(c != 1 for c, _, _ in failing)
+
+
+def test_odd_level_table_fails_where_the_reference_does_under_a_moved_g(monkeypatch):
+    # at p = m the mutant's last invariant is x_1 g, which the swap (1 2)
+    # moves; the table route and the reference fail on those six (m, p, n)
+    original = verify.fundamental_invariants
+
+    def moved(m, p, n):
+        polys = original(m, p, n)
+        if p != m:
+            return polys
+        return polys[:-1] + [QPolynomial(n, {(m // p + 1,) + (m // p,) * (n - 1): 1})]
+
+    monkeypatch.setattr(verify, "fundamental_invariants", moved)
+    monkeypatch.setattr(reference, "fundamental_invariants", moved)
+    blocks = verify._odd_level_nonclosure()
+    want = [(m, m, n) for m in (1, 3, 5) for n in (2, 3)]
+    assert _failing(blocks) == _failing(blocks, reference_odd_level_nonclosed) == want
+
+
+def test_table_suites_build_their_constants_once_per_call(monkeypatch):
+    # one _q_element_identities() call makes one inverse-law product per
+    # (c, w): 3 * (2 + 6) = 24 (q_w_element is cached, so a warm call makes
+    # no other product); one _odd_level_nonclosure() call builds the
+    # invariants of each of its 10 groups once, and its cases build none
+    verify._q_element_identities()
+    products = []
+    original_mul = GroupAlgebraElement.__mul__
+
+    def counted_mul(a, b):
+        products.append((a, b))
+        return original_mul(a, b)
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", counted_mul)
+    verify._q_element_identities()
+    assert len(products) == 24
+    monkeypatch.undo()
+
+    calls = []
+    original = verify.fundamental_invariants
+
+    def counted(m, p, n):
+        calls.append((m, p, n))
+        return original(m, p, n)
+
+    monkeypatch.setattr(verify, "fundamental_invariants", counted)
+    blocks = verify._odd_level_nonclosure()
+    assert sorted(calls) == sorted(case for _, case in _cases(blocks))
+    assert _failing(blocks) == [] and len(calls) == 10
 
 
 def test_check_result_json_form():
